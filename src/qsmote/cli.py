@@ -29,6 +29,10 @@ def _config_hash(payload):
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
+def _manifest_path(out_path):
+    return Path(out_path).with_suffix(".manifest.json")
+
+
 def _write_manifest(out_path, inputs, outputs, params, achieved_percent=None):
     manifest = {
         "tool_version": __version__,
@@ -41,37 +45,39 @@ def _write_manifest(out_path, inputs, outputs, params, achieved_percent=None):
     }
     if achieved_percent is not None:
         manifest["achieved_minority_percent"] = achieved_percent
-    path = Path(out_path).with_suffix(".manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(_manifest_path(out_path), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
+
+
+def _new_outputs(outputs):
+    """The outputs and manifest that do not exist yet: all a failed run may remove."""
+    paths = [*outputs, _manifest_path(outputs[0])]
+    return [Path(p) for p in paths if not os.path.lexists(p)]
 
 
 def _cleanup(paths):
     for p in paths:
         try:
-            Path(p).unlink(missing_ok=True)
+            p.unlink(missing_ok=True)
         except OSError:
             pass
 
 
 def cmd_preprocess(args):
+    created = _new_outputs([args.output])
     config = data.load_config(args.config)
     dataset = data.load_csv(args.input, config)
-    outputs = [args.output]
     try:
         data.write_dataset(dataset, args.output)
-        outputs.append(
-            _write_manifest(
-                args.output,
-                [args.input, args.config],
-                [args.output],
-                {"command": "preprocess", "seed": None, "config": str(args.config)},
-            )
+        _write_manifest(
+            args.output,
+            [args.input, args.config],
+            [args.output],
+            {"command": "preprocess", "seed": None, "config": str(args.config)},
         )
     except Exception:
-        _cleanup(outputs)
+        _cleanup(created)
         raise
     return EXIT_OK
 
@@ -103,6 +109,10 @@ def _load_encoded(path, target):
 
 
 def cmd_smote(args):
+    out = Path(args.output)
+    svg = out.with_suffix(".angles.svg")
+    outputs = [out, svg, svg.with_suffix(".csv")]
+    created = _new_outputs(outputs)
     dataset = _load_encoded(args.input, args.target_column)
     minority = data._minority_label(dataset.y)
     config = pipeline.SmoteConfig(
@@ -115,9 +125,6 @@ def cmd_smote(args):
         num_bins=args.bins,
         boost_angle_multiplier=args.boost_multiplier,
     )
-    out = Path(args.output)
-    svg = out.with_suffix(".angles.svg")
-    outputs = [out, svg, svg.with_suffix(".csv")]
     try:
         result = pipeline.run_smote(dataset.X, dataset.y, config, minority_label=minority)
         records = list(result.synthetic)
@@ -133,27 +140,25 @@ def cmd_smote(args):
         )
         data.write_augmented(dataset, records, out, original_distances=distances_by_row)
         data.emit_histogram(dists, config.num_bins * 4, bounds, svg)
-        outputs.append(
-            _write_manifest(
-                out,
-                [args.input],
-                outputs[:3],
-                {
-                    "command": "smote",
-                    "seed": args.seed,
-                    "target_percent": args.target_percent,
-                    "sf": args.sf,
-                    "shots": args.shots,
-                    "aol": args.aol,
-                    "bins": args.bins,
-                    "estimator": args.estimator,
-                    "rescale": not args.no_rescale,
-                },
-                achieved_percent=result.report.achieved_percent,
-            )
+        _write_manifest(
+            out,
+            [args.input],
+            outputs,
+            {
+                "command": "smote",
+                "seed": args.seed,
+                "target_percent": args.target_percent,
+                "sf": args.sf,
+                "shots": args.shots,
+                "aol": args.aol,
+                "bins": args.bins,
+                "estimator": args.estimator,
+                "rescale": not args.no_rescale,
+            },
+            achieved_percent=result.report.achieved_percent,
         )
     except Exception:
-        _cleanup(outputs)
+        _cleanup(created)
         raise
     print(
         f"generated {result.report.synthetic_generated} synthetic records "
@@ -168,11 +173,11 @@ def _fmt_metric(v):
 
 
 def cmd_evaluate(args):
+    created = _new_outputs([args.output])
     dataset = _load_encoded(args.input, args.target_column)
     minority = data._minority_label(dataset.y)
     grid = [float(g) for g in args.grid.split(",")] if args.grid else []
     aol_flags = {"both": (False, True), "on": (True,), "off": (False,)}[args.aol_mode]
-    outputs = [args.output]
     try:
         rows = evaluate.run_experiment(
             dataset.X,
@@ -200,23 +205,21 @@ def cmd_evaluate(args):
                         _fmt_metric(r.roc_auc),
                     ]
                 )
-        outputs.append(
-            _write_manifest(
-                args.output,
-                [args.input],
-                [args.output],
-                {
-                    "command": "evaluate",
-                    "seed": args.seed,
-                    "grid": grid,
-                    "k": args.k,
-                    "split": args.split,
-                    "aol": args.aol_mode,
-                },
-            )
+        _write_manifest(
+            args.output,
+            [args.input],
+            [args.output],
+            {
+                "command": "evaluate",
+                "seed": args.seed,
+                "grid": grid,
+                "k": args.k,
+                "split": args.split,
+                "aol": args.aol_mode,
+            },
         )
     except Exception:
-        _cleanup(outputs)
+        _cleanup(created)
         raise
     if args.assert_trend:
         baseline = rows[0].f1
@@ -231,12 +234,6 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="qsmote",
         description="Swap-test driven minority oversampling with angular outlier boosting",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("QSMOTE_THREADS", "0")) or None,
-        help="worker cap (results are independent of this)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

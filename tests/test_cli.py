@@ -132,6 +132,47 @@ def test_smote_invalid_target_exits_2_and_cleans_up(encoded, tmp_path, capsys):
     assert not (tmp_path / "aug.manifest.json").exists()
 
 
+def _existing_outputs(paths):
+    for i, p in enumerate(paths):
+        p.write_text(f"earlier run {i}\n")
+    return {p: p.read_bytes() for p in paths}
+
+
+def test_failed_smote_keeps_existing_outputs(encoded, tmp_path):
+    out = tmp_path / "aug.csv"
+    names = ["aug.angles.svg", "aug.angles.csv", "aug.manifest.json"]
+    before = _existing_outputs([out] + [tmp_path / name for name in names])
+    assert cli.main(["smote", str(encoded), str(out), "--target-percent", "5"]) == 2
+    assert {p: p.read_bytes() for p in before} == before
+
+
+def test_failed_evaluate_keeps_existing_outputs(encoded, tmp_path):
+    report = tmp_path / "report.csv"
+    before = _existing_outputs([report, tmp_path / "report.manifest.json"])
+    assert cli.main(["evaluate", str(encoded), str(report), "--k", "1000"]) == 2
+    assert {p: p.read_bytes() for p in before} == before
+
+
+def test_failed_evaluate_removes_only_the_outputs_it_created(encoded, tmp_path, monkeypatch):
+    # the run fails after writing a new report: the report goes, the
+    # manifest of an earlier run stays
+    def fail(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "_write_manifest", fail)
+    report = tmp_path / "report.csv"
+    before = _existing_outputs([tmp_path / "report.manifest.json"])
+    assert cli.main(["evaluate", str(encoded), str(report)]) == 1
+    assert not report.exists()
+    assert {p: p.read_bytes() for p in before} == before
+
+
+def test_threads_flag_is_gone(capsys):
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["--threads=2", "evaluate", "in.csv", "out.csv"])
+    assert "unrecognized arguments: --threads=2" in capsys.readouterr().err
+
+
 def test_evaluate_baseline_only(encoded, tmp_path):
     report = tmp_path / "report.csv"
     code = cli.main(["evaluate", str(encoded), str(report), "--seed", "0"])

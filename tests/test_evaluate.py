@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsmote import evaluate, pipeline
 from qsmote.errors import ParameterError
@@ -45,6 +47,108 @@ def test_knn_rejects_bad_k_and_empty_train():
         evaluate.knn_predict(np.empty((0, 2)), np.empty(0), [[1.0, 2.0]], k=1)
     with pytest.raises(ParameterError):
         evaluate.knn_predict(np.ones((3, 1)), np.ones(3), [[1.0]], k=4)
+
+
+def _knn_reference(train_X, train_y, test_X, k=5, train_ids=None):
+    """The per-query loop knn_predict must reproduce bit for bit."""
+    train_X = np.asarray(train_X, dtype=float)
+    train_y = np.asarray(train_y)
+    test_X = np.atleast_2d(np.asarray(test_X, dtype=float))
+    if train_ids is None:
+        train_ids = np.arange(train_X.shape[0])
+    scores = np.empty(test_X.shape[0])
+    for i, x in enumerate(test_X):
+        dist = np.linalg.norm(train_X - x, axis=1)
+        order = np.lexsort((train_ids, dist))[:k]
+        scores[i] = float(np.mean(train_y[order] == 1))
+    return scores
+
+
+def _knn_features(kind, rng, shape):
+    if kind == "gaussian":
+        return rng.normal(size=shape)
+    if kind == "codes":  # small integer codes: many exact distance ties
+        return rng.integers(0, 3, size=shape).astype(float)
+    if kind == "offset":  # an id-like column far from the origin
+        X = rng.normal(size=shape)
+        X[:, 0] += 1e6 + rng.integers(0, 50, size=shape[0])
+        return X
+    # near-duplicates: pairs of rows a few ulps apart
+    X = np.repeat(rng.normal(size=((shape[0] + 1) // 2, shape[1])), 2, axis=0)[: shape[0]]
+    X[1::2] += 1e-15
+    return X
+
+
+@st.composite
+def _knn_cases(draw):
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 10))
+    m = draw(st.integers(0, 25))
+    kind = draw(st.sampled_from(["gaussian", "codes", "offset", "near-duplicate"]))
+    ids_kind = draw(st.sampled_from(["none", "permuted", "duplicate"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    train_X = _knn_features(kind, rng, (n, d))
+    test_X = _knn_features(kind, rng, (m, d))
+    # about half the queries are training rows themselves
+    copied = rng.random(m) < 0.5
+    test_X[copied] = train_X[rng.integers(0, n, size=copied.sum())]
+    train_y = rng.integers(0, 2, size=n)
+    train_ids = {
+        "none": None,
+        "permuted": rng.permutation(n) + 100,
+        "duplicate": rng.integers(0, max(1, n // 3), size=n),
+    }[ids_kind]
+    return train_X, train_y, test_X, draw(st.integers(1, n)), train_ids
+
+
+@settings(max_examples=300, deadline=None)
+@given(_knn_cases())
+def test_knn_equals_reference_loop_exactly(case):
+    train_X, train_y, test_X, k, train_ids = case
+    got = evaluate.knn_predict(train_X, train_y, test_X, k=k, train_ids=train_ids)
+    want = _knn_reference(train_X, train_y, test_X, k=k, train_ids=train_ids)
+    assert got.shape == want.shape
+    assert (got == want).all()
+
+
+def test_knn_many_blocks_with_ties_equals_reference_loop():
+    # enough queries for several blocks, on tied integer codes
+    rng = np.random.default_rng(11)
+    train_X = rng.integers(0, 3, size=(700, 6)).astype(float)
+    train_y = rng.integers(0, 2, size=700)
+    test_X = np.vstack([train_X[:150], rng.integers(0, 3, size=(150, 6))])
+    for k in (1, 5, 699):
+        got = evaluate.knn_predict(train_X, train_y, test_X, k=k)
+        assert (got == _knn_reference(train_X, train_y, test_X, k=k)).all()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_knn_overflowing_distances_equal_reference_loop():
+    # squared distances overflow to inf, so every row ties at inf and the
+    # lower id must still win
+    train_X = np.array([[1e200, -1e200], [-1e200, 1e200], [1e200, 1e200], [0.0, 0.0]])
+    train_y = np.array([0, 1, 1, 0])
+    test_X = np.array([[-1e200, -1e200], [1e200, 1e200], [0.0, 1.0]])
+    for k in range(1, 5):
+        got = evaluate.knn_predict(train_X, train_y, test_X, k=k)
+        assert (got == _knn_reference(train_X, train_y, test_X, k=k)).all()
+
+
+def test_knn_rejects_label_count_mismatch():
+    with pytest.raises(ParameterError):
+        evaluate.knn_predict(np.zeros((3, 1)), np.array([1, 0]), [[0.0]], k=1)
+
+
+def test_knn_rejects_query_width_mismatch():
+    with pytest.raises(ParameterError):
+        evaluate.knn_predict(np.zeros((3, 2)), np.zeros(3), [[0.0, 0.0, 0.0]], k=1)
+
+
+def test_knn_rejects_non_finite_features():
+    with pytest.raises(ParameterError):
+        evaluate.knn_predict(np.array([[0.0], [np.nan]]), np.zeros(2), [[0.0]], k=1)
+    with pytest.raises(ParameterError):
+        evaluate.knn_predict(np.zeros((2, 1)), np.zeros(2), [[np.inf]], k=1)
 
 
 def _confusion_vectors():
