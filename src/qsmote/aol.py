@@ -12,7 +12,6 @@ import numpy as np
 
 from . import synth
 from .errors import ParameterError
-from .pipeline import DEGREE
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,7 @@ def boost_outliers(table, features, distances, row_ids, config):
         mask = bin_members(table, i, distances)
         for feats, dist, rid in zip(features[mask], distances[mask], row_ids[mask]):
             for j in range(itr):
-                increment = (itr * DEGREE) * config.boost_angle_multiplier + j
+                increment = (itr * synth.DEGREE) * config.boost_angle_multiplier + j
                 rng = np.random.default_rng([config.seed, int(rid), j, 0xB005])
                 boosted.append(
                     synth.create_syn_data(

@@ -7,17 +7,20 @@ all randomness flows from --seed.
 """
 
 import argparse
+import contextlib
 import csv
 import datetime
 import hashlib
 import json
 import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, aol, data, evaluate, pipeline
+from . import __version__, data, evaluate, pipeline
 from .errors import DataError, ParameterError, QsmoteError
 
 EXIT_OK = 0
@@ -50,59 +53,71 @@ def _write_manifest(out_path, inputs, outputs, params, achieved_percent=None):
         fh.write("\n")
 
 
-def _new_outputs(outputs):
-    """The outputs and manifest that do not exist yet: all a failed run may remove."""
-    paths = [*outputs, _manifest_path(outputs[0])]
-    return [Path(p) for p in paths if not os.path.lexists(p)]
+@contextlib.contextmanager
+def _staged(outputs):
+    """Yield scratch paths for the outputs; move them and the manifest in on success.
 
-
-def _cleanup(paths):
-    for p in paths:
-        try:
-            p.unlink(missing_ok=True)
-        except OSError:
-            pass
+    The scratch directory sits beside the first output and each file in
+    it has its final name, so a sibling that a writer derives (the
+    histogram CSV, the manifest) lands right. A failed run removes the
+    directory and leaves every existing file as it was.
+    """
+    outputs = [Path(p) for p in outputs]
+    stage = Path(tempfile.mkdtemp(prefix=".qsmote-", dir=outputs[0].parent))
+    try:
+        yield [stage / p.name for p in outputs]
+        for p in [*outputs, _manifest_path(outputs[0])]:
+            os.replace(stage / p.name, p)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def cmd_preprocess(args):
-    created = _new_outputs([args.output])
     config = data.load_config(args.config)
     dataset = data.load_csv(args.input, config)
-    try:
-        data.write_dataset(dataset, args.output)
+    with _staged([args.output]) as (output,):
+        data.write_dataset(dataset, output)
         _write_manifest(
-            args.output,
+            output,
             [args.input, args.config],
             [args.output],
             {"command": "preprocess", "seed": None, "config": str(args.config)},
         )
-    except Exception:
-        _cleanup(created)
-        raise
     return EXIT_OK
 
 
 def _load_encoded(path, target):
-    """Read a preprocessed CSV (numeric features + target column)."""
+    """Read a preprocessed CSV (numeric features + target column).
+
+    Every row must be as wide as the header, every cell a finite number
+    and every label an integer; otherwise a DataError names the row.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         rows = list(reader)
     if target not in header:
         raise DataError("target column missing", column=target)
-    t = header.index(target)
-    names = [h for i, h in enumerate(header) if i != t]
-    try:
-        X = np.array([[float(v) for i, v in enumerate(r) if i != t] for r in rows])
-        y = np.array([int(float(r[t])) for r in rows], dtype=int)
-    except ValueError as exc:
-        raise DataError(f"non-numeric cell in {path}: {exc}") from None
     if len(rows) == 0:
         raise DataError(f"no data rows in {path}")
+    data.check_row_widths(header, rows)
+    try:
+        table = np.array([[float(v) for v in r] for r in rows])
+    except ValueError as exc:
+        raise DataError(f"non-numeric cell in {path}: {exc}") from None
+    t = header.index(target)
+    labels = table[:, t]
+    bad = np.argwhere(~np.isfinite(table))
+    if len(bad):
+        i, j = bad[0]
+        raise DataError(f"non-finite cell {rows[i][j]!r}", row=i + 1, column=header[j])
+    bad = np.flatnonzero(labels % 1)
+    if len(bad):
+        raise DataError(f"non-integer label {rows[bad[0]][t]!r}", row=bad[0] + 1, column=target)
     return data.Dataset(
-        feature_names=names,
-        X=X,
-        y=y,
+        feature_names=[h for i, h in enumerate(header) if i != t],
+        X=np.delete(table, t, axis=1),
+        y=labels.astype(int),
         row_ids=np.arange(len(rows)),
         target_name=target,
     )
@@ -112,9 +127,8 @@ def cmd_smote(args):
     out = Path(args.output)
     svg = out.with_suffix(".angles.svg")
     outputs = [out, svg, svg.with_suffix(".csv")]
-    created = _new_outputs(outputs)
     dataset = _load_encoded(args.input, args.target_column)
-    minority = data._minority_label(dataset.y)
+    minority = data.minority_label(dataset.y)
     config = pipeline.SmoteConfig(
         target_minority_percent=args.target_percent,
         split_factor=args.sf,
@@ -125,23 +139,15 @@ def cmd_smote(args):
         num_bins=args.bins,
         boost_angle_multiplier=args.boost_multiplier,
     )
-    try:
-        result = pipeline.run_smote(dataset.X, dataset.y, config, minority_label=minority)
-        records = list(result.synthetic)
-        dists = np.r_[result.angular_distances, [r.angular_distance for r in records]]
-        bounds, low, high = aol.detect_outliers(dists, config.num_bins)
-        if args.aol:
-            feats = list(dataset.X[dataset.y == minority]) + [r.features for r in records]
-            ids = np.r_[result.minority_row_ids, [r.source_row_id for r in records]]
-            for table in (low, high):
-                records += aol.boost_outliers(table, feats, dists, ids, config)
-        distances_by_row = dict(
-            zip((int(r) for r in result.minority_row_ids), result.angular_distances)
-        )
-        data.write_augmented(dataset, records, out, original_distances=distances_by_row)
-        data.emit_histogram(dists, config.num_bins * 4, bounds, svg)
+    result, records, dists, bounds = pipeline.augment(
+        dataset.X, dataset.y, config, args.aol, minority_label=minority
+    )
+    distances_by_row = dict(zip((int(r) for r in result.minority_row_ids), result.angular_distances))
+    with _staged(outputs) as (staged_out, staged_svg, _):
+        data.write_augmented(dataset, records, staged_out, original_distances=distances_by_row)
+        data.emit_histogram(dists, config.num_bins * 4, bounds, staged_svg)
         _write_manifest(
-            out,
+            staged_out,
             [args.input],
             outputs,
             {
@@ -157,9 +163,6 @@ def cmd_smote(args):
             },
             achieved_percent=result.report.achieved_percent,
         )
-    except Exception:
-        _cleanup(created)
-        raise
     print(
         f"generated {result.report.synthetic_generated} synthetic records "
         f"({len(records) - result.report.synthetic_generated} boosted), "
@@ -173,22 +176,21 @@ def _fmt_metric(v):
 
 
 def cmd_evaluate(args):
-    created = _new_outputs([args.output])
     dataset = _load_encoded(args.input, args.target_column)
-    minority = data._minority_label(dataset.y)
+    minority = data.minority_label(dataset.y)
     grid = [float(g) for g in args.grid.split(",")] if args.grid else []
     aol_flags = {"both": (False, True), "on": (True,), "off": (False,)}[args.aol_mode]
-    try:
-        rows = evaluate.run_experiment(
-            dataset.X,
-            (dataset.y == minority).astype(int),
-            grid,
-            aol_flags=aol_flags,
-            test_fraction=args.split,
-            seed=args.seed,
-            k=args.k,
-        )
-        with open(args.output, "w", newline="", encoding="utf-8") as fh:
+    rows = evaluate.run_experiment(
+        dataset.X,
+        (dataset.y == minority).astype(int),
+        grid,
+        aol_flags=aol_flags,
+        test_fraction=args.split,
+        seed=args.seed,
+        k=args.k,
+    )
+    with _staged([args.output]) as (output,):
+        with open(output, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(
                 ["target_percent", "aol", "accuracy_train", "accuracy_test", "f1", "pr_auc", "roc_auc"]
@@ -206,7 +208,7 @@ def cmd_evaluate(args):
                     ]
                 )
         _write_manifest(
-            args.output,
+            output,
             [args.input],
             [args.output],
             {
@@ -218,9 +220,6 @@ def cmd_evaluate(args):
                 "aol": args.aol_mode,
             },
         )
-    except Exception:
-        _cleanup(created)
-        raise
     if args.assert_trend:
         baseline = rows[0].f1
         best = max((r.f1 for r in rows[1:]), default=None)

@@ -91,6 +91,7 @@ def _read_rows(path, config):
         except StopIteration:
             raise DataError(f"empty file: {path}") from None
         rows = list(reader)
+    check_row_widths(header, rows)
     for spec in config.columns:
         if spec.name not in header:
             raise DataError("configured column missing from header", column=spec.name)
@@ -99,6 +100,13 @@ def _read_rows(path, config):
         if name not in configured:
             raise DataError("column not in config", column=name)
     return header, rows
+
+
+def check_row_widths(header, rows):
+    """DataError for the first row (counted from 1 below the header) whose width differs."""
+    for i, r in enumerate(rows, start=1):
+        if len(r) != len(header):
+            raise DataError(f"{len(r)} cells where the header has {len(header)}", row=i)
 
 
 def _is_missing(cell):
@@ -256,7 +264,7 @@ def write_augmented(dataset, synthetic, path, original_distances=None):
     """
     original_distances = original_distances or {}
     header = dataset.feature_names + [dataset.target_name] + META_COLUMNS
-    minority_label = _minority_label(dataset.y)
+    label = minority_label(dataset.y)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -269,7 +277,7 @@ def write_augmented(dataset, synthetic, path, original_distances=None):
         for rec in synthetic:
             row = [_fmt(v) for v in rec.features]
             row += [
-                _fmt(minority_label),
+                _fmt(label),
                 _fmt(rec.angular_distance),
                 _fmt(rec.rotation_angle),
                 "1",
@@ -301,7 +309,7 @@ def read_augmented(path, feature_names=None):
     return names, target_name, X, y, meta
 
 
-def _minority_label(y):
+def minority_label(y):
     values, counts = np.unique(y, return_counts=True)
     return int(values[np.argmin(counts)])
 

@@ -5,11 +5,11 @@ screen with an exact distance repair, a trapezoidal ROC-AUC (with a
 pairwise cross-check), and step-interpolated average precision.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import aol, pipeline
+from . import pipeline
 from .errors import ParameterError
 
 
@@ -268,40 +268,17 @@ class ExperimentRow:
     roc_auc: float
 
 
-def _augment_train(X, y, config, use_aol, minority_label, row_ids=None):
-    result = pipeline.run_smote(X, y, config, minority_label=minority_label, row_ids=row_ids)
-    records = list(result.synthetic)
-    if use_aol:
-        src_feats = list(X[y == minority_label]) + [r.features for r in records]
-        src_dists = np.r_[result.angular_distances, [r.angular_distance for r in records]]
-        src_ids = np.r_[result.minority_row_ids, [r.source_row_id for r in records]]
-        _, low, high = aol.detect_outliers(src_dists, config.num_bins)
-        for table in (low, high):
-            records += aol.boost_outliers(table, src_feats, src_dists, src_ids, config)
-    if not records:
-        return X, y, result
-    aug_X = np.vstack([X] + [r.features for r in records])
-    aug_y = np.r_[y, np.full(len(records), minority_label, dtype=y.dtype)]
-    return aug_X, aug_y, result
-
-
-def run_experiment(
-    X,
-    y,
-    grid,
-    aol_flags=(False, True),
-    test_fraction=0.2,
-    seed=0,
-    k=5,
-    base_config=None,
-    minority_label=1,
-):
+def run_experiment(X, y, grid, aol_flags=(False, True), test_fraction=0.2, seed=0, k=5):
     """Augment the training split only and score each grid point.
 
-    Emits one baseline row plus one row per (target percent, aol flag).
+    Labels are 0/1 with 1 the minority class; the KNN counts label 1 as
+    positive. Emits one baseline row plus one row per (target percent,
+    aol flag).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
+    if not np.isin(y, (0, 1)).all():
+        raise ParameterError("labels must be 0/1 with 1 the minority class")
     train_idx, test_idx = stratified_split(y, test_fraction, seed)
     X_tr, y_tr = X[train_idx], y[train_idx]
     X_te, y_te = X[test_idx], y[test_idx]
@@ -309,8 +286,8 @@ def run_experiment(
     def score_row(target, use_aol, train_X, train_y):
         test_scores = knn_predict(train_X, train_y, X_te, k=k)
         train_scores = knn_predict(train_X, train_y, train_X, k=k)
-        m_test = compute_metrics(test_scores, (y_te == minority_label).astype(int))
-        m_train = compute_metrics(train_scores, (train_y == minority_label).astype(int))
+        m_test = compute_metrics(test_scores, y_te)
+        m_train = compute_metrics(train_scores, train_y)
         return ExperimentRow(
             target_percent=target,
             aol=use_aol,
@@ -324,13 +301,9 @@ def run_experiment(
     rows = [score_row(None, False, X_tr, y_tr)]
     for target in grid:
         for use_aol in aol_flags:
-            cfg = (
-                replace(base_config, target_minority_percent=target)
-                if base_config is not None
-                else pipeline.SmoteConfig(target_minority_percent=target, seed=seed)
-            )
-            aug_X, aug_y, _ = _augment_train(
-                X_tr, y_tr, cfg, use_aol, minority_label, row_ids=train_idx
-            )
+            cfg = pipeline.SmoteConfig(target_minority_percent=target, seed=seed)
+            _, records, _, _ = pipeline.augment(X_tr, y_tr, cfg, use_aol, row_ids=train_idx)
+            aug_X = np.vstack([X_tr] + [r.features for r in records])
+            aug_y = np.r_[y_tr, np.ones(len(records), dtype=y_tr.dtype)]
             rows.append(score_row(target, use_aol, aug_X, aug_y))
     return rows

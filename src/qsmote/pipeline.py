@@ -2,17 +2,16 @@
 
 Computes the data centroid, the synthetic-record budget needed to hit a
 target minority percentage, and runs the per-loop generation with a one
-degree angle increment per pass.
+degree angle increment per pass. `augment` adds the angular-outlier
+stage: it is the one augmentation path of both the CLI and the grid.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import qdist, synth
+from . import aol, qdist, synth
 from .errors import ParameterError
-
-DEGREE = 0.0174533  # one degree in radians, as the generation loop uses it
 
 
 @dataclass
@@ -25,7 +24,6 @@ class SmoteConfig:
     estimator: str = "standard"
     num_bins: int = 5
     boost_angle_multiplier: float = 1.5
-    centroid_scope: str = "all"  # all | minority
 
 
 @dataclass
@@ -46,24 +44,14 @@ class SmoteResult:
     centroid: np.ndarray
     minority_row_ids: np.ndarray
     angular_distances: np.ndarray        # one per minority row, same order
-    config: SmoteConfig = field(repr=False, default=None)
 
 
-def centroid(features, labels=None, scope="all", minority_label=1):
-    """Column-wise mean over all rows or the minority rows only."""
+def centroid(features):
+    """Column-wise mean over all rows: the one data centroid."""
     X = np.asarray(features, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ParameterError("centroid needs a nonempty 2-D table")
-    if scope == "all":
-        return X.mean(axis=0)
-    if scope == "minority":
-        if labels is None:
-            raise ParameterError("minority-scope centroid needs labels")
-        mask = np.asarray(labels) == minority_label
-        if not mask.any():
-            raise ParameterError("no minority rows for centroid")
-        return X[mask].mean(axis=0)
-    raise ParameterError(f"unknown centroid scope {scope!r}")
+    return X.mean(axis=0)
 
 
 def target_counts(total, minority, target_percent):
@@ -106,7 +94,7 @@ def run_smote(features, labels, config, minority_label=1, row_ids=None):
     minority_mask = y == minority_label
     m = int(minority_mask.sum())
     n_total = X.shape[0]
-    center = centroid(X, y, scope=config.centroid_scope, minority_label=minority_label)
+    center = centroid(X)
 
     _, s, full_loops, remainder = target_counts(n_total, m, config.target_minority_percent)
 
@@ -123,7 +111,7 @@ def run_smote(features, labels, config, minority_label=1, row_ids=None):
         picked = np.sort(pick_rng.choice(m, size=remainder, replace=False))
         loops.append((full_loops + 1, picked))
     for k, rows in loops:
-        increment = k * DEGREE
+        increment = k * synth.DEGREE
         for i in rows:
             rec_rng = np.random.default_rng([config.seed, int(minority_ids[i]), k])
             synthetic.append(
@@ -154,5 +142,26 @@ def run_smote(features, labels, config, minority_label=1, row_ids=None):
         centroid=center,
         minority_row_ids=minority_ids,
         angular_distances=distances,
-        config=config,
     )
+
+
+def augment(features, labels, config, boost, minority_label=1, row_ids=None):
+    """Synthesis plus the angular-outlier stage.
+
+    Pools the minority rows' distances with those of the generated
+    records, takes the IQR bounds of the pool and, when `boost` is set,
+    adds boosted records for the thin bins of the low table, then of the
+    high table. Returns (run_smote result, new records: generated first,
+    then boosted; pooled distances; bounds).
+    """
+    X = np.asarray(features, dtype=float)
+    result = run_smote(X, labels, config, minority_label=minority_label, row_ids=row_ids)
+    records = list(result.synthetic)
+    distances = np.r_[result.angular_distances, [r.angular_distance for r in records]]
+    bounds, low, high = aol.detect_outliers(distances, config.num_bins)
+    if boost:
+        feats = list(X[np.asarray(labels) == minority_label]) + [r.features for r in records]
+        ids = np.r_[result.minority_row_ids, [r.source_row_id for r in records]]
+        for table in (low, high):
+            records += aol.boost_outliers(table, feats, distances, ids, config)
+    return result, records, distances, bounds

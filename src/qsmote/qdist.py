@@ -34,13 +34,10 @@ class SwapTestResult:
     outcome: MeasurementOutcome
 
 
-def prep_swap_test(point_a, point_b, rounding=None):
+def prep_swap_test(point_a, point_b):
     """Build the norm state phi and interleaved state psi for two vectors.
 
     Inputs must already be zero-padded to a power-of-two length.
-    `rounding` rounds each emitted component to that many decimals
-    (off by default: it is a presentation artifact that breaks the unit
-    norm).
     """
     a = np.asarray(point_a, dtype=float).ravel()
     b = np.asarray(point_b, dtype=float).ravel()
@@ -57,9 +54,6 @@ def prep_swap_test(point_a, point_b, rounding=None):
     psi = np.empty(2 * a.size)
     psi[0::2] = a / (dc_norm * SQRT2)
     psi[1::2] = b / (md_norm * SQRT2)
-    if rounding is not None:
-        phi = np.round(phi, rounding)
-        psi = np.round(psi, rounding)
     return SwapTestStates(phi=phi, psi=psi, z=z, dc_norm=dc_norm, md_norm=md_norm)
 
 

@@ -16,6 +16,7 @@ from .qdist import pad_to_power_of_two
 from .statevec import RX
 
 TWO_PI = 2.0 * np.pi
+DEGREE = 0.0174533  # one degree in radians, as the generation loops use it
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from qsmote import cli, demo
+from qsmote import cli, data, demo
 
 
 RAW_CSV = (
@@ -144,6 +144,53 @@ def test_failed_smote_keeps_existing_outputs(encoded, tmp_path):
     before = _existing_outputs([out] + [tmp_path / name for name in names])
     assert cli.main(["smote", str(encoded), str(out), "--target-percent", "5"]) == 2
     assert {p: p.read_bytes() for p in before} == before
+
+
+def test_smote_failing_after_the_csv_keeps_existing_outputs(encoded, tmp_path, monkeypatch):
+    # the augmented CSV is written before the histogram fails
+    def fail(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(data, "emit_histogram", fail)
+    out = tmp_path / "aug.csv"
+    names = ["aug.angles.svg", "aug.angles.csv", "aug.manifest.json"]
+    before = _existing_outputs([out] + [tmp_path / name for name in names])
+    assert cli.main(["smote", str(encoded), str(out), "--target-percent", "30"]) == 1
+    assert {p: p.read_bytes() for p in before} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["encoded.csv", "aug.csv", *names])
+
+
+def _edit_row(path, row, edit):
+    lines = path.read_text().splitlines()
+    lines[row] = ",".join(edit(lines[row].split(",")))
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda cells: ["nan"] + cells[1:], "non-finite cell 'nan' (row 3, column 'f0')"),
+        (lambda cells: cells[:1] + ["inf"] + cells[2:], "non-finite cell 'inf' (row 3, column 'f1')"),
+        (lambda cells: cells[:-1] + ["0.7"], "non-integer label '0.7' (row 3, column 'label')"),
+        (lambda cells: cells[:-1], "8 cells where the header has 9 (row 3)"),
+    ],
+    ids=["nan", "inf", "fractional-label", "ragged"],
+)
+def test_smote_rejects_bad_cells_at_load(encoded, tmp_path, capsys, edit, message):
+    _edit_row(encoded, 3, edit)
+    out = tmp_path / "aug.csv"
+    assert cli.main(["smote", str(encoded), str(out), "--target-percent", "30"]) == 2
+    assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["encoded.csv"]
+
+
+def test_preprocess_short_row_exits_2(raw, tmp_path, capsys):
+    raw_path, cfg_path = raw
+    _edit_row(raw_path, 2, lambda cells: cells[:-1])
+    out = tmp_path / "out.csv"
+    assert cli.main(["preprocess", str(raw_path), str(out), "--config", str(cfg_path)]) == 2
+    assert "2 cells where the header has 3 (row 2)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_failed_evaluate_keeps_existing_outputs(encoded, tmp_path):

@@ -152,6 +152,15 @@ def test_empty_file_and_missing_file_error(tmp_path):
         data.load_csv(tmp_path / "nope.csv", cfg)
 
 
+@pytest.mark.parametrize("row", ["1", "1,0,7"])
+def test_rows_must_be_as_wide_as_the_header(tmp_path, row):
+    path = _write(tmp_path, "w.csv", f"a,label\n1,0\n2,1\n{row}\n3,0\n")
+    cfg = _config(ColumnSpec("a", "numeric-raw"), ColumnSpec("label", "target"))
+    with pytest.raises(DataError, match="row 3") as exc:
+        data.load_csv(path, cfg)
+    assert exc.value.row == 3
+
+
 def test_preprocessing_is_idempotent(tmp_path):
     raw = _write(
         tmp_path,

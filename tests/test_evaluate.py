@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsmote import evaluate, pipeline
+from qsmote import demo, evaluate, pipeline
 from qsmote.errors import ParameterError
 
 
@@ -277,6 +277,14 @@ def test_run_experiment_grid_shape_and_determinism():
     b = evaluate.run_experiment(X, y, grid=(30, 36), seed=2)
     assert len(a) == 1 + 2 * 2
     assert a == b
+
+
+def test_run_experiment_rejects_labels_other_than_0_1():
+    # the KNN counts label 1 as positive, so a {0, 2} labelling would be
+    # scored against the wrong class
+    X, y = demo.make_imbalanced_dataset(n_rows=200)
+    with pytest.raises(ParameterError, match="labels must be 0/1"):
+        evaluate.run_experiment(X, np.where(y == 1, 2, 0), grid=())
 
 
 def test_synthetic_sources_never_leak_from_test_split():

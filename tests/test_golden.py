@@ -2,11 +2,11 @@
 
 Each case runs the CLI on `demo.make_imbalanced_dataset(n_rows=300)`, one
 of them with planted outliers, and compares against `tests/golden/`.
-Discrete and metadata cells, the histogram CSV, the report CSV and the manifest (bar its timestamp) must
-match exactly; synthetic feature cells may move by 1e-12 absolute, so a
-closed-form kernel can change the last bit. Original rows repeat the input
-file (as numbers), so a golden augmented CSV keeps only their metadata
-cells.
+Discrete and metadata cells, the histogram CSV, the report CSV and the
+manifest (bar its timestamp) must match exactly; synthetic feature cells
+may move by 1e-12 absolute, so a closed-form kernel can change the last
+bit. Original rows repeat the input file (as numbers), so a golden
+augmented CSV keeps only their metadata cells.
 
 After a deliberate output change, re-record with
 `PYTHONPATH=src python tests/test_golden.py` and say why in CHANGES.md.

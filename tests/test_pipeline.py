@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qsmote import pipeline
+from qsmote import aol, demo, pipeline
 from qsmote.errors import ParameterError
 
 
@@ -14,14 +14,6 @@ def test_centroid_mean_of_rows():
 def test_centroid_single_row_is_identity():
     row = np.array([[3.0, 1.0, 4.0]])
     assert np.allclose(pipeline.centroid(row), row[0])
-
-
-def test_centroid_minority_scope_matches_brute_force():
-    rng = np.random.default_rng(0)
-    X = rng.normal(size=(30, 4))
-    y = rng.integers(0, 2, size=30)
-    got = pipeline.centroid(X, y, scope="minority", minority_label=1)
-    assert np.allclose(got, X[y == 1].mean(axis=0))
 
 
 def test_centroid_rejects_empty_table():
@@ -152,3 +144,32 @@ def test_achieved_share_tracks_grid():
     for target in (30, 36, 42, 50):
         result = pipeline.run_smote(X, y, pipeline.SmoteConfig(target_minority_percent=target))
         assert abs(result.report.achieved_percent - target) <= 0.2
+
+
+def _planted_outliers():
+    # seven near-axis minority rows sit below the IQR fence of the demo data
+    X, y = demo.make_imbalanced_dataset(n_rows=300)
+    for i, m in zip(np.nonzero(y == 1)[0], [1, 1, 1, 1, 1, 1, 2]):
+        X[i] = 0.05
+        X[i, :m] = 5.0
+    return X, y
+
+
+@pytest.mark.parametrize("boost", [False, True])
+def test_augment_is_run_smote_then_the_outlier_stage(boost):
+    X, y = _planted_outliers()
+    config = pipeline.SmoteConfig(target_minority_percent=20.0, seed=3, num_bins=3)
+    result, records, distances, bounds = pipeline.augment(X, y, config, boost)
+    plain = pipeline.run_smote(X, y, config)
+    n = len(plain.synthetic)
+    assert len(result.synthetic) == n
+    for got, want in zip(records[:n], plain.synthetic):
+        assert np.array_equal(got.features, want.features)
+        assert (got.rotation_angle, got.source_row_id) == (want.rotation_angle, want.source_row_id)
+        assert not got.boosted
+    pooled = np.r_[plain.angular_distances, [r.angular_distance for r in plain.synthetic]]
+    assert np.array_equal(distances, pooled)
+    assert bounds == aol.detect_outliers(pooled, config.num_bins)[0]
+    boosted = records[n:]
+    assert all(r.boosted for r in boosted)
+    assert bool(boosted) == boost

@@ -40,11 +40,6 @@ def test_prep_rejects_length_mismatch():
         qdist.prep_swap_test([1, 0], [1, 0, 0, 0])
 
 
-def test_prep_optional_component_rounding():
-    states = qdist.prep_swap_test([1, 1], [1, 3], rounding=3)
-    assert np.allclose(states.psi, np.round(states.psi, 3))
-
-
 def test_swap_test_equal_vectors_exact():
     states = qdist.prep_swap_test([1, 0], [1, 0])
     result = qdist.swap_test(states, shots=0)
