@@ -115,21 +115,19 @@ def boost_outliers(table, features, distances, row_ids, config):
         if count == 0 or count >= half_threshold:
             continue
         itr = threshold // count
-        mask = bin_members(table, i, distances)
-        for feats, dist, rid in zip(features[mask], distances[mask], row_ids[mask]):
-            for j in range(itr):
-                increment = (itr * synth.DEGREE) * config.boost_angle_multiplier + j
-                rng = np.random.default_rng([config.seed, int(rid), j, 0xB005])
-                boosted.append(
-                    synth.create_syn_data(
-                        feats,
-                        dist,
-                        increment,
-                        config.split_factor,
-                        rng,
-                        source_row_id=int(rid),
-                        rescale=config.rescale,
-                        boosted=True,
-                    )
-                )
+        # member-major: each member's passes j = 0 .. itr-1 in turn
+        members = np.flatnonzero(bin_members(table, i, distances))
+        rows = np.repeat(members, itr)
+        passes = np.tile(np.arange(itr), len(members))
+        ids = row_ids[rows]
+        boosted += synth.create_syn_data(
+            features[rows],
+            distances[rows],
+            (itr * synth.DEGREE) * config.boost_angle_multiplier + passes,
+            config.split_factor,
+            [np.random.default_rng([config.seed, int(r), int(j), 0xB005]) for r, j in zip(ids, passes)],
+            ids,
+            rescale=config.rescale,
+            boosted=True,
+        )
     return boosted

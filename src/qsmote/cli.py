@@ -127,8 +127,6 @@ def cmd_smote(args):
     out = Path(args.output)
     svg = out.with_suffix(".angles.svg")
     outputs = [out, svg, svg.with_suffix(".csv")]
-    dataset = _load_encoded(args.input, args.target_column)
-    minority = data.minority_label(dataset.y)
     config = pipeline.SmoteConfig(
         target_minority_percent=args.target_percent,
         split_factor=args.sf,
@@ -139,6 +137,8 @@ def cmd_smote(args):
         num_bins=args.bins,
         boost_angle_multiplier=args.boost_multiplier,
     )
+    dataset = _load_encoded(args.input, args.target_column)
+    minority = data.minority_label(dataset.y)
     result, records, dists, bounds = pipeline.augment(
         dataset.X, dataset.y, config, args.aol, minority_label=minority
     )

@@ -56,28 +56,29 @@ class Dataset:
 
 
 def load_config(path):
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
-    if not isinstance(raw, dict) or raw.get("version") != 1:
-        raise DataError(f"config {path} must declare version: 1")
+    """Parse a YAML column config; a malformed entry is a DataError naming it."""
+    try:
+        with open(path) as fh:
+            raw = yaml.safe_load(fh)
+    except yaml.YAMLError as exc:
+        raise DataError(f"config {path} is not valid YAML: {exc}") from None
+    if not isinstance(raw, dict) or raw.get("version") != 1 or not isinstance(raw.get("columns", []), list):
+        raise DataError(f"config {path} must declare version: 1 and a list of columns")
     columns = []
-    for c in raw.get("columns", []):
-        columns.append(
-            ColumnSpec(
-                name=c["name"],
-                kind=c["kind"],
-                bin_edges=c.get("bins"),
-                missing_policy=c.get("missing", "drop-row"),
-            )
-        )
-    cfg = DataConfig(columns=columns)
-    kinds = {c.kind for c in columns}
+    for i, c in enumerate(raw.get("columns", []), start=1):
+        if not isinstance(c, dict) or not isinstance(c.get("name"), str):
+            raise DataError(f"column entry {i} must be a mapping with a name, got {c!r}")
+        spec = ColumnSpec(c["name"], c.get("kind"), c.get("bins"), c.get("missing", "drop-row"))
+        if spec.kind not in ("id", "categorical", "numeric-binned", "numeric-raw", "target"):
+            raise DataError(f"unknown column kind {spec.kind!r}", column=spec.name)
+        bins = spec.bin_edges
+        edges = isinstance(bins, list) and len(bins) > 1 and all(isinstance(e, (int, float)) for e in bins)
+        if spec.kind == "numeric-binned" and not (isinstance(bins, str) or edges):
+            raise DataError(f"bins {bins!r} are not 'equal-width:k' or a list of edges", column=spec.name)
+        columns.append(spec)
     if sum(1 for c in columns if c.kind == "target") != 1:
         raise DataError("config must declare exactly one target column")
-    if not kinds <= {"id", "categorical", "numeric-binned", "numeric-raw", "target"}:
-        bad = kinds - {"id", "categorical", "numeric-binned", "numeric-raw", "target"}
-        raise DataError(f"unknown column kinds {sorted(bad)}")
-    return cfg
+    return DataConfig(columns=columns)
 
 
 def _read_rows(path, config):
@@ -170,7 +171,7 @@ def load_csv(path, config):
     fill = {}
     for spec in specs:
         j = col_idx[spec.name]
-        policy, _, arg = spec.missing_policy.partition(":")
+        policy, _, arg = str(spec.missing_policy).partition(":")
         if policy == "fill-value":
             fill[spec.name] = arg
         elif policy == "fill-mode":

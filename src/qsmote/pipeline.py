@@ -25,6 +25,10 @@ class SmoteConfig:
     num_bins: int = 5
     boost_angle_multiplier: float = 1.5
 
+    def __post_init__(self):
+        if self.shots < 0:
+            raise ParameterError(f"shots must be >= 0, got {self.shots}")
+
 
 @dataclass
 class AugmentationReport:
@@ -41,7 +45,6 @@ class AugmentationReport:
 class SmoteResult:
     synthetic: list                      # SyntheticRecord, generation order
     report: AugmentationReport
-    centroid: np.ndarray
     minority_row_ids: np.ndarray
     angular_distances: np.ndarray        # one per minority row, same order
 
@@ -94,37 +97,29 @@ def run_smote(features, labels, config, minority_label=1, row_ids=None):
     minority_mask = y == minority_label
     m = int(minority_mask.sum())
     n_total = X.shape[0]
-    center = centroid(X)
 
     _, s, full_loops, remainder = target_counts(n_total, m, config.target_minority_percent)
 
     minority_X = X[minority_mask]
     minority_ids = row_ids[minority_mask]
     distances = qdist.angular_distance_table(
-        minority_X, center, shots=config.shots, seed=config.seed, estimator=config.estimator
+        minority_X, centroid(X), shots=config.shots, seed=config.seed, estimator=config.estimator
     )
 
-    synthetic = []
-    loops = [(k, np.arange(m)) for k in range(1, full_loops + 1)]
-    if remainder > 0:
-        pick_rng = np.random.default_rng([config.seed, 0x5E1EC7])
-        picked = np.sort(pick_rng.choice(m, size=remainder, replace=False))
-        loops.append((full_loops + 1, picked))
-    for k, rows in loops:
-        increment = k * synth.DEGREE
-        for i in rows:
-            rec_rng = np.random.default_rng([config.seed, int(minority_ids[i]), k])
-            synthetic.append(
-                synth.create_syn_data(
-                    minority_X[i],
-                    distances[i],
-                    increment,
-                    config.split_factor,
-                    rec_rng,
-                    source_row_id=int(minority_ids[i]),
-                    rescale=config.rescale,
-                )
-            )
+    pick_rng = np.random.default_rng([config.seed, 0x5E1EC7])
+    picked = np.sort(pick_rng.choice(m, size=remainder, replace=False))
+    rows = np.r_[np.tile(np.arange(m), full_loops), picked]
+    passes = np.r_[np.repeat(np.arange(1, full_loops + 1), m), np.full(remainder, full_loops + 1)]
+    ids = minority_ids[rows]
+    synthetic = synth.create_syn_data(
+        minority_X[rows],
+        distances[rows],
+        passes * synth.DEGREE,
+        config.split_factor,
+        [np.random.default_rng([config.seed, int(i), int(k)]) for i, k in zip(ids, passes)],
+        ids,
+        rescale=config.rescale,
+    )
 
     achieved = 100.0 * (m + s) / (n_total + s)
     report = AugmentationReport(
@@ -139,7 +134,6 @@ def run_smote(features, labels, config, minority_label=1, row_ids=None):
     return SmoteResult(
         synthetic=synthetic,
         report=report,
-        centroid=center,
         minority_row_ids=minority_ids,
         angular_distances=distances,
     )

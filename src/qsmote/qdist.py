@@ -118,14 +118,14 @@ def overlap_probability_exact(states):
 
 
 def pad_to_power_of_two(vec):
-    """Zero-pad a vector to the next power-of-two length (minimum 2)."""
-    v = np.asarray(vec, dtype=float).ravel()
-    if v.size == 0:
+    """Zero-pad a vector, or each row of a table, to the next power-of-two length (minimum 2)."""
+    v = np.asarray(vec, dtype=float)
+    v = v if v.ndim == 2 else v.ravel()
+    if v.shape[-1] == 0:
         raise DimensionError("empty vector")
-    target = max(2, 1 << (v.size - 1).bit_length())
-    if v.size == target:
-        return v.copy()
-    return np.concatenate([v, np.zeros(target - v.size)])
+    out = np.zeros(v.shape[:-1] + (max(2, 1 << (v.shape[-1] - 1).bit_length()),))
+    out[..., : v.shape[-1]] = v
+    return out
 
 
 def angular_distance_table(points, centroid, shots=0, seed=0, estimator="standard"):

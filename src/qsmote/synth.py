@@ -2,18 +2,18 @@
 
 A minority point is amplitude-encoded, every qubit is rotated by the
 same small angle derived from the point's angular distance to the
-centroid, and the real part of the resulting statevector becomes the
-synthetic point.
+centroid, and the real part of the resulting state becomes the
+synthetic point. The rotation is evaluated in closed form for a whole
+table of points at once; the statevector simulator (`statevec.RX`) is
+the oracle the tests hold it to.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import statevec
 from .errors import DegenerateInputError, ParameterError
 from .qdist import pad_to_power_of_two
-from .statevec import RX
 
 TWO_PI = 2.0 * np.pi
 DEGREE = 0.0174533  # one degree in radians, as the generation loops use it
@@ -49,54 +49,60 @@ def rotation_angle(angular_distance, sf, rng):
 
 
 def rotate_point(features, theta, rescale=True):
-    """Rotate an amplitude-encoded point by theta on every qubit.
+    """Rotate amplitude-encoded points by theta on every qubit.
 
-    Pads to a power of two, rotates, takes the real part, and (with
-    rescale on) renormalizes back to the source norm before stripping
-    the padding.
+    Takes one vector and one angle, or a (rows, d) table and one angle
+    per row. Pads each row to N = 2^n, rotates it, takes the real part
+    and (with rescale on) renormalizes it to the source norm before
+    stripping the padding; theta = 0 then returns the row exactly.
+    As RX = H·RZ·H, the real part is H·diag(cos(θ(n−2·popcount(j))/2))·H·a / N
+    for the ±1 Sylvester–Hadamard matrix H, applied in n butterfly
+    stages so that no row's result depends on the rows beside it.
     """
-    feats = np.asarray(features, dtype=float).ravel()
-    norm = np.linalg.norm(feats)
-    if norm == 0.0:
+    table = np.atleast_2d(np.asarray(features, dtype=float))
+    theta = np.asarray(theta, dtype=float).reshape(-1, 1)
+    norms = np.linalg.norm(table, axis=1, keepdims=True)
+    if not norms.all():
         raise DegenerateInputError("cannot rotate a zero vector")
-    if rescale and theta == 0.0:
-        # identity rotation followed by rescale is exactly the input
-        return feats.copy()
-    padded = pad_to_power_of_two(feats)
-    n = int(np.log2(padded.size))
-    state = statevec.initialize(padded, n)
-    for q in range(n):
-        state = statevec.apply_gate(state, RX(q, theta))
-    real = np.real(state.amplitudes)
+    real = pad_to_power_of_two(table / norms)
+    rows, size = real.shape
+    n = size.bit_length() - 1
+    popcount = np.array([bin(j).count("1") for j in range(size)])
+    for scale in (np.cos(theta * (n - 2 * popcount) / 2), 1.0 / size):
+        for q in range(n):
+            v = real.reshape(rows, 2**q, 2, size >> (q + 1))
+            real = np.stack([v[:, :, 0] + v[:, :, 1], v[:, :, 0] - v[:, :, 1]], axis=2)
+        real = real.reshape(rows, size) * scale
     if rescale:
-        real_norm = np.linalg.norm(real)
-        if real_norm == 0.0:
-            raise DegenerateInputError(
-                f"rotation by {theta} annihilated the real part"
-            )
-        real = real / real_norm * norm
-    return real[: feats.size]
+        real_norms = np.linalg.norm(real, axis=1, keepdims=True)
+        if not real_norms.all():
+            bad = theta[real_norms == 0][0]
+            raise DegenerateInputError(f"rotation by {bad} annihilated the real part")
+        real = real / real_norms * norms
+        real[theta[:, 0] == 0.0, : table.shape[1]] = table[theta[:, 0] == 0.0]
+    out = real[:, : table.shape[1]]
+    return out[0] if np.ndim(features) < 2 else out
 
 
 def create_syn_data(
-    features,
-    angular_distance,
-    angle_increment,
-    sf,
-    rng,
-    source_row_id=-1,
-    rescale=True,
-    boosted=False,
+    features, distances, increments, sf, rngs, source_row_ids, rescale=True, boosted=False
 ):
-    """Generate one synthetic record from a source minority point."""
-    if angle_increment < 0:
-        raise ParameterError(f"angle increment must be >= 0, got {angle_increment}")
-    theta = (rotation_angle(angular_distance, sf, rng) + angle_increment) % TWO_PI
-    new_features = rotate_point(features, theta, rescale=rescale)
-    return SyntheticRecord(
-        features=new_features,
-        source_row_id=source_row_id,
-        rotation_angle=theta,
-        angular_distance=float(angular_distance),
-        boosted=boosted,
-    )
+    """One synthetic record per row of the aligned inputs, in row order.
+
+    Row i is features[i] rotated by rotation_angle(distances[i], sf,
+    rngs[i]) + increments[i], mod 2*pi. Each row draws only from its own
+    rng, so no record depends on the rows batched with it.
+    """
+    increments = np.asarray(increments, dtype=float)
+    if (increments < 0).any():
+        raise ParameterError(f"angle increment must be >= 0, got {increments.min()}")
+    distances = np.asarray(distances, dtype=float).tolist()
+    theta = [
+        (rotation_angle(d, sf, rng) + inc) % TWO_PI
+        for d, inc, rng in zip(distances, increments.tolist(), rngs)
+    ]
+    new_features = rotate_point(np.atleast_2d(features), theta, rescale=rescale)
+    return [
+        SyntheticRecord(f, int(rid), t, d, boosted)
+        for f, rid, t, d in zip(new_features, source_row_ids, theta, distances)
+    ]

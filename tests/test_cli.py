@@ -68,6 +68,51 @@ def test_preprocess_missing_column_exits_2_and_names_it(raw, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        ("columns: [\n", "is not valid YAML"),
+        ("columns:\n  - {kind: numeric-raw}\n", "column entry 1 must be a mapping with a name"),
+        ("columns:\n  - age\n", "column entry 1 must be a mapping with a name, got 'age'"),
+        (
+            "columns:\n  - {name: age, kind: numeric-binned, bins: 5}\n",
+            "bins 5 are not 'equal-width:k' or a list of edges (column 'age')",
+        ),
+        (
+            "columns:\n  - {name: age, kind: numeric-binned, bins: [a, b]}\n",
+            "bins ['a', 'b'] are not",
+        ),
+        ("columns:\n  - {name: age, kind: numeric-binned}\n", "bins None are not"),
+        ("columns:\n  - {name: age}\n", "unknown column kind None (column 'age')"),
+        (
+            "columns:\n  - {name: age, kind: numeric-raw, missing: 5}\n"
+            "  - {name: plan, kind: categorical}\n  - {name: label, kind: target}\n",
+            "unknown missing policy 5 (column 'age')",
+        ),
+        ("columns: 5\n", "a list of columns"),
+    ],
+    ids=["yaml", "no-name", "string-entry", "bins-int", "bins-text", "no-bins", "no-kind",
+         "missing-int", "columns-int"],
+)
+def test_preprocess_bad_config_exits_2_without_traceback(raw, tmp_path, capsys, columns, message):
+    raw_path, _ = raw
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text("version: 1\n" + columns)
+    out = tmp_path / "out.csv"
+    assert cli.main(["preprocess", str(raw_path), str(out), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+def test_smote_negative_shots_exits_2_before_reading_input(tmp_path, capsys):
+    out = tmp_path / "aug.csv"
+    argv = ["smote", str(tmp_path / "ghost.csv"), str(out), "--target-percent", "30"]
+    assert cli.main(argv + ["--shots", "-1"]) == 2
+    assert "shots must be >= 0, got -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_preprocess_is_idempotent(raw, tmp_path):
     raw_path, cfg_path = raw
     once = tmp_path / "once.csv"

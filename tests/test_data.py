@@ -4,8 +4,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qsmote import data, pipeline, aol
+from qsmote import data, pipeline, aol, synth
 from qsmote.data import ColumnSpec, DataConfig
 from qsmote.errors import DataError
 
@@ -201,6 +203,60 @@ def test_write_augmented_format_and_round_trip(tmp_path):
     assert len(X2) == 20 + len(result.synthetic)
     for rec, row in zip(result.synthetic, X2[20:]):
         assert np.allclose(row, rec.features)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _augmented_cases(draw):
+    width = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 8))
+    row = st.lists(_FINITE, min_size=width, max_size=width)
+    ds = data.Dataset(
+        feature_names=[f"f{j}" for j in range(width)],
+        X=np.array(draw(st.lists(row, min_size=n, max_size=n))),
+        y=np.array(draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))),
+        row_ids=np.arange(n),
+        target_name="label",
+    )
+    distances = draw(st.dictionaries(st.integers(0, n - 1), _FINITE))
+    record = st.builds(
+        synth.SyntheticRecord,
+        features=row.map(np.array),
+        source_row_id=st.integers(-1, 10**6),
+        rotation_angle=_FINITE,
+        angular_distance=_FINITE,
+        boosted=st.booleans(),
+    )
+    return ds, draw(st.lists(record, max_size=6)), distances
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_augmented_cases())
+def test_write_augmented_read_augmented_round_trip(tmp_path_factory, case):
+    ds, records, distances = case
+    path = tmp_path_factory.mktemp("augmented") / "aug.csv"
+    data.write_augmented(ds, records, path, original_distances=distances)
+    names, target, X, y, meta = data.read_augmented(path, feature_names=ds.feature_names)
+    assert (names, target) == (ds.feature_names, "label")
+    assert np.array_equal(X, np.vstack([ds.X] + [r.features for r in records]))
+    minority = data.minority_label(ds.y)
+    assert np.array_equal(y, np.r_[ds.y, [minority] * len(records)])
+
+    def number(cell):
+        return None if cell == "" else float(cell)
+
+    n = len(ds.y)
+    assert [number(c) for c in meta["angular_distance"]] == [
+        distances.get(i) for i in range(n)
+    ] + [r.angular_distance for r in records]
+    assert [number(c) for c in meta["rotation_angle"]] == [None] * n + [
+        r.rotation_angle for r in records
+    ]
+    assert meta["synthetic"] == ["0"] * n + ["1"] * len(records)
+    assert meta["boosted"] == ["0"] * n + [str(int(r.boosted)) for r in records]
+    assert meta["source_row_id"] == [""] * n + [str(r.source_row_id) for r in records]
 
 
 def test_write_augmented_with_no_synthetic_rows(tmp_path):
