@@ -242,19 +242,44 @@ def _fmt(v):
     return str(int(f)) if f.is_integer() else repr(f)
 
 
+BLOCK_ROWS = 4096  # rows formatted per block: keeps the string table small
+
+
+def _fmt_table(values):
+    """`_fmt` of every cell of an array, as an object array of strings.
+
+    Integer arrays and the integral float cells below 2**63 in magnitude
+    are converted by numpy; every other cell goes through `_fmt` itself.
+    """
+    v = np.asarray(values)
+    if v.dtype.kind in "iu":
+        return v.astype(str).astype(object)
+    v = v.astype(float)
+    out = np.empty(v.shape, dtype=object)
+    integral = (v == np.trunc(v)) & (np.abs(v) < 2.0**63)
+    out[integral] = v[integral].astype(np.int64).astype(str)
+    out[~integral] = [_fmt(f) for f in v[~integral]]
+    return out
+
+
+def _write_blocks(writer, n, block):
+    """Write rows 0..n-1, taking each block's (rows, columns) cells from block(lo, hi)."""
+    for lo in range(0, n, BLOCK_ROWS):
+        writer.writerows(block(lo, min(lo + BLOCK_ROWS, n)).tolist())
+
+
 def write_dataset(dataset, path):
     """Emit a processed dataset as CSV (id column first if present)."""
     header = ([dataset.id_name] if dataset.id_name else []) + dataset.feature_names + [dataset.target_name]
+
+    def block(lo, hi):
+        ids = [np.array(dataset.id_values[lo:hi], dtype=object)] if dataset.id_name else []
+        return np.column_stack(ids + [_fmt_table(dataset.X[lo:hi]), _fmt_table(dataset.y[lo:hi])])
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for i in range(dataset.X.shape[0]):
-            row = []
-            if dataset.id_name:
-                row.append(dataset.id_values[i])
-            row += [_fmt(v) for v in dataset.X[i]]
-            row.append(_fmt(dataset.y[i]))
-            w.writerow(row)
+        _write_blocks(w, dataset.X.shape[0], block)
 
 
 def write_augmented(dataset, synthetic, path, original_distances=None):
@@ -265,27 +290,32 @@ def write_augmented(dataset, synthetic, path, original_distances=None):
     """
     original_distances = original_distances or {}
     header = dataset.feature_names + [dataset.target_name] + META_COLUMNS
-    label = minority_label(dataset.y)
+    label = _fmt(minority_label(dataset.y))
+
+    def original(lo, hi):
+        cells = np.full((hi - lo, 6), "", dtype=object)
+        cells[:, 0] = _fmt_table(dataset.y[lo:hi])
+        cells[:, 3:5] = "0"
+        for i, rid in enumerate(dataset.row_ids[lo:hi]):
+            dist = original_distances.get(int(rid))
+            if dist is not None:
+                cells[i, 1] = _fmt(dist)
+        return np.column_stack([_fmt_table(dataset.X[lo:hi]), cells])
+
+    def generated(lo, hi):
+        recs = synthetic[lo:hi]
+        cells = np.empty((hi - lo, 6), dtype=object)
+        cells[:, 0], cells[:, 3] = label, "1"
+        cells[:, 1:3] = _fmt_table([(r.angular_distance, r.rotation_angle) for r in recs])
+        cells[:, 4] = ["1" if r.boosted else "0" for r in recs]
+        cells[:, 5] = _fmt_table([r.source_row_id for r in recs])
+        return np.column_stack([_fmt_table([r.features for r in recs]), cells])
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for i in range(dataset.X.shape[0]):
-            rid = int(dataset.row_ids[i])
-            dist = original_distances.get(rid)
-            row = [_fmt(v) for v in dataset.X[i]]
-            row += [_fmt(dataset.y[i]), _fmt(dist) if dist is not None else "", "", "0", "0", ""]
-            w.writerow(row)
-        for rec in synthetic:
-            row = [_fmt(v) for v in rec.features]
-            row += [
-                _fmt(label),
-                _fmt(rec.angular_distance),
-                _fmt(rec.rotation_angle),
-                "1",
-                "1" if rec.boosted else "0",
-                _fmt(rec.source_row_id),
-            ]
-            w.writerow(row)
+        _write_blocks(w, dataset.X.shape[0], original)
+        _write_blocks(w, len(synthetic), generated)
 
 
 def read_augmented(path, feature_names=None):

@@ -1,5 +1,6 @@
 """Unit tests for CSV ingestion, serialization, and histogram output."""
 
+import csv
 import re
 
 import numpy as np
@@ -257,6 +258,96 @@ def test_write_augmented_read_augmented_round_trip(tmp_path_factory, case):
     assert meta["synthetic"] == ["0"] * n + ["1"] * len(records)
     assert meta["boosted"] == ["0"] * n + [str(int(r.boosted)) for r in records]
     assert meta["source_row_id"] == [""] * n + [str(r.source_row_id) for r in records]
+
+
+_EDGE_FLOATS = [
+    -0.0, 0.5, -1.5, 1e300, -1e300, 5e-324, 2.2e-308, np.inf, -np.inf, np.nan,
+    2.0**53 - 1, 2.0**53, 2.0**53 + 2, -(2.0**53),
+    2.0**63 - 1024, 2.0**63, -(2.0**63) + 1024, -(2.0**63), 2.0**64,
+]
+_CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from(_EDGE_FLOATS),
+    st.integers(-(2**62), 2**62).map(float),
+    st.floats(-(2.0**64), 2.0**64).map(np.trunc),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 6).flatmap(
+        lambda w: st.lists(st.lists(_CELLS, min_size=w, max_size=w), min_size=1, max_size=6)
+    ),
+    ints=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=6),
+)
+def test_fmt_table_equals_fmt_cell_for_cell(rows, ints):
+    values = np.array(rows)
+    assert data._fmt_table(values).tolist() == [[data._fmt(v) for v in row] for row in values]
+    ints = np.array(ints, dtype=np.int64)
+    assert data._fmt_table(ints).tolist() == [data._fmt(v) for v in ints]
+
+
+def _reference_write_dataset(dataset, path):
+    """The per-cell writer the blocked one must match byte for byte."""
+    header = ([dataset.id_name] if dataset.id_name else []) + dataset.feature_names + [dataset.target_name]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for i in range(dataset.X.shape[0]):
+            ids = [dataset.id_values[i]] if dataset.id_name else []
+            w.writerow(ids + [data._fmt(v) for v in dataset.X[i]] + [data._fmt(dataset.y[i])])
+
+
+def _reference_write_augmented(dataset, synthetic, path, original_distances):
+    label = data._fmt(data.minority_label(dataset.y))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(dataset.feature_names + [dataset.target_name] + data.META_COLUMNS)
+        for i in range(dataset.X.shape[0]):
+            dist = original_distances.get(int(dataset.row_ids[i]))
+            w.writerow(
+                [data._fmt(v) for v in dataset.X[i]]
+                + [data._fmt(dataset.y[i]), "" if dist is None else data._fmt(dist), "", "0", "0", ""]
+            )
+        for r in synthetic:
+            w.writerow(
+                [data._fmt(v) for v in r.features]
+                + [label, data._fmt(r.angular_distance), data._fmt(r.rotation_angle), "1",
+                   "1" if r.boosted else "0", data._fmt(r.source_row_id)]
+            )
+
+
+def test_blocked_writers_match_the_per_cell_writers(tmp_path):
+    rng = np.random.default_rng(3)
+    n = 2 * data.BLOCK_ROWS + 37
+    X = rng.normal(scale=1e3, size=(n, 4))
+    X[:, 0] = np.round(X[:, 0])
+    X.flat[rng.choice(X.size, size=len(_EDGE_FLOATS), replace=False)] = _EDGE_FLOATS
+    y = (rng.random(n) < 0.2).astype(int)
+    ids = [f"c{i}" for i in range(n)]
+    ids[5], ids[n - 1] = "7,001", 'say "hi"'
+    ds = data.Dataset(
+        feature_names=["a", "b", "c", "d"], X=X, y=y, row_ids=np.arange(n),
+        target_name="label", id_values=ids, id_name="id",
+    )
+    data.write_dataset(ds, tmp_path / "got.csv")
+    _reference_write_dataset(ds, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert b'"7,001"' in (tmp_path / "got.csv").read_bytes()
+
+    records = [
+        synth.SyntheticRecord(
+            features=np.r_[float(i), X[i % n, 1:]], source_row_id=i % n,
+            rotation_angle=[0.0, 0.01745, 3.0][i % 3], angular_distance=float(X[i % n, 1]),
+            boosted=i % 7 == 0,
+        )
+        for i in range(data.BLOCK_ROWS + 5)
+    ]
+    distances = {i: float(rng.uniform(0, np.pi)) for i in range(0, n, 3)}
+    distances[4] = 2.0
+    data.write_augmented(ds, records, tmp_path / "got-aug.csv", original_distances=distances)
+    _reference_write_augmented(ds, records, tmp_path / "want-aug.csv", distances)
+    assert (tmp_path / "got-aug.csv").read_bytes() == (tmp_path / "want-aug.csv").read_bytes()
 
 
 def test_write_augmented_with_no_synthetic_rows(tmp_path):
