@@ -58,7 +58,7 @@ def prep_swap_test(point_a, point_b):
 
 
 def _clamp01(x):
-    return min(max(float(x), 0.0), 1.0)
+    return np.clip(x, 0.0, 1.0)
 
 
 def angular_distance_from_probability(p):
@@ -66,11 +66,12 @@ def angular_distance_from_probability(p):
     return 2.0 * np.arccos(np.sqrt(_clamp01(p)))
 
 
-def _overlap_from_counts(outcome, estimator):
+def _overlap(p0, p1, estimator):
+    """Overlap estimate from the control marginals (scalars or arrays)."""
     if estimator == "standard":
-        return _clamp01(outcome.p0 - outcome.p1)
+        return _clamp01(p0 - p1)
     if estimator == "paper-literal":
-        return _clamp01(1.0 - 2.0 * outcome.p0 + outcome.p1)
+        return _clamp01(1.0 - 2.0 * p0 + p1)
     raise ValueError(f"unknown estimator {estimator!r}")
 
 
@@ -93,7 +94,7 @@ def swap_test(states, shots=0, rng=None, estimator="standard"):
     state = statevec.apply_gate(state, CSWAP(0, 1, 2))
     state = statevec.apply_gate(state, H(0))
     outcome = statevec.measure_qubit(state, 0, shots=shots, rng=rng)
-    p = _overlap_from_counts(outcome, estimator)
+    p = float(_overlap(outcome.p0, outcome.p1, estimator))
     return SwapTestResult(
         overlap_probability=p,
         angular_distance=float(angular_distance_from_probability(p)),
@@ -114,7 +115,7 @@ def overlap_probability_exact(states):
     half = psi.reshape(2, -1)[::-1]               # X on the leading qubit
     rho = half @ half.T
     p0 = 0.5 * (1.0 + float(states.phi @ rho @ states.phi) / float(states.phi @ states.phi))
-    return _clamp01(2.0 * p0 - 1.0)
+    return float(_clamp01(2.0 * p0 - 1.0))
 
 
 def pad_to_power_of_two(vec):
@@ -129,24 +130,48 @@ def pad_to_power_of_two(vec):
 
 
 def angular_distance_table(points, centroid, shots=0, seed=0, estimator="standard"):
-    """Angular distance of every row to the centroid.
+    """Angular distance of every row of a (rows, d) table to the centroid.
 
-    Each row draws its shot noise from an rng stream keyed on
-    (seed, row_index) so rows are independent and order-insensitive.
+    The exact control marginal p1 of every row's swap test comes from the
+    closed form of `overlap_probability_exact`, evaluated for the whole
+    table at once with elementwise products and row sums, so a row's value
+    does not depend on the rows batched with it. With shots > 0 each row
+    draws binomial(shots, p1) from an rng stream keyed on (seed, row_index),
+    so rows are independent and order-insensitive.
     """
     centroid = np.asarray(centroid, dtype=float).ravel()
-    out = np.empty(len(points))
-    for i, row in enumerate(points):
-        row = np.asarray(row, dtype=float).ravel()
-        if row.size != centroid.size:
-            raise DimensionError(f"row {i}: length {row.size} != centroid {centroid.size}")
-        try:
-            states = prep_swap_test(
-                pad_to_power_of_two(centroid), pad_to_power_of_two(row)
-            )
-            rng = np.random.default_rng([seed, i]) if shots > 0 else None
-            res = swap_test(states, shots=shots, rng=rng, estimator=estimator)
-        except DegenerateInputError as exc:
-            raise DegenerateInputError(f"row {i}: {exc}") from exc
-        out[i] = res.angular_distance
-    return out
+    points = np.asarray(points, dtype=float)
+    if len(points) == 0:
+        return np.empty(0)
+    if points.ndim != 2 or points.shape[1] != centroid.size:
+        width = points.shape[-1] if points.ndim == 2 else points.size
+        raise DimensionError(f"row 0: length {width} != centroid {centroid.size}")
+    a = pad_to_power_of_two(centroid)
+    b = pad_to_power_of_two(points)
+    dc_norm = float(np.linalg.norm(a))
+    md_norm = np.sqrt((b * b).sum(axis=1))
+    if dc_norm == 0.0:
+        raise DegenerateInputError("centroid must be nonzero")
+    zero = np.flatnonzero(md_norm == 0.0)
+    if zero.size:
+        raise DegenerateInputError(f"row {zero[0]}: swap test inputs must be nonzero")
+
+    # prep_swap_test for every row: phi = [|a|, -|b|]/sqrt(z), psi interleaved
+    z = dc_norm**2 + md_norm**2
+    phi0, phi1 = dc_norm / np.sqrt(z), -md_norm / np.sqrt(z)
+    psi = np.empty((len(b), 2 * a.size))
+    psi[:, 0::2] = a / (dc_norm * SQRT2)
+    psi[:, 1::2] = b / (md_norm * SQRT2)[:, None]
+    psi /= np.sqrt((psi * psi).sum(axis=1))[:, None]
+    # X on the leading psi qubit swaps its halves; rho is their 2x2 Gram matrix
+    h0, h1 = psi[:, a.size :], psi[:, : a.size]
+    r00, r01, r11 = (h0 * h0).sum(axis=1), (h0 * h1).sum(axis=1), (h1 * h1).sum(axis=1)
+    quad = (phi0 * r00 + phi1 * r01) * phi0 + (phi0 * r01 + phi1 * r11) * phi1
+    p1 = _clamp01(1.0 - 0.5 * (1.0 + quad / (phi0 * phi0 + phi1 * phi1)))
+    if shots > 0:
+        counts1 = np.array([np.random.default_rng([seed, i]).binomial(shots, p) for i, p in enumerate(p1)])
+        p1 = counts1 / shots
+        p0 = (shots - counts1) / shots
+    else:
+        p0 = 1.0 - p1
+    return angular_distance_from_probability(_overlap(p0, p1, estimator))

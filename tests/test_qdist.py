@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qsmote import qdist
 from qsmote.errors import DegenerateInputError, DimensionError
@@ -162,3 +164,92 @@ def test_distance_table_degenerate_row_reports_index():
     with pytest.raises(DegenerateInputError) as exc:
         qdist.angular_distance_table(points, np.array([1.0, 1.0]))
     assert "1" in str(exc.value)
+
+
+def test_distance_table_rejects_wrong_width_and_zero_centroid():
+    with pytest.raises(DimensionError):
+        qdist.angular_distance_table(np.ones((2, 3)), np.ones(4))
+    with pytest.raises(DegenerateInputError):
+        qdist.angular_distance_table(np.ones((2, 3)), np.zeros(3))
+
+
+_component = st.one_of(st.just(0.0), st.floats(1e-6, 1.0), st.floats(-1.0, -1e-6))
+
+
+@st.composite
+def _tables(draw):
+    """A nonzero centroid and 1-4 nonzero rows of width 1-70, at scales 1e-3-1e6."""
+    width = draw(st.integers(1, 70))
+    vectors = st.lists(_component, min_size=width, max_size=width).filter(any)
+    scales = st.floats(1e-3, 1e6)
+    centroid = np.array(draw(vectors)) * draw(scales)
+    points = np.array(draw(st.lists(vectors, min_size=1, max_size=4))) * draw(scales)
+    return points, centroid
+
+
+def _circuit(points, centroid, **kwargs):
+    pad = qdist.pad_to_power_of_two
+    return [qdist.swap_test(qdist.prep_swap_test(pad(centroid), pad(row)), **kwargs) for row in points]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_tables(), estimator=st.sampled_from(["standard", "paper-literal"]))
+@example(case=(np.ones((1, 2)), np.ones(2)), estimator="standard")
+def test_distance_table_equals_the_swap_test_circuit(case, estimator):
+    points, centroid = case
+    table = qdist.angular_distance_table(points, centroid, estimator=estimator)
+    for d, ref in zip(table, _circuit(points, centroid, estimator=estimator)):
+        p = ref.overlap_probability
+        assert abs(np.cos(d / 2) ** 2 - p) <= 1e-12
+        # within 1e-6 of p = 0 or 1 the slope of 2*arccos(sqrt(p)) passes 500,
+        # so the circuit's few-ulp rounding of p alone moves the distance by
+        # more than 1e-12 (at p = 0 exactly the closed form gives pi, the
+        # circuit pi - 3e-8); the overlap check above covers those rows
+        if 1e-6 <= p <= 1 - 1e-6:
+            assert abs(d - ref.angular_distance) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=_tables(),
+    shots=st.integers(1, 2000),
+    seed=st.integers(0, 2**32 - 1),
+    estimator=st.sampled_from(["standard", "paper-literal"]),
+)
+def test_sampled_distance_table_equals_the_circuit_bit_for_bit(case, shots, seed, estimator):
+    points, centroid = case
+    table = qdist.angular_distance_table(points, centroid, shots=shots, seed=seed, estimator=estimator)
+    refs = [
+        qdist.swap_test(
+            qdist.prep_swap_test(qdist.pad_to_power_of_two(centroid), qdist.pad_to_power_of_two(row)),
+            shots=shots,
+            rng=np.random.default_rng([seed, i]),
+            estimator=estimator,
+        ).angular_distance
+        for i, row in enumerate(points)
+    ]
+    assert table.tolist() == refs
+
+
+def test_distance_table_is_exact_at_zero_overlap():
+    # a row equal to the centroid [1, 1] has overlap 0 exactly; the circuit
+    # rounds p to a few ulp above 0, which the square root turns into 3e-8
+    circuit = _circuit(np.ones((1, 2)), np.ones(2))[0].angular_distance
+    assert qdist.angular_distance_table(np.ones((1, 2)), np.ones(2))[0] == np.pi
+    assert circuit == pytest.approx(np.pi, abs=1e-7)
+
+
+def test_exact_distance_table_rows_do_not_depend_on_their_batch():
+    rng = np.random.default_rng(12)
+    for width in (1, 3, 8, 21, 70):
+        points = rng.normal(size=(300, width)) * rng.uniform(1e-3, 1e6, size=(300, 1))
+        centroid = rng.normal(size=width)
+        table = qdist.angular_distance_table(points, centroid)
+        order = rng.permutation(len(points))
+        assert qdist.angular_distance_table(points[order], centroid).tolist() == table[order].tolist()
+        split = np.r_[
+            qdist.angular_distance_table(points[:1], centroid),
+            qdist.angular_distance_table(points[1:117], centroid),
+            qdist.angular_distance_table(points[117:], centroid),
+        ]
+        assert split.tolist() == table.tolist()
