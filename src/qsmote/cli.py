@@ -175,10 +175,21 @@ def _fmt_metric(v):
     return "" if v is None else f"{v:.6f}"
 
 
+def _parse_grid(text):
+    """Comma-separated minority percents; an entry that is not a number is a ParameterError."""
+    grid = []
+    for entry in text.split(",") if text else []:
+        try:
+            grid.append(float(entry))
+        except ValueError:
+            raise ParameterError(f"grid entry {entry!r} is not a number") from None
+    return grid
+
+
 def cmd_evaluate(args):
+    grid = _parse_grid(args.grid)
     dataset = _load_encoded(args.input, args.target_column)
     minority = data.minority_label(dataset.y)
-    grid = [float(g) for g in args.grid.split(",")] if args.grid else []
     aol_flags = {"both": (False, True), "on": (True,), "off": (False,)}[args.aol_mode]
     rows = evaluate.run_experiment(
         dataset.X,

@@ -287,6 +287,18 @@ def test_evaluate_grid_row_count(encoded, tmp_path):
     assert len(rows) == 1 + 1 + 3 * 2   # header + baseline + grid x {aol off, on}
 
 
+@pytest.mark.parametrize(
+    "grid, entry",
+    [("abc", "'abc'"), ("30,,40", "''"), ("30, 4o", "' 4o'")],
+)
+def test_evaluate_bad_grid_exits_2_and_names_the_entry(encoded, tmp_path, capsys, grid, entry):
+    report = tmp_path / "grid.csv"
+    assert cli.main(["evaluate", str(encoded), str(report), "--grid", grid]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"grid entry {entry}" in err
+    assert not report.exists()
+
+
 def test_evaluate_assert_trend_fails_on_baseline_only_run(encoded, tmp_path):
     report = tmp_path / "trend.csv"
     code = cli.main(
