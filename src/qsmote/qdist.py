@@ -4,6 +4,12 @@ Two classical vectors are folded into a 2-amplitude norm state and an
 interleaved component state; a single controlled-SWAP between the norm
 qubit and the leading component qubit yields an overlap probability,
 from which the angular distance 2*arccos(sqrt(p)) is derived.
+
+`angular_distance_table`, the one production path, evaluates the exact
+control marginal of that circuit in closed form for a whole table of
+rows at once. `prep_swap_test`, `swap_test` (which simulates the circuit
+on `statevec`) and `overlap_probability_exact` are the oracle the tests
+hold it to; no production path runs them.
 """
 
 from dataclasses import dataclass
@@ -144,11 +150,10 @@ def angular_distance_table(points, centroid, shots=0, seed=0, estimator="standar
     if len(points) == 0:
         return np.empty(0)
     if points.ndim != 2 or points.shape[1] != centroid.size:
-        width = points.shape[-1] if points.ndim == 2 else points.size
-        raise DimensionError(f"row 0: length {width} != centroid {centroid.size}")
+        raise DimensionError(f"points must be a (rows, {centroid.size}) table, got shape {points.shape}")
     a = pad_to_power_of_two(centroid)
     b = pad_to_power_of_two(points)
-    dc_norm = float(np.linalg.norm(a))
+    dc_norm = float(np.sqrt((a * a).sum()))
     md_norm = np.sqrt((b * b).sum(axis=1))
     if dc_norm == 0.0:
         raise DegenerateInputError("centroid must be nonzero")
