@@ -249,28 +249,22 @@ def _fmt_table(values):
     """`_fmt` of every cell of an array, as an object array of strings.
 
     Integer arrays and the integral float cells below 2**63 in magnitude
-    go through `str` of each distinct value once, the non-integral cells
-    (nan included) through `repr`, and the rest (±inf, integral cells from
-    2**63 up) through `_fmt`.
+    go through `str` of the int, the non-integral cells (nan included)
+    through `repr`, and the rest (±inf, integral cells from 2**63 up)
+    through `_fmt`.
     """
     v = np.asarray(values)
     if v.dtype.kind in "iu":
-        return _fmt_ints(v.ravel()).reshape(v.shape)
+        return np.array(list(map(str, v.ravel().tolist())), dtype=object).reshape(v.shape)
     v = v.astype(float)
     out = np.empty(v.shape, dtype=object)
     integral = v == np.trunc(v)
     small = integral & (np.abs(v) < 2.0**63)
-    out[small] = _fmt_ints(v[small].astype(np.int64))
+    out[small] = list(map(str, v[small].astype(np.int64).tolist()))
     out[~integral] = list(map(repr, v[~integral].tolist()))
     large = integral & ~small
     out[large] = [_fmt(f) for f in v[large].tolist()]
     return out
-
-
-def _fmt_ints(ints):
-    """`str` of every cell of a 1-D integer array, each distinct value formatted once."""
-    levels, index = np.unique(ints, return_inverse=True)
-    return np.array(list(map(str, levels.tolist())), dtype=object)[index]
 
 
 def _write_blocks(writer, n, block):
