@@ -167,12 +167,13 @@ def angular_distance_table(points, centroid, shots=0, seed=0, estimator="standar
     psi = np.empty((len(b), 2 * a.size))
     psi[:, 0::2] = a / (dc_norm * SQRT2)
     psi[:, 1::2] = b / (md_norm * SQRT2)[:, None]
-    psi /= np.sqrt((psi * psi).sum(axis=1))[:, None]
-    # X on the leading psi qubit swaps its halves; rho is their 2x2 Gram matrix
+    # psi and phi are unit vectors by construction, so the oracle's two
+    # normalisations are left out. X on the leading psi qubit swaps the
+    # halves of psi; rho is their 2x2 Gram matrix
     h0, h1 = psi[:, a.size :], psi[:, : a.size]
     r00, r01, r11 = (h0 * h0).sum(axis=1), (h0 * h1).sum(axis=1), (h1 * h1).sum(axis=1)
     quad = (phi0 * r00 + phi1 * r01) * phi0 + (phi0 * r01 + phi1 * r11) * phi1
-    p1 = _clamp01(1.0 - 0.5 * (1.0 + quad / (phi0 * phi0 + phi1 * phi1)))
+    p1 = _clamp01(0.5 * (1.0 - quad))
     if shots > 0:
         counts1 = np.array([np.random.default_rng([seed, i]).binomial(shots, p) for i, p in enumerate(p1)])
         p1 = counts1 / shots
