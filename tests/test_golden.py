@@ -1,7 +1,10 @@
-"""Golden pins: `smote` and `evaluate` outputs frozen on seeded demo data.
+"""Golden pins: `preprocess`, `smote` and `evaluate` outputs frozen.
 
-Each case runs the CLI on `demo.make_imbalanced_dataset(n_rows=300)`, one
-of them with planted outliers, and compares against `tests/golden/`.
+The `smote` and `evaluate` cases run the CLI on
+`demo.make_imbalanced_dataset(n_rows=300)`, one of them with planted
+outliers, and compare against `tests/golden/`. The `preprocess` case
+encodes a small raw CSV that covers every column kind and missing
+policy of `configs/cell2cell.yaml`, and must match byte for byte.
 Discrete and metadata cells, the histogram CSV, the report CSV and the
 manifest (bar its timestamp) must match exactly; synthetic feature cells
 may move by 1e-12 absolute, so a closed-form kernel can change the last
@@ -14,6 +17,7 @@ After a deliberate output change, re-record with
 
 import csv
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +36,58 @@ SMOTE_CASES = {
     # minority rows give a low-side table whose thin bin gets boosted
     "aol-boost": ("planted", ["--aol", "--bins", "3"]),
 }
+
+
+PREPROCESS_CONFIG = """\
+version: 1
+columns:
+  - {name: cid, kind: id}
+  - {name: usage, kind: numeric-binned, bins: 'equal-width:4'}
+  - {name: flat, kind: numeric-binned, bins: 'equal-width:3'}
+  - {name: edged, kind: numeric-binned, bins: [0, 10, 20]}
+  - {name: subs, kind: numeric-raw}
+  - {name: code, kind: categorical}
+  - {name: plan, kind: categorical}
+  - {name: age, kind: numeric-binned, bins: 'equal-width:2', missing: 'fill-value:0'}
+  - {name: status, kind: categorical, missing: fill-mode}
+  - {name: calls, kind: numeric-raw}
+  - {name: churn, kind: target}
+"""
+
+# `flat` is constant; `edged` runs past both ends of its edges; `subs`
+# holds cells float() takes as written; `age` and `status` fill their
+# blank and whitespace-only cells; `status` ties 4-4 between x and y when
+# the rows dropped later are counted (the earlier level wins), where the
+# kept rows alone favour y; a blank `calls`, `cid` or `churn` cell drops
+# the row.
+PREPROCESS_RAW = """\
+cid,usage,flat,edged,subs,code,plan,age,status,calls,churn
+c1,0.5,5,-3, 2 ,2,basic,40,x,1,no
+c2,3,5,0,1_0,10,premium,,y,2,yes
+c3,1.25,5,10,+1e3,0,basic, ,x,3,no
+"7,001",2,5,20,-0,2,Basic,18,,4,no
+c5,4,5,25,1.5,-1.5,premium,65,y,  ,yes
+c6,1e0,5,19.999,.5,10,premium,33,y,6,no
+c7,-2,5,9.5,7,0,basic,50,,7,yes
+c8,2.5,5,1e1,3,2,basic,29,y,8,no
+,1,5,1,1,2,basic,30,x,9,yes
+c10,1,5,1,1,2,basic,30,x,10,
+c11,9,5,99,0.25,0,premium,71, ,11,yes
+"""
+
+
+def _run_preprocess(directory):
+    (directory / "raw.csv").write_text(PREPROCESS_RAW)
+    (directory / "raw.yaml").write_text(PREPROCESS_CONFIG)
+    # relative paths keep the config path, and so the config hash, in the
+    # manifest the same wherever the test runs
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        assert cli.main(["preprocess", "raw.csv", "preprocess.csv", "--config", "raw.yaml"]) == 0
+    finally:
+        os.chdir(cwd)
+    return directory / "preprocess.csv"
 
 
 def _dataset(name):
@@ -58,7 +114,9 @@ def _manifest(path, root):
     manifest = json.loads(Path(path).read_text())
     manifest.pop("timestamp")
     for key in ("inputs", "outputs"):
-        manifest[key] = [Path(p).relative_to(root).as_posix() for p in manifest[key]]
+        manifest[key] = [
+            Path(p).relative_to(root).as_posix() if Path(p).is_absolute() else p for p in manifest[key]
+        ]
     return manifest
 
 
@@ -132,9 +190,17 @@ def test_evaluate_matches_golden(tmp_path):
     )
 
 
+def test_preprocess_matches_golden(tmp_path):
+    out = _run_preprocess(tmp_path)
+    assert out.read_bytes() == (GOLDEN / "preprocess.csv").read_bytes()
+    assert _manifest(out.with_suffix(".manifest.json"), tmp_path) == json.loads(
+        (GOLDEN / "preprocess.manifest.json").read_text()
+    )
+
+
 def _record(directory):
     GOLDEN.mkdir(exist_ok=True)
-    runs = [(None, _run_evaluate(directory))]
+    runs = [(None, _run_evaluate(directory)), (None, _run_preprocess(directory))]
     runs += [_run_smote(directory, case) for case in SMOTE_CASES]
     for src, out in runs:
         if src is None:
