@@ -11,6 +11,7 @@ import contextlib
 import csv
 import datetime
 import hashlib
+import itertools
 import json
 import os
 import shutil
@@ -102,9 +103,16 @@ def _load_encoded(path, target):
         raise DataError(f"no data rows in {path}")
     data.check_row_widths(header, rows)
     try:
-        table = np.array([[float(v) for v in r] for r in rows])
-    except ValueError as exc:
-        raise DataError(f"non-numeric cell in {path}: {exc}") from None
+        cells = map(float, itertools.chain.from_iterable(rows))
+        table = np.fromiter(cells, dtype=float, count=len(rows) * len(header))
+    except ValueError:
+        for i, r in enumerate(rows, start=1):
+            for name, cell in zip(header, r):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise DataError(f"non-numeric cell {cell!r}", row=i, column=name) from None
+    table = table.reshape(len(rows), len(header))
     t = header.index(target)
     labels = table[:, t]
     bad = np.argwhere(~np.isfinite(table))

@@ -7,7 +7,10 @@ a sibling CSV.
 """
 
 import csv
+import itertools
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -81,7 +84,8 @@ def load_config(path):
     return DataConfig(columns=columns)
 
 
-def _read_rows(path, config):
+def _read_columns(path, config):
+    """Header and cell columns (tuples of strings) of a raw CSV that matches the config."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
@@ -92,7 +96,7 @@ def _read_rows(path, config):
         except StopIteration:
             raise DataError(f"empty file: {path}") from None
         rows = list(reader)
-    check_row_widths(header, rows)
+    columns = _transpose(header, rows)
     for spec in config.columns:
         if spec.name not in header:
             raise DataError("configured column missing from header", column=spec.name)
@@ -100,18 +104,26 @@ def _read_rows(path, config):
     for name in header:
         if name not in configured:
             raise DataError("column not in config", column=name)
-    return header, rows
+    return header, columns
 
 
 def check_row_widths(header, rows):
     """DataError for the first row (counted from 1 below the header) whose width differs."""
-    for i, r in enumerate(rows, start=1):
-        if len(r) != len(header):
-            raise DataError(f"{len(r)} cells where the header has {len(header)}", row=i)
+    widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    bad = np.flatnonzero(widths != len(header))
+    if len(bad):
+        raise DataError(f"{widths[bad[0]]} cells where the header has {len(header)}", row=int(bad[0]) + 1)
 
 
-def _is_missing(cell):
-    return cell.strip() == ""
+def _transpose(header, rows):
+    """The cell columns (tuples) of rows that must be as wide as the header."""
+    check_row_widths(header, rows)
+    return list(zip(*rows)) or [()] * len(header)
+
+
+def _blank(cells):
+    """Mask of the cells that are empty or whitespace only."""
+    return np.fromiter(map(operator.not_, map(str.strip, cells)), dtype=bool, count=len(cells))
 
 
 def _parse_number(cell, row, column):
@@ -122,6 +134,23 @@ def _parse_number(cell, row, column):
     if not math.isfinite(v):
         raise DataError(f"non-finite cell {cell!r}", row=row, column=column)
     return v
+
+
+def _parse_floats(cells, column, rows=None):
+    """Float array of a column of cells; a DataError names the first unparsable or non-finite one.
+
+    `rows` gives each cell's file row (counted from 1 below the header);
+    by default the cells are the rows 1, 2, ... in order.
+    """
+    try:
+        values = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        rows = range(1, len(cells) + 1) if rows is None else np.asarray(rows).tolist()
+        for cell, row in zip(cells, rows):
+            _parse_number(cell, row, column)
+    return values
 
 
 def _sorted_levels(values):
@@ -140,7 +169,7 @@ def _resolve_edges(spec, values, column):
         if scheme != "equal-width" or not arg.isdigit() or int(arg) < 1:
             raise DataError(f"bad bin scheme {spec.bin_edges!r}", column=column)
         k = int(arg)
-        lo, hi = min(values), max(values)
+        lo, hi = float(values.min()), float(values.max())
         if hi == lo:
             hi = lo + 1.0
         return [lo + (hi - lo) * i / k for i in range(k + 1)]
@@ -150,51 +179,53 @@ def _resolve_edges(spec, values, column):
     return edges
 
 
-def _bin_value(v, edges):
-    # edges[i] <= v < edges[i+1]; clamp below/above range
-    if v < edges[0]:
-        return 0
-    for i in range(len(edges) - 1):
-        if edges[i] <= v < edges[i + 1]:
-            return i
-    return len(edges) - 2
+def _bin(values, edges):
+    """Index i of the bin edges[i] <= v < edges[i+1] of each value, clamped to the first and last bin."""
+    if math.isnan(edges[0]):
+        # an equal-width range wider than the largest float gives edges
+        # nan, inf, ..., inf: no bin holds a value, so all clamp to the last
+        return np.full(len(values), len(edges) - 2)
+    return np.clip(np.searchsorted(edges, values, side="right") - 1, 0, len(edges) - 2)
 
 
 def load_csv(path, config):
-    """Parse and preprocess a CSV into a numeric Dataset."""
-    header, rows = _read_rows(path, config)
-    col_idx = {name: i for i, name in enumerate(header)}
-    specs = [config.spec(name) for name in header if any(c.name == name for c in config.columns)]
+    """Parse and preprocess a CSV into a numeric Dataset, one column at a time.
 
-    # missing-value pass, column by column
-    kept = []
-    fill = {}
+    A parse error names the cell's file row, counted from 1 below the
+    header, whether or not rows above it were dropped.
+    """
+    header, columns = _read_columns(path, config)
+    cells = dict(zip(header, columns))
+    specs = [config.spec(name) for name in header]
+
+    # missing-value pass: fill values first (a fill-mode counts every row),
+    # then drop the rows with a blank cell in a drop-row column
+    fill, blank = {}, {}
     for spec in specs:
-        j = col_idx[spec.name]
+        blank[spec.name] = _blank(cells[spec.name])
         policy, _, arg = str(spec.missing_policy).partition(":")
         if policy == "fill-value":
             fill[spec.name] = arg
         elif policy == "fill-mode":
-            present = [r[j] for r in rows if not _is_missing(r[j])]
+            present = Counter(itertools.compress(cells[spec.name], ~blank[spec.name]))
             if not present:
                 raise DataError("all values missing under fill-mode", column=spec.name)
-            fill[spec.name] = max(sorted(set(present)), key=present.count)
+            fill[spec.name] = max(sorted(present), key=present.__getitem__)
         elif policy != "drop-row":
             raise DataError(f"unknown missing policy {spec.missing_policy!r}", column=spec.name)
-    for r in rows:
-        drop = False
-        for spec in specs:
-            j = col_idx[spec.name]
-            if _is_missing(r[j]):
-                if spec.name in fill:
-                    r[j] = fill[spec.name]
-                else:
-                    drop = True
-                    break
-        if not drop:
-            kept.append(r)
-    if not kept:
+    keep = np.ones(len(cells[header[0]]), dtype=bool)
+    for spec in specs:
+        if spec.name not in fill:
+            keep &= ~blank[spec.name]
+    if not keep.any():
         raise DataError(f"no rows left after preprocessing {path}")
+    file_rows = np.flatnonzero(keep) + 1
+
+    def kept(name):
+        col = np.array(cells[name], dtype=object)
+        if name in fill:
+            col[blank[name]] = fill[name]
+        return col[keep].tolist()
 
     feature_names = [s.name for s in specs if s.kind in ("categorical", "numeric-binned", "numeric-raw")]
     target_spec = config.target
@@ -202,31 +233,27 @@ def load_csv(path, config):
 
     columns = {}
     for spec in specs:
-        j = col_idx[spec.name]
-        raw = [r[j] for r in kept]
+        raw = kept(spec.name)
         if spec.kind == "id":
             columns[spec.name] = raw
         elif spec.kind in ("categorical", "target"):
-            levels = _sorted_levels(raw)
-            code = {lv: float(i) for i, lv in enumerate(levels)}
-            columns[spec.name] = [code[v] for v in raw]
+            code = {lv: float(i) for i, lv in enumerate(_sorted_levels(raw))}
+            columns[spec.name] = np.fromiter(map(code.__getitem__, raw), dtype=float, count=len(raw))
         elif spec.kind == "numeric-raw":
-            columns[spec.name] = [
-                _parse_number(v, i, spec.name) for i, v in enumerate(raw)
-            ]
+            columns[spec.name] = _parse_floats(raw, spec.name, file_rows)
         elif spec.kind == "numeric-binned":
-            nums = [_parse_number(v, i, spec.name) for i, v in enumerate(raw)]
+            nums = _parse_floats(raw, spec.name, file_rows)
             edges = _resolve_edges(spec, nums, spec.name)
-            columns[spec.name] = [float(_bin_value(v, edges)) for v in nums]
+            columns[spec.name] = _bin(nums, edges).astype(float)
 
-    X = np.column_stack([columns[n] for n in feature_names]) if feature_names else np.empty((len(kept), 0))
-    y = np.asarray(columns[target_spec.name], dtype=float).astype(int)
+    X = np.column_stack([columns[n] for n in feature_names]) if feature_names else np.empty((len(file_rows), 0))
+    y = columns[target_spec.name].astype(int)
     id_name = id_specs[0].name if id_specs else None
     return Dataset(
         feature_names=feature_names,
         X=X,
         y=y,
-        row_ids=np.arange(len(kept)),
+        row_ids=np.arange(len(file_rows)),
         target_name=target_spec.name,
         id_values=columns[id_name] if id_name else [],
         id_name=id_name,
@@ -244,25 +271,35 @@ def _fmt(v):
 
 BLOCK_ROWS = 4096  # rows formatted per block: keeps the string table small
 
+# the strings of 0..1023: every category code, bin index and label the
+# CLI writes is one of them
+_SMALL_INTS = np.array([str(i) for i in range(1024)], dtype=object)
+
 
 def _fmt_table(values):
     """`_fmt` of every cell of an array, as an object array of strings.
 
-    Integer arrays and the integral float cells below 2**63 in magnitude
+    Integral cells in [0, 1024) are taken from `_SMALL_INTS`. The other
+    integer cells and the integral float cells below 2**63 in magnitude
     go through `str` of the int, the non-integral cells (nan included)
     through `repr`, and the rest (±inf, integral cells from 2**63 up)
     through `_fmt`.
     """
     v = np.asarray(values)
-    if v.dtype.kind in "iu":
-        return np.array(list(map(str, v.ravel().tolist())), dtype=object).reshape(v.shape)
-    v = v.astype(float)
     out = np.empty(v.shape, dtype=object)
+    if v.dtype.kind in "iu":
+        table = (v >= 0) & (v < len(_SMALL_INTS))
+        out[table] = _SMALL_INTS[v[table]]
+        out[~table] = list(map(str, v[~table].tolist()))
+        return out
+    v = v.astype(float)
     integral = v == np.trunc(v)
-    small = integral & (np.abs(v) < 2.0**63)
+    table = integral & (v >= 0) & (v < len(_SMALL_INTS))
+    out[table] = _SMALL_INTS[v[table].astype(np.intp)]
+    small = integral & ~table & (np.abs(v) < 2.0**63)
     out[small] = list(map(str, v[small].astype(np.int64).tolist()))
     out[~integral] = list(map(repr, v[~integral].tolist()))
-    large = integral & ~small
+    large = integral & (np.abs(v) >= 2.0**63)
     out[large] = [_fmt(f) for f in v[large].tolist()]
     return out
 
@@ -336,12 +373,11 @@ def read_augmented(path, feature_names=None):
     target_name = header[-6]
     if feature_names is not None and names != list(feature_names):
         raise DataError(f"{path} feature columns differ from expectation")
-    X = np.array([[float(v) for v in r[: len(names)]] for r in rows]) if rows else np.empty((0, len(names)))
-    y = np.array([int(float(r[len(names)])) for r in rows], dtype=int)
-    meta = {
-        name: [r[len(names) + 1 + k] for r in rows]
-        for k, name in enumerate(META_COLUMNS)
-    }
+    columns = _transpose(header, rows)
+    parsed = [_parse_floats(col, name) for col, name in zip(columns, header[: len(names) + 1])]
+    X = np.column_stack(parsed[:-1]) if names else np.empty((len(rows), 0))
+    y = parsed[-1].astype(int)
+    meta = {name: list(col) for name, col in zip(META_COLUMNS, columns[-5:])}
     return names, target_name, X, y, meta
 
 

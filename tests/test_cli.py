@@ -216,10 +216,11 @@ def _edit_row(path, row, edit):
     [
         (lambda cells: ["nan"] + cells[1:], "non-finite cell 'nan' (row 3, column 'f0')"),
         (lambda cells: cells[:1] + ["inf"] + cells[2:], "non-finite cell 'inf' (row 3, column 'f1')"),
+        (lambda cells: cells[:1] + ["x"] + cells[2:], "non-numeric cell 'x' (row 3, column 'f1')"),
         (lambda cells: cells[:-1] + ["0.7"], "non-integer label '0.7' (row 3, column 'label')"),
         (lambda cells: cells[:-1], "8 cells where the header has 9 (row 3)"),
     ],
-    ids=["nan", "inf", "fractional-label", "ragged"],
+    ids=["nan", "inf", "non-numeric", "fractional-label", "ragged"],
 )
 def test_smote_rejects_bad_cells_at_load(encoded, tmp_path, capsys, edit, message):
     _edit_row(encoded, 3, edit)

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsmote import data, pipeline, aol, synth
@@ -147,6 +147,16 @@ def test_unparsable_cell_reports_coordinates(tmp_path):
     assert "a" in str(exc.value)
 
 
+def test_parse_error_names_the_file_row_below_dropped_rows(tmp_path):
+    # data row 2 is dropped, so the bad cell is the second kept row but
+    # the third row of the file
+    path = _write(tmp_path, "r.csv", "a,label\n1,0\n,1\nbogus,1\n")
+    cfg = _config(ColumnSpec("a", "numeric-raw"), ColumnSpec("label", "target"))
+    with pytest.raises(DataError, match=r"unparsable numeric cell 'bogus' \(row 3, column 'a'\)") as exc:
+        data.load_csv(path, cfg)
+    assert exc.value.row == 3
+
+
 def test_empty_file_and_missing_file_error(tmp_path):
     cfg = _config(ColumnSpec("a", "numeric-raw"), ColumnSpec("label", "target"))
     with pytest.raises(DataError):
@@ -162,6 +172,204 @@ def test_rows_must_be_as_wide_as_the_header(tmp_path, row):
     with pytest.raises(DataError, match="row 3") as exc:
         data.load_csv(path, cfg)
     assert exc.value.row == 3
+
+
+def _load_csv_reference(path, config):
+    """The per-cell loader the column-wise `load_csv` must equal.
+
+    It reports a bad cell's file row, counted from 1 below the header.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = list(reader)
+    col_idx = {name: i for i, name in enumerate(header)}
+    specs = [config.spec(name) for name in header]
+
+    def missing(cell):
+        return cell.strip() == ""
+
+    fill = {}
+    for spec in specs:
+        j = col_idx[spec.name]
+        policy, _, arg = str(spec.missing_policy).partition(":")
+        if policy == "fill-value":
+            fill[spec.name] = arg
+        elif policy == "fill-mode":
+            present = [r[j] for r in rows if not missing(r[j])]
+            if not present:
+                raise DataError("all values missing under fill-mode", column=spec.name)
+            fill[spec.name] = max(sorted(set(present)), key=present.count)
+        elif policy != "drop-row":
+            raise DataError(f"unknown missing policy {spec.missing_policy!r}", column=spec.name)
+    kept, file_rows = [], []
+    for i, r in enumerate(rows, start=1):
+        drop = False
+        for spec in specs:
+            j = col_idx[spec.name]
+            if missing(r[j]):
+                if spec.name in fill:
+                    r[j] = fill[spec.name]
+                else:
+                    drop = True
+                    break
+        if not drop:
+            kept.append(r)
+            file_rows.append(i)
+    if not kept:
+        raise DataError(f"no rows left after preprocessing {path}")
+
+    def bin_value(v, edges):
+        if v < edges[0]:
+            return 0
+        for i in range(len(edges) - 1):
+            if edges[i] <= v < edges[i + 1]:
+                return i
+        return len(edges) - 2
+
+    def resolve_edges(spec, values):
+        if isinstance(spec.bin_edges, str):
+            k = int(spec.bin_edges.partition(":")[2])
+            lo, hi = min(values), max(values)
+            if hi == lo:
+                hi = lo + 1.0
+            return [lo + (hi - lo) * i / k for i in range(k + 1)]
+        return [float(e) for e in spec.bin_edges]
+
+    columns = {}
+    for spec in specs:
+        j = col_idx[spec.name]
+        raw = [r[j] for r in kept]
+        if spec.kind == "id":
+            columns[spec.name] = raw
+        elif spec.kind in ("categorical", "target"):
+            code = {lv: float(i) for i, lv in enumerate(data._sorted_levels(raw))}
+            columns[spec.name] = [code[v] for v in raw]
+        else:
+            nums = [data._parse_number(v, row, spec.name) for v, row in zip(raw, file_rows)]
+            if spec.kind == "numeric-binned":
+                edges = resolve_edges(spec, nums)
+                nums = [float(bin_value(v, edges)) for v in nums]
+            columns[spec.name] = nums
+
+    feature_names = [s.name for s in specs if s.kind in ("categorical", "numeric-binned", "numeric-raw")]
+    id_name = next((s.name for s in specs if s.kind == "id"), None)
+    return data.Dataset(
+        feature_names=feature_names,
+        X=np.column_stack([columns[n] for n in feature_names]) if feature_names else np.empty((len(kept), 0)),
+        y=np.asarray(columns[config.target.name], dtype=float).astype(int),
+        row_ids=np.arange(len(kept)),
+        target_name=config.target.name,
+        id_values=columns[id_name] if id_name else [],
+        id_name=id_name,
+    )
+
+
+# numeric cells float() takes as written, cells it rejects or reads as
+# non-finite, and values whose equal-width range overflows a float
+_NUMBERS = st.one_of(
+    st.floats(-1e6, 1e6).map(repr),
+    st.integers(-50, 50).map(str),
+    st.sampled_from([" 2 ", "1_0", "+1e3", "-0", "0", ".5", "1e308", "-1e308", "2.0"]),
+)
+_BAD_NUMBERS = st.sampled_from(["bogus", "nan", "inf", "-Infinity", "1__0"])
+_LEVELS = st.sampled_from(["a", "b", "B", " a", "2", "10", "0", "-1.5", "x y"])
+_BLANKS = st.sampled_from(["", " ", " \t "])
+_MISSING = st.sampled_from(["drop-row", "fill-value:0", "fill-value:7.5", "fill-value:bogus",
+                            "fill-value:", "fill-mode"])
+_BINS = st.one_of(
+    st.integers(1, 5).map("equal-width:{}".format),
+    st.sampled_from([[0, 10, 20], [-1.5, 0.0, 2.0, 1e3], [5, 6]]),
+)
+
+
+@st.composite
+def _raw_tables(draw):
+    """A raw CSV's text and its config: every column kind and missing policy."""
+    kinds = draw(st.lists(st.sampled_from(["categorical", "numeric-binned", "numeric-raw"]), max_size=4))
+    specs = [ColumnSpec(f"c{j}", kind) for j, kind in enumerate(kinds)]
+    for spec in specs:
+        spec.missing_policy = draw(_MISSING)
+        if spec.kind == "numeric-binned":
+            spec.bin_edges = draw(_BINS)
+    if draw(st.booleans()):
+        specs.insert(draw(st.integers(0, len(specs))), ColumnSpec("id", "id"))
+    specs.insert(draw(st.integers(0, len(specs))), ColumnSpec("label", "target", missing_policy=draw(_MISSING)))
+    bad = draw(st.floats(0, 0.1))
+    blank = draw(st.floats(0, 0.3))
+
+    def cell(spec):
+        r = draw(st.floats(0, 1))
+        if r < blank:
+            return draw(_BLANKS)
+        if spec.kind in ("numeric-binned", "numeric-raw"):
+            return draw(_BAD_NUMBERS) if r > 1 - bad else draw(_NUMBERS)
+        if spec.kind == "id":
+            return f"id{draw(st.integers(0, 99))}"
+        return draw(_LEVELS)
+
+    n = draw(st.integers(0, 12))
+    rows = [[cell(spec) for spec in specs] for _ in range(n)]
+    lines = [",".join(s.name for s in specs)] + [",".join(f'"{c}"' for c in r) for r in rows]
+    return "\n".join(lines) + "\n", DataConfig(columns=specs)
+
+
+def _outcome(loader, path, config):
+    try:
+        return loader(path, config)
+    except DataError as exc:
+        return str(exc)
+
+
+_OVERFLOWING_RANGE = (
+    "v,label\n1e308,0\n-1e308,1\n0,0\n",
+    _config(ColumnSpec("v", "numeric-binned", bin_edges="equal-width:3"), ColumnSpec("label", "target")),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_raw_tables())
+@example(case=_OVERFLOWING_RANGE)
+def test_load_csv_equals_the_per_cell_reference(tmp_path_factory, case):
+    text, config = case
+    path = tmp_path_factory.mktemp("raw") / "raw.csv"
+    path.write_text(text)
+    got = _outcome(data.load_csv, path, config)
+    want = _outcome(_load_csv_reference, path, config)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    assert got.feature_names == want.feature_names
+    assert (got.X.shape, got.X.dtype, got.X.tobytes()) == (want.X.shape, want.X.dtype, want.X.tobytes())
+    assert (got.y.dtype, got.y.tolist()) == (want.y.dtype, want.y.tolist())
+    assert (got.id_name, got.id_values) == (want.id_name, want.id_values)
+    assert got.row_ids.tolist() == want.row_ids.tolist()
+
+
+@pytest.mark.parametrize(
+    "missing, text, message",
+    [
+        ("drop-row", "a,label\n1,0\n,0\nbogus,1\n", "unparsable numeric cell 'bogus' (row 3, column 'a')"),
+        ("drop-row", "a,label\n1,0\nnan,1\n", "non-finite cell 'nan' (row 2, column 'a')"),
+        ("drop-row", "a,label\n1,0\n2,1\n-inf,1\n", "non-finite cell '-inf' (row 3, column 'a')"),
+        ("fill-value:none", "a,label\n1,0\n,1\n", "unparsable numeric cell 'none' (row 2, column 'a')"),
+        ("drop-row", "a,label\n1,\n2, \n", "no rows left after preprocessing"),
+    ],
+    ids=["bogus", "nan", "inf", "fill-value", "all-dropped"],
+)
+def test_load_csv_bad_cells_match_the_reference(tmp_path, missing, text, message):
+    path = _write(tmp_path, "bad.csv", text)
+    cfg = _config(
+        ColumnSpec("a", "numeric-binned", bin_edges="equal-width:2", missing_policy=missing),
+        ColumnSpec("label", "target"),
+    )
+    with pytest.raises(DataError) as got:
+        data.load_csv(path, cfg)
+    with pytest.raises(DataError) as want:
+        _load_csv_reference(path, cfg)
+    assert str(got.value) == str(want.value)
+    assert message in str(got.value)
 
 
 def test_preprocessing_is_idempotent(tmp_path):
@@ -264,6 +472,7 @@ _EDGE_FLOATS = [
     -0.0, 0.5, -1.5, 1e300, -1e300, 5e-324, 2.2e-308, np.inf, -np.inf, np.nan,
     2.0**53 - 1, 2.0**53, 2.0**53 + 2, -(2.0**53),
     2.0**63 - 1024, 2.0**63, -(2.0**63) + 1024, -(2.0**63), 2.0**64,
+    1023.0, 1023.5, 1024.0, -1.0,
 ]
 _CELLS = st.one_of(
     st.floats(),
@@ -278,7 +487,9 @@ _CELLS = st.one_of(
     rows=st.integers(1, 6).flatmap(
         lambda w: st.lists(st.lists(_CELLS, min_size=w, max_size=w), min_size=1, max_size=6)
     ),
-    ints=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=6),
+    ints=st.lists(
+        st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from([-1, 0, 1023, 1024])), max_size=6
+    ),
 )
 def test_fmt_table_equals_fmt_cell_for_cell(rows, ints):
     values = np.array(rows)
