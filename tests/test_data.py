@@ -147,16 +147,6 @@ def test_unparsable_cell_reports_coordinates(tmp_path):
     assert "a" in str(exc.value)
 
 
-def test_parse_error_names_the_file_row_below_dropped_rows(tmp_path):
-    # data row 2 is dropped, so the bad cell is the second kept row but
-    # the third row of the file
-    path = _write(tmp_path, "r.csv", "a,label\n1,0\n,1\nbogus,1\n")
-    cfg = _config(ColumnSpec("a", "numeric-raw"), ColumnSpec("label", "target"))
-    with pytest.raises(DataError, match=r"unparsable numeric cell 'bogus' \(row 3, column 'a'\)") as exc:
-        data.load_csv(path, cfg)
-    assert exc.value.row == 3
-
-
 def test_empty_file_and_missing_file_error(tmp_path):
     cfg = _config(ColumnSpec("a", "numeric-raw"), ColumnSpec("label", "target"))
     with pytest.raises(DataError):
@@ -350,6 +340,7 @@ def test_load_csv_equals_the_per_cell_reference(tmp_path_factory, case):
 @pytest.mark.parametrize(
     "missing, text, message",
     [
+        # the dropped data row 2 above the bad cell does not shift its row
         ("drop-row", "a,label\n1,0\n,0\nbogus,1\n", "unparsable numeric cell 'bogus' (row 3, column 'a')"),
         ("drop-row", "a,label\n1,0\nnan,1\n", "non-finite cell 'nan' (row 2, column 'a')"),
         ("drop-row", "a,label\n1,0\n2,1\n-inf,1\n", "non-finite cell '-inf' (row 3, column 'a')"),
