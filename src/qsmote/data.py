@@ -194,8 +194,8 @@ def load_csv(path, config):
     A parse error names the cell's file row, counted from 1 below the
     header, whether or not rows above it were dropped.
     """
-    header, columns = _read_columns(path, config)
-    cells = dict(zip(header, columns))
+    header, cell_columns = _read_columns(path, config)
+    cells = dict(zip(header, cell_columns))
     specs = [config.spec(name) for name in header]
 
     # missing-value pass: fill values first (a fill-mode counts every row),
