@@ -153,12 +153,18 @@ def _parse_floats(cells, column, rows=None):
     return values
 
 
+def _numeric_level_key(level):
+    x = float(level)
+    return (math.isnan(x), 0.0 if math.isnan(x) else x, level)
+
+
 def _sorted_levels(values):
     # lexicographic, except purely numeric level sets sort numerically so
-    # that re-encoding an already-encoded column is the identity
+    # that re-encoding an already-encoded column is the identity; nan levels
+    # go last, and levels of equal value (0, -0) by their text, so the
+    # order never depends on set iteration
     try:
-        keyed = sorted(set(values), key=float)
-        return keyed
+        return sorted(set(values), key=_numeric_level_key)
     except ValueError:
         return sorted(set(values))
 

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qsmote
 from qsmote import cli, data, demo
 
 
@@ -50,6 +55,34 @@ def test_preprocess_writes_output_and_manifest(raw, tmp_path):
     manifest = json.loads((tmp_path / "out.manifest.json").read_text())
     assert manifest["params"]["command"] == "preprocess"
     assert str(out) in manifest["outputs"]
+
+
+def test_preprocess_level_order_does_not_depend_on_the_hash_seed(tmp_path):
+    # a nan level and the float-equal levels 0 and -0 used to be ordered by
+    # set iteration, which follows the per-process string hash seed
+    raw_path = tmp_path / "raw.csv"
+    raw_path.write_text("a,b,label\n1,0,x\nnan,-0,y\n0,-0,x\n2,0,y\n3,0,x\n-1,-0,y\n")
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(
+        "version: 1\ncolumns:\n"
+        "  - {name: a, kind: categorical}\n"
+        "  - {name: b, kind: categorical}\n"
+        "  - {name: label, kind: target}\n"
+    )
+    outputs = set()
+    for hash_seed in range(1, 7):
+        out = tmp_path / f"out{hash_seed}.csv"
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+                   PYTHONPATH=str(Path(qsmote.__file__).parents[1]))
+        subprocess.run(
+            [sys.executable, "-m", "qsmote.cli", "preprocess", str(raw_path), str(out),
+             "--config", str(cfg_path)],
+            env=env, check=True, capture_output=True,
+        )
+        outputs.add(out.read_bytes())
+    assert len(outputs) == 1
+    # numeric order with nan last; equal values by their text ("-0" < "0")
+    assert outputs.pop() == b"a,b,label\r\n2,1,0\r\n5,0,1\r\n1,0,0\r\n3,1,1\r\n4,1,0\r\n0,0,1\r\n"
 
 
 def test_preprocess_missing_column_exits_2_and_names_it(raw, tmp_path, capsys):
