@@ -1,8 +1,17 @@
 """KNN scoring, binary classification metrics, and the experiment grid.
 
 Everything is self-contained: exact nearest neighbours from a blocked Gram
-screen with an exact distance repair, a trapezoidal ROC-AUC (with a
-pairwise cross-check), and step-interpolated average precision.
+screen with an exact distance repair (``k_nearest``), a trapezoidal ROC-AUC
+(with a pairwise cross-check), and step-interpolated average precision.
+
+``knn_predict`` scores queries against one training set. The grid,
+``run_experiment``, scores every neighbour pair once per call instead of
+once per grid row: each part of a row's training set (the originals, the
+generated records, the boosted records) gives every query its k nearest
+(distance, id) pairs once, and a row's neighbours are the first k of the
+merge of its parts' lists by (distance, id). The scores equal those of
+``knn_predict`` on each row's whole training set, bit for bit, and only
+the originals' lists are held for every query at once.
 """
 
 from dataclasses import dataclass
@@ -38,20 +47,22 @@ class MetricsReport:
     pr_curve: np.ndarray      # (recall, precision) points
 
 
-# Query rows per block are sized so one block's Gram matrix takes at most
-# this many bytes: enough rows for the matrix product to pay off, few enough
-# that the grid's peak memory stays flat.
+# Query rows per block are sized so one block's Gram matrix (and, in the
+# grid, one chunk's neighbour lists) takes at most this many bytes: enough
+# rows for the matrix product to pay off, few enough that the grid's peak
+# memory stays flat.
 _BLOCK_BYTES = 256 * 1024
 
 
-def knn_predict(train_X, train_y, test_X, k=5, train_ids=None):
-    """Fraction of the k nearest training rows that are positive.
+def k_nearest(train_X, queries, k):
+    """Each query's k nearest training rows as (distances, columns).
 
-    The distance is ``sqrt(add.reduce((x - q)**2, axis=-1))`` on the given
-    rows. Distance ties break toward the lower row id (``train_ids``, by
-    default the row index; equal ids keep their input order), so scores are
-    deterministic under any input permutation. The scores are exactly those
-    of sorting every training row by (distance, id) for each query.
+    Both arrays have shape ``(len(queries), min(k, len(train_X)))``, and each
+    row lists its neighbours by (distance, column): of equal distances the
+    lower column comes first. The distance is
+    ``sqrt(add.reduce((x - q)**2, axis=-1))``, so a pair gets the same bits
+    whichever call scores it. The inputs must be finite float tables; the
+    callers check them.
 
     Queries run in blocks of ``_BLOCK_BYTES`` of Gram matrix, in three steps:
 
@@ -71,45 +82,24 @@ def knn_predict(train_X, train_y, test_X, k=5, train_ids=None):
        scale overflows keeps every row as a candidate.
     2. Exact recompute. The candidates' distances are computed with the
        expression above, from the original rows in the same floating-point
-       order as a loop over single queries, so only these reach the scores.
+       order as a loop over single queries, so only these reach the result.
     3. Select. One stable lexsort by (query, distance) over the candidates
-       in column order picks each query's k nearest. The training rows are
-       first put in id order by a stable argsort, so the lower column is
-       the lower id.
+       in column order picks each query's k nearest.
     """
-    train_X = np.asarray(train_X, dtype=float)
-    train_y = np.asarray(train_y)
-    test_X = np.atleast_2d(np.asarray(test_X, dtype=float))
-    if train_X.ndim != 2 or test_X.ndim != 2 or test_X.shape[1] != train_X.shape[1]:
-        raise ParameterError(
-            f"queries of shape {test_X.shape} do not match training rows of shape {train_X.shape}"
-        )
     n, d = train_X.shape
-    if n == 0:
-        raise ParameterError("empty training set")
-    if not 1 <= k <= n:
-        raise ParameterError(f"need 1 <= k <= {n}, got {k}")
-    if train_y.shape != (n,):
-        raise ParameterError(f"need one label per training row, got {train_y.shape} for {n} rows")
-    if not (np.isfinite(train_X).all() and np.isfinite(test_X).all()):
-        raise ParameterError("features must be finite")
-    positive = train_y == 1
-    if train_ids is not None:
-        train_ids = np.asarray(train_ids)
-        if train_ids.shape != (n,):
-            raise ParameterError(f"need one id per training row, got {train_ids.shape}")
-        by_id = np.argsort(train_ids, kind="stable")
-        train_X, positive = train_X[by_id], positive[by_id]
-
+    k = min(k, n)
+    out_dist = np.empty((len(queries), k))
+    out_cols = np.empty((len(queries), k), dtype=np.intp)
+    if k == 0:
+        return out_dist, out_cols
     mean = train_X.mean(axis=0)
     centred = train_X - mean
     sq_train = np.einsum("ij,ij->i", centred, centred)
     rel_tol = 64 * (d + 2) * np.finfo(float).eps
     block = max(1, _BLOCK_BYTES // (8 * n))
-    scores = np.empty(test_X.shape[0])
-    for start in range(0, test_X.shape[0], block):
-        queries = test_X[start:start + block]
-        q = queries - mean
+    for start in range(0, len(queries), block):
+        block_q = queries[start:start + block]
+        q = block_q - mean
         # overflow here only widens the screen: such rows keep every column
         with np.errstate(over="ignore", invalid="ignore"):
             sq_q = np.einsum("ij,ij->i", q, q)
@@ -122,15 +112,58 @@ def knn_predict(train_X, train_y, test_X, k=5, train_ids=None):
             candidate = gram <= (kth + rel_tol * scale)[:, None]
             candidate[~(4.0 * scale < np.inf)] = True
         rows, cols = np.nonzero(candidate)
-        diff = train_X[cols] - queries[rows]
+        diff = train_X[cols] - block_q[rows]
         dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
         # nonzero lists each row's columns in ascending order and lexsort is
-        # stable, so equal distances keep the lower column, that is the lower id
+        # stable, so equal distances keep the lower column
         order = np.lexsort((dist, rows))
-        first = np.searchsorted(rows, np.arange(len(queries)))
+        first = np.searchsorted(rows, np.arange(len(block_q)))
         nearest = order[(first[:, None] + np.arange(k)).ravel()]
-        scores[start:start + block] = positive[cols[nearest]].reshape(-1, k).sum(axis=1) / k
-    return scores
+        out_dist[start:start + block] = dist[nearest].reshape(-1, k)
+        out_cols[start:start + block] = cols[nearest].reshape(-1, k)
+    return out_dist, out_cols
+
+
+def knn_predict(train_X, train_y, test_X, k=5, train_ids=None):
+    """Fraction of the k nearest training rows that are positive.
+
+    The distance is ``sqrt(add.reduce((x - q)**2, axis=-1))`` on the given
+    rows. Distance ties break toward the lower row id (``train_ids``, by
+    default the row index; equal ids keep their input order), so scores are
+    deterministic under any input permutation. The scores are exactly those
+    of sorting every training row by (distance, id) for each query: the
+    training rows are put in id order by a stable argsort, so the lower
+    column of ``k_nearest`` is the lower id.
+    """
+    train_X = np.asarray(train_X, dtype=float)
+    train_y = np.asarray(train_y)
+    test_X = np.atleast_2d(np.asarray(test_X, dtype=float))
+    _check_knn(train_X, train_y, test_X, k)
+    positive = train_y == 1
+    if train_ids is not None:
+        train_ids = np.asarray(train_ids)
+        if train_ids.shape != (len(train_X),):
+            raise ParameterError(f"need one id per training row, got {train_ids.shape}")
+        by_id = np.argsort(train_ids, kind="stable")
+        train_X, positive = train_X[by_id], positive[by_id]
+    _, cols = k_nearest(train_X, test_X, k)
+    return positive[cols].sum(axis=1) / k
+
+
+def _check_knn(train_X, train_y, test_X, k):
+    if train_X.ndim != 2 or test_X.ndim != 2 or test_X.shape[1] != train_X.shape[1]:
+        raise ParameterError(
+            f"queries of shape {test_X.shape} do not match training rows of shape {train_X.shape}"
+        )
+    n = len(train_X)
+    if n == 0:
+        raise ParameterError("empty training set")
+    if not 1 <= k <= n:
+        raise ParameterError(f"need 1 <= k <= {n}, got {k}")
+    if train_y.shape != (n,):
+        raise ParameterError(f"need one label per training row, got {train_y.shape} for {n} rows")
+    if not (np.isfinite(train_X).all() and np.isfinite(test_X).all()):
+        raise ParameterError("features must be finite")
 
 
 def _roc_points(scores, labels):
@@ -268,26 +301,62 @@ class ExperimentRow:
     roc_auc: float
 
 
+def _merge(a, b, k):
+    """The first k of two (distances, ids) neighbour lists, by (distance, id).
+
+    Each list is ordered by (distance, id) and every id of ``b`` exceeds
+    every id of ``a``, so a stable sort by distance alone keeps ties in id
+    order.
+    """
+    dist = np.hstack([a[0], b[0]])
+    first = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    ids = np.hstack([a[1], b[1]])
+    return np.take_along_axis(dist, first, axis=1), np.take_along_axis(ids, first, axis=1)
+
+
+def _offset(nearest, start):
+    return nearest[0], nearest[1] + start
+
+
 def run_experiment(X, y, grid, aol_flags=(False, True), test_fraction=0.2, seed=0, k=5):
     """Augment the training split only and score each grid point.
 
     Labels are 0/1 with 1 the minority class; the KNN counts label 1 as
     positive. Emits one baseline row plus one row per (target percent,
-    aol flag).
+    aol flag). Each row scores the test rows and every row of its training
+    set against that training set, exactly as ``knn_predict`` on the
+    original training rows followed by the row's new records.
+
+    Each neighbour pair is scored once per call. The test and original
+    training queries get their k nearest originals once, which also scores
+    the baseline row. Per target, ``pipeline.augment`` runs once, boosting
+    when any flag is set; the plain row's records S are its generated
+    prefix and the AOL row adds the boosted records B. The new records get
+    their k nearest originals, and every query gets its k nearest of S and
+    of B. A query's plain-row neighbours are the first k of its originals'
+    and S lists merged by (distance, id); its AOL-row neighbours add the B
+    list to that. Originals have lower ids than S and S lower than B, as
+    in the augmented table, so ties still go to the lower id. Queries are
+    merged and voted in chunks of ``_BLOCK_BYTES // (8 k)`` rows, so only
+    the originals' lists are held whole.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     if not np.isin(y, (0, 1)).all():
         raise ParameterError("labels must be 0/1 with 1 the minority class")
     train_idx, test_idx = stratified_split(y, test_fraction, seed)
-    X_tr, y_tr = X[train_idx], y[train_idx]
-    X_te, y_te = X[test_idx], y[test_idx]
+    n_tr, n_te = len(train_idx), len(test_idx)
+    # the queries: test rows, then training rows, then (per target) new records
+    queries = X[np.r_[test_idx, train_idx]]
+    X_te, X_tr = queries[:n_te], queries[n_te:]
+    y_te, y_tr = y[test_idx], y[train_idx]
+    _check_knn(X_tr, y_tr, X_te, k)
+    originals = k_nearest(X_tr, queries, k)
 
-    def score_row(target, use_aol, train_X, train_y):
-        test_scores = knn_predict(train_X, train_y, X_te, k=k)
-        train_scores = knn_predict(train_X, train_y, train_X, k=k)
-        m_test = compute_metrics(test_scores, y_te)
-        m_train = compute_metrics(train_scores, train_y)
+    def score_row(target, use_aol, train_y, votes):
+        scores = votes / k
+        m_test = compute_metrics(scores[:n_te], y_te)
+        m_train = compute_metrics(scores[n_te:], train_y)
         return ExperimentRow(
             target_percent=target,
             aol=use_aol,
@@ -298,12 +367,36 @@ def run_experiment(X, y, grid, aol_flags=(False, True), test_fraction=0.2, seed=
             roc_auc=m_test.roc_auc,
         )
 
-    rows = [score_row(None, False, X_tr, y_tr)]
-    for target in grid:
-        for use_aol in aol_flags:
-            cfg = pipeline.SmoteConfig(target_minority_percent=target, seed=seed)
-            _, records, _, _ = pipeline.augment(X_tr, y_tr, cfg, use_aol, row_ids=train_idx)
-            aug_X = np.vstack([X_tr] + [r.features for r in records])
-            aug_y = np.r_[y_tr, np.ones(len(records), dtype=y_tr.dtype)]
-            rows.append(score_row(target, use_aol, aug_X, aug_y))
+    rows = [score_row(None, False, y_tr, (y_tr == 1)[originals[1]].sum(axis=1))]
+    chunk = max(1, _BLOCK_BYTES // (8 * k))
+    for target in grid if aol_flags else ():
+        cfg = pipeline.SmoteConfig(target_minority_percent=target, seed=seed)
+        result, records, _, _ = pipeline.augment(
+            X_tr, y_tr, cfg, True in aol_flags, row_ids=train_idx
+        )
+        pool = np.vstack([queries] + [r.features for r in records])
+        aug_X = pool[n_te:]
+        aug_y = np.r_[y_tr, np.ones(len(records), dtype=y_tr.dtype)]
+        _check_knn(aug_X, aug_y, X_te, k)
+        n_s = n_tr + len(result.synthetic)
+        S, B = aug_X[n_tr:n_s], aug_X[n_s:]
+        positive = aug_y == 1
+        plain, aol = [], []
+        # chunks of the shared queries, then of the new records
+        m = len(queries)
+        for start in [*range(0, m, chunk), *range(m, len(pool), chunk)]:
+            stop = min(start + chunk, m if start < m else len(pool))
+            part = pool[start:stop]
+            if start < m:
+                near = originals[0][start:stop], originals[1][start:stop]
+            else:
+                near = k_nearest(X_tr, part, k)
+            near = _merge(near, _offset(k_nearest(S, part, k), n_tr), k)
+            plain.append(positive[near[1]].sum(axis=1))
+            near = _merge(near, _offset(k_nearest(B, part, k), n_s), k)
+            aol.append(positive[near[1]].sum(axis=1))
+        # the plain row's training set ends before B
+        votes = {False: np.concatenate(plain)[:n_te + n_s], True: np.concatenate(aol)}
+        labels = {False: aug_y[:n_s], True: aug_y}
+        rows.extend(score_row(target, f, labels[f], votes[f]) for f in aol_flags)
     return rows

@@ -1,5 +1,7 @@
 """Unit tests for KNN scoring, metrics, and the experiment harness."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -285,6 +287,156 @@ def test_run_experiment_rejects_labels_other_than_0_1():
     X, y = demo.make_imbalanced_dataset(n_rows=200)
     with pytest.raises(ParameterError, match="labels must be 0/1"):
         evaluate.run_experiment(X, np.where(y == 1, 2, 0), grid=())
+
+
+def _run_experiment_reference(X, y, grid, aol_flags=(False, True), test_fraction=0.2, seed=0, k=5):
+    """The per-row loop run_experiment must reproduce: every grid row scores
+    its test and training queries with knn_predict on its own augmented set."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y)
+    train_idx, test_idx = evaluate.stratified_split(y, test_fraction, seed)
+    X_tr, y_tr = X[train_idx], y[train_idx]
+    X_te, y_te = X[test_idx], y[test_idx]
+
+    def score_row(target, use_aol, train_X, train_y):
+        test_scores = evaluate.knn_predict(train_X, train_y, X_te, k=k)
+        train_scores = evaluate.knn_predict(train_X, train_y, train_X, k=k)
+        m_test = evaluate.compute_metrics(test_scores, y_te)
+        m_train = evaluate.compute_metrics(train_scores, train_y)
+        return evaluate.ExperimentRow(
+            target_percent=target,
+            aol=use_aol,
+            accuracy_train=m_train.accuracy,
+            accuracy_test=m_test.accuracy,
+            f1=m_test.f1,
+            pr_auc=m_test.pr_auc,
+            roc_auc=m_test.roc_auc,
+        )
+
+    rows = [score_row(None, False, X_tr, y_tr)]
+    for target in grid:
+        for use_aol in aol_flags:
+            cfg = pipeline.SmoteConfig(target_minority_percent=target, seed=seed)
+            _, records, _, _ = pipeline.augment(X_tr, y_tr, cfg, use_aol, row_ids=train_idx)
+            aug_X = np.vstack([X_tr] + [r.features for r in records])
+            aug_y = np.r_[y_tr, np.ones(len(records), dtype=y_tr.dtype)]
+            rows.append(score_row(target, use_aol, aug_X, aug_y))
+    return rows
+
+
+def _tied_codes():
+    # small integer codes: many k-th-neighbour distance ties
+    rng = np.random.default_rng(5)
+    X = rng.integers(0, 3, size=(500, 6)).astype(float)
+    y = np.r_[np.ones(50, dtype=int), np.zeros(450, dtype=int)]
+    return X, y
+
+
+def _planted_outliers():
+    # thirteen near-axis minority rows of the training split sit below the
+    # IQR fence, twelve of them on one point, so AOL boosts at every target
+    # of _EXPERIMENT_GRID except 10; ten majority rows around that point
+    # let the boosted records change neighbour votes
+    X, y = demo.make_imbalanced_dataset(n_rows=700)
+    train_idx, _ = evaluate.stratified_split(y, 0.2, 0)
+    for i, m in zip(train_idx[y[train_idx] == 1], [1] * 12 + [2]):
+        X[i] = 0.05
+        X[i, :m] = 5.0
+    rng = np.random.default_rng(0)
+    near = np.nonzero(y == 0)[0][:10]
+    X[near] = 0.05 + np.abs(rng.normal(0, 0.05, size=(10, X.shape[1])))
+    X[near, 0] = 5.0 + rng.normal(0, 0.25, size=10)
+    return X, y
+
+
+_EXPERIMENT_DATA = {
+    "demo": lambda: demo.make_imbalanced_dataset(n_rows=500),
+    "tied-codes": _tied_codes,
+    "planted-outliers": _planted_outliers,
+}
+# every data set has a 10% minority: target 10 adds no records and 10.5
+# fewer than k = 5
+_EXPERIMENT_GRID = (10, 10.5, 20, 40)
+
+
+def test_experiment_data_cover_boosting_and_small_targets():
+    for name, make in _EXPERIMENT_DATA.items():
+        X, y = make()
+        train_idx, _ = evaluate.stratified_split(y, 0.2, 0)
+        counts = {}
+        for target in _EXPERIMENT_GRID:
+            cfg = pipeline.SmoteConfig(target_minority_percent=target, seed=0)
+            result, records, _, _ = pipeline.augment(X[train_idx], y[train_idx], cfg, True)
+            counts[target] = (len(result.synthetic), len(records) - len(result.synthetic))
+        assert counts[10][0] == 0 and 0 < counts[10.5][0] < 5, name
+        if name == "planted-outliers":
+            assert all(counts[t][1] > 0 for t in (10.5, 20, 40)), counts
+
+
+@pytest.mark.parametrize("k", [1, 5])
+@pytest.mark.parametrize("aol_flags", [(False, True), (True,), (False,)])
+@pytest.mark.parametrize("data", sorted(_EXPERIMENT_DATA))
+def test_run_experiment_equals_the_per_row_reference(data, aol_flags, k):
+    X, y = _EXPERIMENT_DATA[data]()
+    got = evaluate.run_experiment(X, y, _EXPERIMENT_GRID, aol_flags=aol_flags, seed=0, k=k)
+    want = _run_experiment_reference(X, y, _EXPERIMENT_GRID, aol_flags=aol_flags, seed=0, k=k)
+    assert got == want
+
+
+_augment = pipeline.augment
+
+
+def _copying_augment(features, labels, config, boost, minority_label=1, row_ids=None):
+    """pipeline.augment with every new record moved onto a training row or an
+    earlier record, so new records tie in distance with older rows and only
+    the lower-id rule orders them."""
+    X = np.asarray(features, dtype=float)
+    result, records, distances, bounds = _augment(
+        X, labels, config, False, minority_label=minority_label, row_ids=row_ids
+    )
+    rng = np.random.default_rng(len(records))
+    rows = rng.integers(0, len(X), len(records))
+    records = [dataclasses.replace(r, features=X[i]) for r, i in zip(records, rows)]
+    if boost:
+        older = list(X) + [r.features for r in records]
+        records += [
+            dataclasses.replace(records[0], features=older[i], boosted=True)
+            for i in rng.integers(0, len(older), len(records) // 2)
+        ]
+    return result, records, distances, bounds
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_run_experiment_ties_across_parts_go_to_the_lower_id(monkeypatch, k):
+    monkeypatch.setattr(pipeline, "augment", _copying_augment)
+    X, y = _tied_codes()
+    got = evaluate.run_experiment(X, y, (20, 40), seed=0, k=k)
+    assert got == _run_experiment_reference(X, y, (20, 40), seed=0, k=k)
+
+
+@pytest.mark.parametrize("aol_flags", [(False, True), (True,), (False,), ()])
+def test_run_experiment_augments_once_per_target(monkeypatch, aol_flags):
+    calls = []
+    augment = pipeline.augment
+
+    def counting(features, labels, config, boost, **kwargs):
+        calls.append((config.target_minority_percent, boost))
+        return augment(features, labels, config, boost, **kwargs)
+
+    monkeypatch.setattr(pipeline, "augment", counting)
+    X, y = _toy()
+    rows = evaluate.run_experiment(X, y, grid=(30, 36), aol_flags=aol_flags)
+    assert len(rows) == 1 + 2 * len(aol_flags)
+    assert calls == ([(30, True in aol_flags), (36, True in aol_flags)] if aol_flags else [])
+
+
+def test_run_experiment_keeps_the_knn_errors():
+    X, y = _toy(n=20, minority=5)
+    with pytest.raises(ParameterError, match=r"^need 1 <= k <= 16, got 17$"):
+        evaluate.run_experiment(X, y, grid=(40,), k=17)
+    X[3, 1] = np.nan
+    with pytest.raises(ParameterError, match=r"^features must be finite$"):
+        evaluate.run_experiment(X, y, grid=(40,))
 
 
 def test_synthetic_sources_never_leak_from_test_split():
