@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import synth
+from . import keyed, synth
 from .errors import ParameterError
 
 
@@ -98,7 +98,8 @@ def boost_outliers(table, features, distances, row_ids, config):
     threshold = round(total / num_bins); bins with 0 < count <
     half_threshold each get floor(threshold / count) extra records per
     member, every pass j widening the increment by the literal formula
-    (itr * 1 degree) * multiplier + j.
+    (itr * 1 degree) * multiplier + j. A boosted record draws from
+    default_rng([seed, source row id, j, 0xB005]), via `keyed.uniform`.
     """
     total = table.total()
     if total == 0:
@@ -125,7 +126,7 @@ def boost_outliers(table, features, distances, row_ids, config):
             distances[rows],
             (itr * synth.DEGREE) * config.boost_angle_multiplier + passes,
             config.split_factor,
-            [np.random.default_rng([config.seed, int(r), int(j), 0xB005]) for r, j in zip(ids, passes)],
+            keyed.uniform(config.seed, ids, passes, np.full(len(ids), 0xB005)),
             ids,
             rescale=config.rescale,
             boosted=True,

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, data, evaluate, pipeline
+from . import __version__, data, evaluate, keyed, pipeline
 from .errors import DataError, ParameterError, QsmoteError
 
 EXIT_OK = 0
@@ -196,6 +196,7 @@ def _parse_grid(text):
 
 def cmd_evaluate(args):
     grid = _parse_grid(args.grid)
+    keyed.check_seed(args.seed)
     dataset = _load_encoded(args.input, args.target_column)
     minority = data.minority_label(dataset.y)
     aol_flags = {"both": (False, True), "on": (True,), "off": (False,)}[args.aol_mode]

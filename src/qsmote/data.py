@@ -178,7 +178,10 @@ def _resolve_edges(spec, values, column):
         lo, hi = float(values.min()), float(values.max())
         if hi == lo:
             hi = lo + 1.0
-        return [lo + (hi - lo) * i / k for i in range(k + 1)]
+        edges = [lo + (hi - lo) * i / k for i in range(k + 1)]
+        if not all(map(math.isfinite, edges)):
+            raise DataError(f"equal-width range [{lo!r}, {hi!r}] overflows a float", column=column)
+        return edges
     edges = [float(e) for e in spec.bin_edges]
     if any(b <= a for a, b in zip(edges, edges[1:])):
         raise DataError("bin edges must be strictly increasing", column=column)
@@ -187,10 +190,6 @@ def _resolve_edges(spec, values, column):
 
 def _bin(values, edges):
     """Index i of the bin edges[i] <= v < edges[i+1] of each value, clamped to the first and last bin."""
-    if math.isnan(edges[0]):
-        # an equal-width range wider than the largest float gives edges
-        # nan, inf, ..., inf: no bin holds a value, so all clamp to the last
-        return np.full(len(values), len(edges) - 2)
     return np.clip(np.searchsorted(edges, values, side="right") - 1, 0, len(edges) - 2)
 
 

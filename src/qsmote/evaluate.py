@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import pipeline
+from . import keyed, pipeline
 from .errors import ParameterError
 
 
@@ -340,6 +340,7 @@ def run_experiment(X, y, grid, aol_flags=(False, True), test_fraction=0.2, seed=
     merged and voted in chunks of ``_BLOCK_BYTES // (8 k)`` rows, so only
     the originals' lists are held whole.
     """
+    keyed.check_seed(seed)
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     if not np.isin(y, (0, 1)).all():

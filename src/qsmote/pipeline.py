@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import aol, qdist, synth
+from . import aol, keyed, qdist, synth
 from .errors import ParameterError
 
 
@@ -28,6 +28,7 @@ class SmoteConfig:
     def __post_init__(self):
         if self.shots < 0:
             raise ParameterError(f"shots must be >= 0, got {self.shots}")
+        keyed.check_seed(self.seed)
 
 
 @dataclass
@@ -84,7 +85,9 @@ def run_smote(features, labels, config, minority_label=1, row_ids=None):
 
     Angular distances are computed once per minority row and reused
     across loops; loop k applies an angle increment of k degrees, and a
-    final partial loop samples the remainder without replacement.
+    final partial loop samples the remainder without replacement. Every
+    record's uniform draw is the first of default_rng([seed, row id, k]),
+    computed for all records in one `keyed.uniform` pass.
     """
     X = np.asarray(features, dtype=float)
     y = np.asarray(labels)
@@ -116,7 +119,7 @@ def run_smote(features, labels, config, minority_label=1, row_ids=None):
         distances[rows],
         passes * synth.DEGREE,
         config.split_factor,
-        [np.random.default_rng([config.seed, int(i), int(k)]) for i, k in zip(ids, passes)],
+        keyed.uniform(config.seed, ids, passes),
         ids,
         rescale=config.rescale,
     )
@@ -155,7 +158,7 @@ def augment(features, labels, config, boost, minority_label=1, row_ids=None):
     bounds, low, high = aol.detect_outliers(distances, config.num_bins)
     if boost:
         feats = list(X[np.asarray(labels) == minority_label]) + [r.features for r in records]
-        ids = np.r_[result.minority_row_ids, [r.source_row_id for r in records]]
+        ids = np.r_[result.minority_row_ids, np.array([r.source_row_id for r in records], dtype=int)]
         for table in (low, high):
             records += aol.boost_outliers(table, feats, distances, ids, config)
     return result, records, distances, bounds

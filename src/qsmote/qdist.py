@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import statevec
+from . import keyed, statevec
 from .errors import DegenerateInputError, DimensionError
 from .statevec import CSWAP, H, X, MeasurementOutcome
 
@@ -141,9 +141,11 @@ def angular_distance_table(points, centroid, shots=0, seed=0, estimator="standar
     The exact control marginal p1 of every row's swap test comes from the
     closed form of `overlap_probability_exact`, evaluated for the whole
     table at once with elementwise products and row sums, so a row's value
-    does not depend on the rows batched with it. With shots > 0 each row
-    draws binomial(shots, p1) from an rng stream keyed on (seed, row_index),
-    so rows are independent and order-insensitive.
+    does not depend on the rows batched with it. With shots > 0 row i
+    draws binomial(shots, p1) from default_rng([seed, i]): the streams'
+    states come from one `keyed.streams` pass, but numpy's binomial is a
+    rejection sampler with a varying number of draws, so each row's count
+    is one call on a reused Generator.
     """
     centroid = np.asarray(centroid, dtype=float).ravel()
     points = np.asarray(points, dtype=float)
@@ -175,7 +177,8 @@ def angular_distance_table(points, centroid, shots=0, seed=0, estimator="standar
     quad = (phi0 * r00 + phi1 * r01) * phi0 + (phi0 * r01 + phi1 * r11) * phi1
     p1 = _clamp01(0.5 * (1.0 - quad))
     if shots > 0:
-        counts1 = np.array([np.random.default_rng([seed, i]).binomial(shots, p) for i, p in enumerate(p1)])
+        rows = keyed.streams(seed, np.arange(len(p1)))
+        counts1 = np.array([rng.binomial(shots, p) for rng, p in zip(rows, p1.tolist())])
         p1 = counts1 / shots
         p0 = (shots - counts1) / shots
     else:

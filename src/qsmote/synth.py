@@ -3,9 +3,10 @@
 A minority point is amplitude-encoded, every qubit is rotated by the
 same small angle derived from the point's angular distance to the
 centroid, and the real part of the resulting state becomes the
-synthetic point. The rotation is evaluated in closed form for a whole
-table of points at once; the statevector simulator (`statevec.RX`) is
-the oracle the tests hold it to.
+synthetic point. Angles come from one `np.where` over the distance
+branches, given each record's own uniform draw, and the rotation is
+evaluated in closed form for a whole table of points at once; the
+statevector simulator (`statevec.RX`) is the oracle the tests hold it to.
 """
 
 from dataclasses import dataclass
@@ -29,23 +30,26 @@ class SyntheticRecord:
     synthetic: bool = True
 
 
-def rotation_angle(angular_distance, sf, rng):
-    """Pick a rotation angle well below the angular distance.
+def rotation_angle(angular_distance, sf, u):
+    """Rotation angles well below the angular distances, one per row.
 
-    d > pi/2 uses the fixed fraction |pi/2 - d|/sf; d < 0 (only possible
-    with defensive inputs) uses a scaled fraction; otherwise a uniform
-    draw in [0, d] shrunk by the split factor.
+    `u` holds each row's uniform draw in [0, 1), and a branch that draws
+    scales it as numpy's `uniform(low, high)` does, low + (high - low)·u:
+    - d > pi/2: the fixed fraction |pi/2 - d| / sf;
+    - d < 0 (only possible with defensive inputs): |(pi/2 - d)(0.5 + 0.5u)| / sf;
+    - d = 0: 0;
+    - otherwise: (0.0 + d·u) / sf.
     """
     if sf <= 0:
         raise ParameterError(f"split factor must be positive, got {sf}")
-    d = float(angular_distance)
-    if d > np.pi / 2:
-        return abs(np.pi / 2 - d) / sf
-    if d < 0:
-        return abs((np.pi / 2 - d) * rng.uniform(0.5, 1.0)) / sf
-    if d == 0.0:
-        return 0.0
-    return rng.uniform(0.0, d) / sf
+    d = np.asarray(angular_distance, dtype=float)
+    u = np.asarray(u, dtype=float)
+    angle = np.where(
+        d > np.pi / 2,
+        np.abs(np.pi / 2 - d),
+        np.where(d < 0, np.abs((np.pi / 2 - d) * (0.5 + 0.5 * u)), np.where(d == 0, 0.0, 0.0 + d * u)),
+    )
+    return angle / sf
 
 
 def rotate_point(features, theta, rescale=True):
@@ -85,24 +89,22 @@ def rotate_point(features, theta, rescale=True):
 
 
 def create_syn_data(
-    features, distances, increments, sf, rngs, source_row_ids, rescale=True, boosted=False
+    features, distances, increments, sf, u, source_row_ids, rescale=True, boosted=False
 ):
     """One synthetic record per row of the aligned inputs, in row order.
 
-    Row i is features[i] rotated by rotation_angle(distances[i], sf,
-    rngs[i]) + increments[i], mod 2*pi. Each row draws only from its own
-    rng, so no record depends on the rows batched with it.
+    Row i is features[i] rotated by rotation_angle(distances[i], sf, u[i])
+    + increments[i], mod 2*pi. The callers key each row's uniform draw
+    u[i] on the record alone (`keyed.uniform`), so no record depends on
+    the rows batched with it.
     """
     increments = np.asarray(increments, dtype=float)
     if (increments < 0).any():
         raise ParameterError(f"angle increment must be >= 0, got {increments.min()}")
-    distances = np.asarray(distances, dtype=float).tolist()
-    theta = [
-        (rotation_angle(d, sf, rng) + inc) % TWO_PI
-        for d, inc, rng in zip(distances, increments.tolist(), rngs)
-    ]
+    distances = np.asarray(distances, dtype=float)
+    theta = (rotation_angle(distances, sf, u) + increments) % TWO_PI
     new_features = rotate_point(np.atleast_2d(features), theta, rescale=rescale)
     return [
         SyntheticRecord(f, int(rid), t, d, boosted)
-        for f, rid, t, d in zip(new_features, source_row_ids, theta, distances)
+        for f, rid, t, d in zip(new_features, source_row_ids, theta.tolist(), distances.tolist())
     ]

@@ -146,6 +146,25 @@ def test_smote_negative_shots_exits_2_before_reading_input(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", [["smote", "--target-percent", "40"], ["evaluate"]], ids=["smote", "evaluate"])
+def test_negative_seed_exits_2_before_reading_input(tmp_path, capsys, command):
+    argv = command + [str(tmp_path / "ghost.csv"), str(tmp_path / "out.csv"), "--seed", "-1"]
+    assert cli.main(argv) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_seeds_of_several_words_run_through_every_keyed_path(encoded, tmp_path):
+    seed = str(2**64 + 3)
+    aug = tmp_path / "aug.csv"
+    argv = ["smote", str(encoded), str(aug), "--target-percent", "40", "--aol", "--shots", "1000"]
+    assert cli.main(argv + ["--seed", seed]) == 0
+    assert json.loads((tmp_path / "aug.manifest.json").read_text())["params"]["seed"] == 2**64 + 3
+    report = tmp_path / "report.csv"
+    assert cli.main(["evaluate", str(encoded), str(report), "--grid", "30,40", "--aol-mode", "on", "--seed", seed]) == 0
+    assert len(report.read_text().splitlines()) == 4
+
+
 def test_preprocess_is_idempotent(raw, tmp_path):
     raw_path, cfg_path = raw
     once = tmp_path / "once.csv"

@@ -1,6 +1,7 @@
 """Unit tests for CSV ingestion, serialization, and histogram output."""
 
 import csv
+import math
 import re
 
 import numpy as np
@@ -223,7 +224,10 @@ def _load_csv_reference(path, config):
             lo, hi = min(values), max(values)
             if hi == lo:
                 hi = lo + 1.0
-            return [lo + (hi - lo) * i / k for i in range(k + 1)]
+            edges = [lo + (hi - lo) * i / k for i in range(k + 1)]
+            if not all(map(math.isfinite, edges)):
+                raise DataError(f"equal-width range [{lo!r}, {hi!r}] overflows a float", column=spec.name)
+            return edges
         return [float(e) for e in spec.bin_edges]
 
     columns = {}
@@ -326,6 +330,8 @@ def test_load_csv_equals_the_per_cell_reference(tmp_path_factory, case):
     path.write_text(text)
     got = _outcome(data.load_csv, path, config)
     want = _outcome(_load_csv_reference, path, config)
+    if case is _OVERFLOWING_RANGE:
+        assert want == "equal-width range [-1e+308, 1e+308] overflows a float (column 'v')"
     if isinstance(want, str):
         assert got == want
         return
@@ -335,6 +341,25 @@ def test_load_csv_equals_the_per_cell_reference(tmp_path_factory, case):
     assert (got.y.dtype, got.y.tolist()) == (want.y.dtype, want.y.tolist())
     assert (got.id_name, got.id_values) == (want.id_name, want.id_values)
     assert got.row_ids.tolist() == want.row_ids.tolist()
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        # hi - lo overflows, so every edge would be nan or inf
+        (["1e308", "-1e308", "0"], "equal-width range [-1e+308, 1e+308] overflows a float (column 'v')"),
+        # hi - lo fits, but (hi - lo) * 2 for the third edge does not
+        (["0", "1e308"], "equal-width range [0.0, 1e+308] overflows a float (column 'v')"),
+    ],
+    ids=["range", "third-edge"],
+)
+def test_load_csv_rejects_an_equal_width_range_that_overflows(tmp_path, cells, message):
+    path = _write(tmp_path, "wide.csv", "v,label\n" + "".join(f"{c},{i % 2}\n" for i, c in enumerate(cells)))
+    cfg = _config(ColumnSpec("v", "numeric-binned", bin_edges="equal-width:3"), ColumnSpec("label", "target"))
+    with pytest.raises(DataError) as exc:
+        data.load_csv(path, cfg)
+    assert str(exc.value) == message
+    assert exc.value.column == "v"
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qsmote import aol, demo, pipeline
+from qsmote import aol, demo, evaluate, pipeline
 from qsmote.errors import ParameterError
 
 
@@ -173,3 +173,11 @@ def test_augment_is_run_smote_then_the_outlier_stage(boost):
     boosted = records[n:]
     assert all(r.boosted for r in boosted)
     assert bool(boosted) == boost
+
+
+def test_negative_seed_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+        pipeline.SmoteConfig(target_minority_percent=30, seed=-1)
+    X, y = _toy_dataset()
+    with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+        evaluate.run_experiment(X, y, [30], seed=-1)

@@ -209,13 +209,21 @@ def test_distance_table_equals_the_swap_test_circuit(case, estimator):
             assert abs(d - ref.angular_distance) <= 1e-12
 
 
+# exact p1 of 0, 0.109 and 0.326: with 10 shots every n*p1 is at most 30
+# (numpy's inversion sampler), with 1000 the last two exceed it (rejection)
+_P1_EDGES = (np.array([[1e9, 0.0], [3.0, 1.0], [1.0, 1.0]]), np.array([1.0, 0.0]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     case=_tables(),
     shots=st.integers(1, 2000),
-    seed=st.integers(0, 2**32 - 1),
+    seed=st.one_of(st.integers(0, 2**32 - 1), st.sampled_from([2**32, 2**64 + 3])),
     estimator=st.sampled_from(["standard", "paper-literal"]),
 )
+@example(case=_P1_EDGES, shots=10, seed=2**32, estimator="standard")
+@example(case=_P1_EDGES, shots=1000, seed=2**64 + 3, estimator="standard")
+@example(case=_P1_EDGES, shots=1000, seed=5, estimator="paper-literal")
 def test_sampled_distance_table_equals_the_circuit_bit_for_bit(case, shots, seed, estimator):
     points, centroid = case
     table = qdist.angular_distance_table(points, centroid, shots=shots, seed=seed, estimator=estimator)

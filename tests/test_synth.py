@@ -5,43 +5,69 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsmote import qdist, statevec, synth
+from qsmote import keyed, qdist, statevec, synth
 from qsmote.errors import DegenerateInputError, ParameterError
 from qsmote.statevec import RX
 
 
 def test_rotation_angle_above_right_angle_is_fixed_fraction():
     d = np.pi / 2 + 0.2
-    got = synth.rotation_angle(d, 10, np.random.default_rng(0))
+    got = synth.rotation_angle(d, 10, 0.7)
     assert got == pytest.approx(0.02, abs=1e-12)
 
 
+_U = np.linspace(0.0, 1.0, 200, endpoint=False)
+
+
 def test_rotation_angle_uniform_branch_stays_in_range():
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        got = synth.rotation_angle(1.0, 10, rng)
-        assert 0.0 <= got <= 0.1
+    got = synth.rotation_angle(np.full(200, 1.0), 10, _U)
+    assert ((0.0 <= got) & (got <= 0.1)).all()
 
 
 def test_rotation_angle_zero_distance_gives_zero():
-    assert synth.rotation_angle(0.0, 7, np.random.default_rng(2)) == 0.0
+    assert synth.rotation_angle(0.0, 7, 0.3) == 0.0
 
 
 def test_rotation_angle_negative_distance_branch():
-    rng = np.random.default_rng(3)
     d = -0.4
     lo = (np.pi / 2 - d) * 0.5 / 10
     hi = (np.pi / 2 - d) / 10
-    for _ in range(100):
-        got = synth.rotation_angle(d, 10, rng)
-        assert lo <= got <= hi
+    got = synth.rotation_angle(np.full(200, d), 10, _U)
+    assert ((lo <= got) & (got <= hi)).all()
 
 
 def test_rotation_angle_rejects_nonpositive_split_factor():
     with pytest.raises(ParameterError):
-        synth.rotation_angle(1.0, 0, np.random.default_rng(0))
+        synth.rotation_angle(1.0, 0, 0.5)
     with pytest.raises(ParameterError):
-        synth.rotation_angle(1.0, -2, np.random.default_rng(0))
+        synth.rotation_angle(1.0, -2, 0.5)
+
+
+def _rotation_angle_per_key(d, sf, key):
+    """The per-record form: draw from the record's own Generator in each branch."""
+    rng = np.random.default_rng(key)
+    if d > np.pi / 2:
+        return abs(np.pi / 2 - d) / sf
+    if d < 0:
+        return abs((np.pi / 2 - d) * rng.uniform(0.5, 1.0)) / sf
+    if d == 0.0:
+        return 0.0
+    return rng.uniform(0.0, d) / sf
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.one_of(st.integers(0, 2**32 - 1), st.just(2**64 + 3)),
+    distances=st.lists(
+        st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, np.pi / 2, -0.0])), min_size=1, max_size=20
+    ),
+    sf=st.floats(0.5, 20.0),
+)
+def test_rotation_angle_of_keyed_draws_equals_per_key_generators(seed, distances, sf):
+    ids, passes = np.arange(len(distances)) * 7, np.arange(len(distances)) % 3 + 1
+    got = synth.rotation_angle(distances, sf, keyed.uniform(seed, ids, passes))
+    want = [_rotation_angle_per_key(d, sf, [seed, int(i), int(k)]) for d, i, k in zip(distances, ids, passes)]
+    assert got.tolist() == want
 
 
 def test_rotate_point_single_qubit_closed_form():
@@ -113,7 +139,7 @@ def test_rotation_locality_for_small_angles():
 
 
 def _records(n=12, width=3, seed=0, boosted=False):
-    """Aligned create_syn_data inputs whose rngs are keyed like run_smote's."""
+    """Aligned create_syn_data inputs whose draws are keyed like run_smote's."""
     rng = np.random.default_rng(seed)
     ids = rng.integers(0, 50, size=n)
     passes = rng.integers(1, 4, size=n)
@@ -122,57 +148,49 @@ def _records(n=12, width=3, seed=0, boosted=False):
         distances=rng.uniform(0.0, 2.0, size=n),
         increments=passes * synth.DEGREE,
         sf=10,
-        keys=[[seed, int(i), int(k)] for i, k in zip(ids, passes)],
+        u=keyed.uniform(seed, ids, passes),
         source_row_ids=ids,
         boosted=boosted,
     )
 
 
-def _create(keys, **kwargs):
-    return synth.create_syn_data(rngs=[np.random.default_rng(k) for k in keys], **kwargs)
-
-
 def test_create_syn_data_records_provenance():
-    (rec,) = synth.create_syn_data(
-        [[1.0, 2.0, 3.0]], [1.2], [0.05], 10, [np.random.default_rng(6)], [42]
-    )
+    (rec,) = synth.create_syn_data([[1.0, 2.0, 3.0]], [1.2], [0.05], 10, [0.4], [42])
     assert rec.source_row_id == 42
     assert rec.synthetic is True
     assert rec.boosted is False
     assert rec.angular_distance == pytest.approx(1.2)
-    assert 0.05 <= rec.rotation_angle <= 0.05 + 1.2 / 10
+    assert rec.rotation_angle == pytest.approx(0.05 + 1.2 * 0.4 / 10)
     assert rec.features.shape == (3,)
-    recs = _create(**_records(boosted=True))
+    recs = synth.create_syn_data(**_records(boosted=True))
     assert len(recs) == 12 and all(r.boosted and r.synthetic for r in recs)
     assert synth.create_syn_data(np.empty((0, 3)), [], [], 10, [], []) == []
 
 
 def test_create_syn_data_wraps_runaway_angles():
-    (rec,) = synth.create_syn_data(
-        [[1.0, 0.0]], [0.0], [2 * np.pi + 0.25], 10, [np.random.default_rng(7)], [-1]
-    )
+    (rec,) = synth.create_syn_data([[1.0, 0.0]], [0.0], [2 * np.pi + 0.25], 10, [0.6], [-1])
     assert rec.rotation_angle == pytest.approx(0.25)
 
 
 def test_create_syn_data_deterministic_per_stream():
-    a = _create(**_records(seed=3))
-    b = _create(**_records(seed=3))
+    a = synth.create_syn_data(**_records(seed=3))
+    b = synth.create_syn_data(**_records(seed=3))
     for x, y in zip(a, b):
         assert np.array_equal(x.features, y.features)
         assert x.rotation_angle == y.rotation_angle
 
 
 def test_batched_create_syn_data_equals_one_record_calls():
-    # each record draws only from its own stream, and each row is rotated
-    # on its own, so batch size and order change nothing, bit for bit
+    # each record's draw is keyed on the record alone, and each row is
+    # rotated on its own, so batch size and order change nothing, bit for bit
     inputs = _records(n=40, width=5, seed=9)
-    batch = _create(**inputs)
+    batch = synth.create_syn_data(**inputs)
     order = np.random.default_rng(1).permutation(40)
-    shuffled = _create(
+    shuffled = synth.create_syn_data(
         **{k: v if k in ("sf", "boosted") else [v[i] for i in order] for k, v in inputs.items()}
     )
     for pos, i in enumerate(order):
-        one = _create(
+        one = synth.create_syn_data(
             **{k: v if k in ("sf", "boosted") else v[i : i + 1] for k, v in inputs.items()}
         )
         for rec in (one[0], shuffled[pos]):
@@ -184,17 +202,11 @@ def test_batched_create_syn_data_equals_one_record_calls():
 
 def test_create_syn_data_rejects_bad_inputs():
     with pytest.raises(ParameterError):
-        synth.create_syn_data(
-            [[1.0], [2.0]], [0.5, 0.5], [0.1, -0.1], 10,
-            [np.random.default_rng(0), np.random.default_rng(1)], [0, 1],
-        )
+        synth.create_syn_data([[1.0], [2.0]], [0.5, 0.5], [0.1, -0.1], 10, [0.1, 0.2], [0, 1])
     with pytest.raises(ParameterError):
-        synth.create_syn_data([[1.0]], [0.5], [0.0], 0, [np.random.default_rng(0)], [0])
+        synth.create_syn_data([[1.0]], [0.5], [0.0], 0, [0.1], [0])
     with pytest.raises(DegenerateInputError):
-        synth.create_syn_data(
-            [[1.0, 2.0], [0.0, 0.0]], [0.5, 0.5], [0.0, 0.0], 10,
-            [np.random.default_rng(0), np.random.default_rng(1)], [0, 1],
-        )
+        synth.create_syn_data([[1.0, 2.0], [0.0, 0.0]], [0.5, 0.5], [0.0, 0.0], 10, [0.1, 0.2], [0, 1])
 
 
 def _rotate_by_circuit(vec, theta, rescale):
