@@ -11,7 +11,6 @@ import contextlib
 import csv
 import datetime
 import hashlib
-import itertools
 import json
 import os
 import shutil
@@ -93,40 +92,27 @@ def _load_encoded(path, target):
     Every row must be as wide as the header, every cell a finite number
     and every label an integer; otherwise a DataError names the row.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
+    header, columns = data.read_table(path)
     if target not in header:
         raise DataError("target column missing", column=target)
-    if len(rows) == 0:
+    if len(header) == 1:
+        raise DataError(f"no feature columns besides the target in {path}")
+    if not columns[0]:
         raise DataError(f"no data rows in {path}")
-    data.check_row_widths(header, rows)
-    try:
-        cells = map(float, itertools.chain.from_iterable(rows))
-        table = np.fromiter(cells, dtype=float, count=len(rows) * len(header))
-    except ValueError:
-        for i, r in enumerate(rows, start=1):
-            for name, cell in zip(header, r):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise DataError(f"non-numeric cell {cell!r}", row=i, column=name) from None
-    table = table.reshape(len(rows), len(header))
     t = header.index(target)
-    labels = table[:, t]
-    bad = np.argwhere(~np.isfinite(table))
-    if len(bad):
-        i, j = bad[0]
-        raise DataError(f"non-finite cell {rows[i][j]!r}", row=i + 1, column=header[j])
+    cells = columns.pop(t)
+    labels = data.parse_floats(cells, header.pop(t))
     bad = np.flatnonzero(labels % 1)
     if len(bad):
-        raise DataError(f"non-integer label {rows[bad[0]][t]!r}", row=bad[0] + 1, column=target)
+        raise DataError(f"non-integer label {cells[bad[0]]!r}", row=bad[0] + 1, column=target)
+    X = np.empty((len(labels), len(header)))
+    for j, (col, name) in enumerate(zip(columns, header)):
+        X[:, j] = data.parse_floats(col, name)
     return data.Dataset(
-        feature_names=[h for i, h in enumerate(header) if i != t],
-        X=np.delete(table, t, axis=1),
+        feature_names=header,
+        X=X,
         y=labels.astype(int),
-        row_ids=np.arange(len(rows)),
+        row_ids=np.arange(len(labels)),
         target_name=target,
     )
 

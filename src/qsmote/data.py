@@ -79,13 +79,18 @@ def load_config(path):
         if spec.kind == "numeric-binned" and not (isinstance(bins, str) or edges):
             raise DataError(f"bins {bins!r} are not 'equal-width:k' or a list of edges", column=spec.name)
         columns.append(spec)
+    _check_unique(c.name for c in columns)
     if sum(1 for c in columns if c.kind == "target") != 1:
         raise DataError("config must declare exactly one target column")
     return DataConfig(columns=columns)
 
 
-def _read_columns(path, config):
-    """Header and cell columns (tuples of strings) of a raw CSV that matches the config."""
+def read_table(path):
+    """Header and cell columns (tuples of strings) of a CSV file.
+
+    A missing or empty file, a repeated column name, or a row (counted
+    from 1 below the header) not as wide as the header is a DataError.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
@@ -96,7 +101,26 @@ def _read_columns(path, config):
         except StopIteration:
             raise DataError(f"empty file: {path}") from None
         rows = list(reader)
-    columns = _transpose(header, rows)
+    _check_unique(header)
+    widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    bad = np.flatnonzero(widths != len(header))
+    if len(bad):
+        raise DataError(f"{widths[bad[0]]} cells where the header has {len(header)}", row=int(bad[0]) + 1)
+    return header, list(zip(*rows)) or [()] * len(header)
+
+
+def _check_unique(names):
+    """DataError naming the first column name that repeats an earlier one."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise DataError("duplicate column name", column=name)
+        seen.add(name)
+
+
+def _read_columns(path, config):
+    """Header and cell columns of a raw CSV that matches the config."""
+    header, columns = read_table(path)
     for spec in config.columns:
         if spec.name not in header:
             raise DataError("configured column missing from header", column=spec.name)
@@ -105,20 +129,6 @@ def _read_columns(path, config):
         if name not in configured:
             raise DataError("column not in config", column=name)
     return header, columns
-
-
-def check_row_widths(header, rows):
-    """DataError for the first row (counted from 1 below the header) whose width differs."""
-    widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    bad = np.flatnonzero(widths != len(header))
-    if len(bad):
-        raise DataError(f"{widths[bad[0]]} cells where the header has {len(header)}", row=int(bad[0]) + 1)
-
-
-def _transpose(header, rows):
-    """The cell columns (tuples) of rows that must be as wide as the header."""
-    check_row_widths(header, rows)
-    return list(zip(*rows)) or [()] * len(header)
 
 
 def _blank(cells):
@@ -136,7 +146,7 @@ def _parse_number(cell, row, column):
     return v
 
 
-def _parse_floats(cells, column, rows=None):
+def parse_floats(cells, column, rows=None):
     """Float array of a column of cells; a DataError names the first unparsable or non-finite one.
 
     `rows` gives each cell's file row (counted from 1 below the header);
@@ -245,9 +255,9 @@ def load_csv(path, config):
             code = {lv: float(i) for i, lv in enumerate(_sorted_levels(raw))}
             columns[spec.name] = np.fromiter(map(code.__getitem__, raw), dtype=float, count=len(raw))
         elif spec.kind == "numeric-raw":
-            columns[spec.name] = _parse_floats(raw, spec.name, file_rows)
+            columns[spec.name] = parse_floats(raw, spec.name, file_rows)
         elif spec.kind == "numeric-binned":
-            nums = _parse_floats(raw, spec.name, file_rows)
+            nums = parse_floats(raw, spec.name, file_rows)
             edges = _resolve_edges(spec, nums, spec.name)
             columns[spec.name] = _bin(nums, edges).astype(float)
 
@@ -367,20 +377,15 @@ def write_augmented(dataset, synthetic, path, original_distances=None):
 
 def read_augmented(path, feature_names=None):
     """Round-trip loader for files produced by write_augmented."""
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    if header[-5:] != META_COLUMNS:
-        raise DataError(f"{path} lacks the augmented metadata columns")
+    header, columns = read_table(path)
+    if len(header) < 6 or header[-5:] != META_COLUMNS:
+        raise DataError(f"{path} lacks a target column followed by the augmented metadata columns")
     names = header[: -5 - 1]
     target_name = header[-6]
     if feature_names is not None and names != list(feature_names):
         raise DataError(f"{path} feature columns differ from expectation")
-    columns = _transpose(header, rows)
-    parsed = [_parse_floats(col, name) for col, name in zip(columns, header[: len(names) + 1])]
-    X = np.column_stack(parsed[:-1]) if names else np.empty((len(rows), 0))
+    parsed = [parse_floats(col, name) for col, name in zip(columns, header[: len(names) + 1])]
+    X = np.column_stack(parsed[:-1]) if names else np.empty((len(parsed[-1]), 0))
     y = parsed[-1].astype(int)
     meta = {name: list(col) for name, col in zip(META_COLUMNS, columns[-5:])}
     return names, target_name, X, y, meta

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
+import itertools
 import json
 import os
 import subprocess
@@ -9,9 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qsmote
 from qsmote import cli, data, demo
+from qsmote.errors import DataError
 
 
 RAW_CSV = (
@@ -268,7 +272,7 @@ def _edit_row(path, row, edit):
     [
         (lambda cells: ["nan"] + cells[1:], "non-finite cell 'nan' (row 3, column 'f0')"),
         (lambda cells: cells[:1] + ["inf"] + cells[2:], "non-finite cell 'inf' (row 3, column 'f1')"),
-        (lambda cells: cells[:1] + ["x"] + cells[2:], "non-numeric cell 'x' (row 3, column 'f1')"),
+        (lambda cells: cells[:1] + ["x"] + cells[2:], "unparsable numeric cell 'x' (row 3, column 'f1')"),
         (lambda cells: cells[:-1] + ["0.7"], "non-integer label '0.7' (row 3, column 'label')"),
         (lambda cells: cells[:-1], "8 cells where the header has 9 (row 3)"),
     ],
@@ -288,6 +292,50 @@ def test_preprocess_short_row_exits_2(raw, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert cli.main(["preprocess", str(raw_path), str(out), "--config", str(cfg_path)]) == 2
     assert "2 cells where the header has 3 (row 2)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_A_LABEL_CONFIG = "version: 1\ncolumns:\n  - {name: a, kind: numeric-raw}\n  - {name: label, kind: target}\n"
+
+
+@pytest.mark.parametrize(
+    "text, config, column",
+    [
+        ("a,a,label\n1,10,0\n2,20,1\n3,30,0\n", _A_LABEL_CONFIG, "a"),
+        ("a,label\n1,0\n2,1\n3,0\n", _A_LABEL_CONFIG + "  - {name: a, kind: categorical}\n", "a"),
+        ("label,f,label\n0,1,0\n1,2,1\n0,3,0\n", None, "label"),
+    ],
+    ids=["raw-header", "config", "encoded-header"],
+)
+def test_duplicate_column_names_exit_2_and_name_the_column(tmp_path, capsys, text, config, column):
+    src = tmp_path / "in.csv"
+    src.write_text(text)
+    out = tmp_path / "out.csv"
+    if config is None:
+        argv = ["smote", str(src), str(out), "--target-percent", "40"]
+    else:
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(config)
+        argv = ["preprocess", str(src), str(out), "--config", str(cfg)]
+    assert cli.main(argv) == 2
+    assert f"duplicate column name (column {column!r})" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["smote", "--target-percent", "40"], ["evaluate"]], ids=["smote", "evaluate"])
+@pytest.mark.parametrize(
+    "text, message",
+    [("", "empty file"), (None, "no such file"), ("label\n0\n1\n0\n0\n", "no feature columns")],
+    ids=["empty", "missing", "target-only"],
+)
+def test_unusable_encoded_input_exits_2(tmp_path, capsys, command, text, message):
+    src = tmp_path / "in.csv"
+    if text is not None:
+        src.write_text(text)
+    out = tmp_path / "out.csv"
+    assert cli.main(command + [str(src), str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
     assert not out.exists()
 
 
@@ -375,3 +423,98 @@ def test_missing_input_file_is_a_runtime_error(tmp_path, capsys):
     )
     assert code in (1, 2)
     assert capsys.readouterr().err
+
+
+def _load_encoded_reference(path, target):
+    """The whole-table loader the column-wise `_load_encoded` must equal.
+
+    It parses every cell in one pass, then searches the rows for the first
+    non-numeric cell, then for the first non-finite one.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = list(reader)
+    if target not in header:
+        raise DataError("target column missing", column=target)
+    if len(rows) == 0:
+        raise DataError(f"no data rows in {path}")
+    for i, r in enumerate(rows, start=1):
+        if len(r) != len(header):
+            raise DataError(f"{len(r)} cells where the header has {len(header)}", row=i)
+    try:
+        cells = map(float, itertools.chain.from_iterable(rows))
+        table = np.fromiter(cells, dtype=float, count=len(rows) * len(header))
+    except ValueError:
+        for i, r in enumerate(rows, start=1):
+            for name, cell in zip(header, r):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise DataError(f"non-numeric cell {cell!r}", row=i, column=name) from None
+    table = table.reshape(len(rows), len(header))
+    t = header.index(target)
+    labels = table[:, t]
+    bad = np.argwhere(~np.isfinite(table))
+    if len(bad):
+        i, j = bad[0]
+        raise DataError(f"non-finite cell {rows[i][j]!r}", row=i + 1, column=header[j])
+    bad = np.flatnonzero(labels % 1)
+    if len(bad):
+        raise DataError(f"non-integer label {rows[bad[0]][t]!r}", row=bad[0] + 1, column=target)
+    return data.Dataset(
+        feature_names=[h for i, h in enumerate(header) if i != t],
+        X=np.delete(table, t, axis=1),
+        y=labels.astype(int),
+        row_ids=np.arange(len(rows)),
+        target_name=target,
+    )
+
+
+_FEATURE_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-50, 50).map(str),
+    st.sampled_from([" 2 ", "+1e3", "-0", ".5", "1_0", "1e308", "2.0"]),
+)
+_LABEL_CELLS = st.one_of(st.integers(-3, 3).map(str), st.sampled_from(["1.0", " 0 ", "-0", "+2", "1e0"]))
+_BAD_CELLS = st.sampled_from(["x", "", " ", "nan", "inf", "-Infinity", "1__0", "0.5"])
+
+
+@st.composite
+def _encoded_tables(draw):
+    """An encoded CSV's text, the target anywhere in the header, with at most one bad cell."""
+    width = draw(st.integers(1, 4))
+    header = [f"f{j}" for j in range(width)]
+    t = draw(st.integers(0, width))
+    header.insert(t, "label")
+    n = draw(st.integers(0, 8))
+    rows = [[draw(_LABEL_CELLS if j == t else _FEATURE_CELLS) for j in range(width + 1)] for _ in range(n)]
+    if rows and draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, width))] = draw(_BAD_CELLS)
+    return "\n".join(map(",".join, [header] + rows)) + "\n"
+
+
+def _encoded_outcome(loader, path):
+    try:
+        return loader(path, "label")
+    except DataError as exc:
+        return exc
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_encoded_tables())
+def test_load_encoded_equals_the_whole_table_reference(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("encoded") / "encoded.csv"
+    path.write_text(text)
+    got = _encoded_outcome(cli._load_encoded, path)
+    want = _encoded_outcome(_load_encoded_reference, path)
+    if isinstance(want, DataError):
+        assert isinstance(got, DataError), got
+        assert (got.row, got.column) == (want.row, want.column)
+        assert str(got) == str(want).replace("non-numeric cell", "unparsable numeric cell")
+        return
+    assert not isinstance(got, DataError), got
+    assert (got.feature_names, got.target_name) == (want.feature_names, want.target_name)
+    assert (got.X.shape, got.X.dtype, got.X.tobytes()) == (want.X.shape, want.X.dtype, want.X.tobytes())
+    assert (got.y.dtype, got.y.tolist()) == (want.y.dtype, want.y.tolist())
+    assert got.row_ids.tolist() == want.row_ids.tolist()

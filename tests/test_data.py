@@ -430,6 +430,20 @@ def test_write_augmented_format_and_round_trip(tmp_path):
         assert np.allclose(row, rec.features)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty file"),
+        ("f0,label\n1,0\n", "lacks a target column followed by"),
+        (",".join(data.META_COLUMNS) + "\n,,0,0,\n", "lacks a target column followed by"),
+    ],
+    ids=["empty", "no-metadata", "no-target"],
+)
+def test_read_augmented_rejects_a_file_it_did_not_write(tmp_path, text, message):
+    with pytest.raises(DataError, match=message):
+        data.read_augmented(_write(tmp_path, "aug.csv", text))
+
+
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
