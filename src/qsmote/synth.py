@@ -68,7 +68,7 @@ def rotate_point(features, theta, rescale=True):
     norms = np.linalg.norm(table, axis=1, keepdims=True)
     if not norms.all():
         raise DegenerateInputError("cannot rotate a zero vector")
-    real = pad_to_power_of_two(table / norms)
+    real = unit = pad_to_power_of_two(table / norms)
     rows, size = real.shape
     n = size.bit_length() - 1
     popcount = np.array([bin(j).count("1") for j in range(size)])
@@ -82,7 +82,15 @@ def rotate_point(features, theta, rescale=True):
         if not real_norms.all():
             bad = theta[real_norms == 0][0]
             raise DegenerateInputError(f"rotation by {bad} annihilated the real part")
-        real = real / real_norms * norms
+        # rescaling would blow up the H form's cancellation error: apply RX gate by gate
+        weak = real_norms[:, 0] < 1e-2
+        c, s = np.cos(theta[weak, :, None] / 2), -1j * np.sin(theta[weak, :, None] / 2)
+        state = unit[weak].astype(complex)
+        for q in range(n):
+            a, b = np.moveaxis(state.reshape(-1, 2**q, 2, size >> (q + 1)), 2, 0)
+            state = np.stack([c * a + s * b, c * b + s * a], axis=2)
+        real[weak] = state.real.reshape(-1, size)
+        real = real / np.linalg.norm(real, axis=1, keepdims=True) * norms
         real[theta[:, 0] == 0.0, : table.shape[1]] = table[theta[:, 0] == 0.0]
     out = real[:, : table.shape[1]]
     return out[0] if np.ndim(features) < 2 else out
