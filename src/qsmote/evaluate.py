@@ -5,13 +5,15 @@ screen with an exact distance repair (``k_nearest``), a trapezoidal ROC-AUC
 (with a pairwise cross-check), and step-interpolated average precision.
 
 ``knn_predict`` scores queries against one training set. The grid,
-``run_experiment``, scores every neighbour pair once per call instead of
-once per grid row: each part of a row's training set (the originals, the
-generated records, the boosted records) gives every query its k nearest
-(distance, id) pairs once, and a row's neighbours are the first k of the
-merge of its parts' lists by (distance, id). The scores equal those of
-``knn_predict`` on each row's whole training set, bit for bit, and only
-the originals' lists are held for every query at once.
+``run_experiment``, scores shared records once per grid instead of once
+per grid row: the targets' generated records share leading rows, so each
+part of a row's training set (the originals, the segments of the shared
+records, the row's own generated and boosted records) gives every query
+its k nearest (distance, id) pairs once, and a row's neighbours are the
+first k of the merge of its parts' lists by (distance, id). The scores
+equal those of ``knn_predict`` on each row's whole training set, bit for
+bit, and queries are scored in chunks, so no list is held for every
+query at once.
 """
 
 from dataclasses import dataclass
@@ -47,10 +49,10 @@ class MetricsReport:
     pr_curve: np.ndarray      # (recall, precision) points
 
 
-# Query rows per block are sized so one block's Gram matrix (and, in the
-# grid, one chunk's neighbour lists) takes at most this many bytes: enough
-# rows for the matrix product to pay off, few enough that the grid's peak
-# memory stays flat.
+# Query rows per block are sized so one block's Gram matrix takes at most
+# this many bytes: enough rows for the matrix product to pay off, few enough
+# that the grid's peak memory stays flat. The grid sizes its chunks of
+# neighbour lists from it too.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -308,14 +310,27 @@ def _merge(a, b, k):
     every id of ``a``, so a stable sort by distance alone keeps ties in id
     order.
     """
-    dist = np.hstack([a[0], b[0]])
+    dist = np.concatenate([a[0], b[0]], axis=1)
+    ids = np.concatenate([a[1], b[1]], axis=1)
+    # flat positions of each row's first k
     first = np.argsort(dist, axis=1, kind="stable")[:, :k]
-    ids = np.hstack([a[1], b[1]])
-    return np.take_along_axis(dist, first, axis=1), np.take_along_axis(ids, first, axis=1)
+    first += np.arange(0, dist.size, dist.shape[1])[:, None]
+    return dist.ravel()[first], ids.ravel()[first]
 
 
-def _offset(nearest, start):
-    return nearest[0], nearest[1] + start
+def _extend(near, train_X, queries, first_id, k):
+    """``near`` merged with the queries' k nearest rows of ``train_X``, whose
+    ids run up from ``first_id``."""
+    if len(train_X) == 0:
+        return near
+    dist, cols = k_nearest(train_X, queries, k)
+    return _merge(near, (dist, cols + first_id), k)
+
+
+def _shared_length(block, pool):
+    """The number of leading rows of ``block`` bitwise equal to ``pool``'s."""
+    same = (block.view(np.int64) == pool[:len(block)].view(np.int64)).all(axis=1)
+    return int(np.argmin(np.r_[same, False]))
 
 
 def run_experiment(X, y, grid, aol_flags=(False, True), test_fraction=0.2, seed=0, k=5):
@@ -327,18 +342,28 @@ def run_experiment(X, y, grid, aol_flags=(False, True), test_fraction=0.2, seed=
     set against that training set, exactly as ``knn_predict`` on the
     original training rows followed by the row's new records.
 
-    Each neighbour pair is scored once per call. The test and original
-    training queries get their k nearest originals once, which also scores
-    the baseline row. Per target, ``pipeline.augment`` runs once, boosting
-    when any flag is set; the plain row's records S are its generated
-    prefix and the AOL row adds the boosted records B. The new records get
-    their k nearest originals, and every query gets its k nearest of S and
-    of B. A query's plain-row neighbours are the first k of its originals'
-    and S lists merged by (distance, id); its AOL-row neighbours add the B
-    list to that. Originals have lower ids than S and S lower than B, as
-    in the augmented table, so ties still go to the lower id. Queries are
-    merged and voted in chunks of ``_BLOCK_BYTES // (8 k)`` rows, so only
-    the originals' lists are held whole.
+    Shared records are scored once per grid. ``pipeline.augment`` runs
+    once per target, in grid order, boosting when any flag is set; a
+    target's plain row adds its generated records G, and its AOL row adds
+    the boosted records B after them. Originals have lower ids than G and
+    G lower than B, as in the augmented table, so ties go to the lower id.
+    Records are keyed on (seed, row id, pass), so the targets' G share
+    leading rows: the longest G is the pool P, and a target's shared
+    length l is the number of its leading rows bitwise equal to P's. A
+    KNN vote depends only on a row's features, id and label, and every
+    record is labelled 1, so G[:l] may be scored as P[:l].
+
+    The shared queries (test rows, original training rows and P) get
+    their k nearest originals once, and their k nearest of each segment
+    of P between consecutive distinct shared lengths once. Walking the
+    targets by l, each query keeps one running list, the first k of its
+    originals and segments so far merged by (distance, id); a target's
+    lists add only its tail G[l:] and B. The tail and B rows as queries
+    get their originals, G and B lists per target. The baseline is the
+    target with no records. Queries run in chunks of
+    ``_BLOCK_BYTES // (64 k)`` rows, so a chunk's lists and merge
+    temporaries, about sixteen arrays of k values per row, take at most
+    twice ``_BLOCK_BYTES``.
     """
     keyed.check_seed(seed)
     X = np.asarray(X, dtype=float)
@@ -347,15 +372,66 @@ def run_experiment(X, y, grid, aol_flags=(False, True), test_fraction=0.2, seed=
         raise ParameterError("labels must be 0/1 with 1 the minority class")
     train_idx, test_idx = stratified_split(y, test_fraction, seed)
     n_tr, n_te = len(train_idx), len(test_idx)
-    # the queries: test rows, then training rows, then (per target) new records
+    # the queries: test rows, then training rows
     queries = X[np.r_[test_idx, train_idx]]
     X_te, X_tr = queries[:n_te], queries[n_te:]
     y_te, y_tr = y[test_idx], y[train_idx]
     _check_knn(X_tr, y_tr, X_te, k)
-    originals = k_nearest(X_tr, queries, k)
+    m = len(queries)
 
-    def score_row(target, use_aol, train_y, votes):
-        scores = votes / k
+    # G and B of the baseline (none), then of each target in grid order
+    targets = list(grid) if aol_flags else []
+    gen, boost = [X_tr[:0]], [X_tr[:0]]
+    for target in targets:
+        cfg = pipeline.SmoteConfig(target_minority_percent=target, seed=seed)
+        result, records, _, _ = pipeline.augment(
+            X_tr, y_tr, cfg, True in aol_flags, row_ids=train_idx
+        )
+        new = np.array([r.features for r in records], dtype=float).reshape(-1, X.shape[1])
+        if not np.isfinite(new).all():
+            raise ParameterError("features must be finite")
+        gen.append(new[:len(result.synthetic)])
+        boost.append(new[len(result.synthetic):])
+    pool = max(gen, key=len)
+    shared = [_shared_length(g, pool) for g in gen]
+    positive = np.r_[y_tr == 1, np.ones(max(map(len, gen)) + max(map(len, boost)), dtype=bool)]
+
+    def vote(near):
+        return positive[near[1]].sum(axis=1)
+
+    plain, aol = [[] for _ in gen], [[] for _ in gen]
+    walk = sorted(range(len(gen)), key=shared.__getitem__)
+    chunk = max(1, _BLOCK_BYTES // (64 * k))
+    shared_queries = np.vstack([queries, pool])
+    for start in range(0, len(shared_queries), chunk):
+        part = shared_queries[start:start + chunk]
+        near, done = k_nearest(X_tr, part, k), 0
+        for t in walk:
+            length = shared[t]
+            near = _extend(near, pool[done:length], part, n_tr + done, k)
+            done = length
+            # this target's shared queries are Q and P[:length]
+            stop = min(len(part), m + length - start)
+            if stop <= 0:
+                continue
+            g, b, mine = gen[t], boost[t], part[:stop]
+            near_t = _extend((near[0][:stop], near[1][:stop]), g[length:], mine, n_tr + length, k)
+            plain[t].append(vote(near_t))
+            aol[t].append(vote(_extend(near_t, b, mine, n_tr + len(g), k)))
+    for t, (g, b) in enumerate(zip(gen, boost)):
+        own = np.vstack([g[shared[t]:], b])
+        for start in range(0, len(own), chunk):
+            part = own[start:start + chunk]
+            near = _extend(k_nearest(X_tr, part, k), g, part, n_tr, k)
+            plain[t].append(vote(near))
+            aol[t].append(vote(_extend(near, b, part, n_tr + len(g), k)))
+
+    def score_row(target, use_aol, t):
+        g, b = gen[t], boost[t]
+        n_new = len(g) + (len(b) if use_aol else 0)
+        # the plain row's training set ends before B
+        scores = np.concatenate((aol if use_aol else plain)[t])[:m + n_new] / k
+        train_y = np.r_[y_tr, np.ones(n_new, dtype=y_tr.dtype)]
         m_test = compute_metrics(scores[:n_te], y_te)
         m_train = compute_metrics(scores[n_te:], train_y)
         return ExperimentRow(
@@ -368,36 +444,7 @@ def run_experiment(X, y, grid, aol_flags=(False, True), test_fraction=0.2, seed=
             roc_auc=m_test.roc_auc,
         )
 
-    rows = [score_row(None, False, y_tr, (y_tr == 1)[originals[1]].sum(axis=1))]
-    chunk = max(1, _BLOCK_BYTES // (8 * k))
-    for target in grid if aol_flags else ():
-        cfg = pipeline.SmoteConfig(target_minority_percent=target, seed=seed)
-        result, records, _, _ = pipeline.augment(
-            X_tr, y_tr, cfg, True in aol_flags, row_ids=train_idx
-        )
-        pool = np.vstack([queries] + [r.features for r in records])
-        aug_X = pool[n_te:]
-        aug_y = np.r_[y_tr, np.ones(len(records), dtype=y_tr.dtype)]
-        _check_knn(aug_X, aug_y, X_te, k)
-        n_s = n_tr + len(result.synthetic)
-        S, B = aug_X[n_tr:n_s], aug_X[n_s:]
-        positive = aug_y == 1
-        plain, aol = [], []
-        # chunks of the shared queries, then of the new records
-        m = len(queries)
-        for start in [*range(0, m, chunk), *range(m, len(pool), chunk)]:
-            stop = min(start + chunk, m if start < m else len(pool))
-            part = pool[start:stop]
-            if start < m:
-                near = originals[0][start:stop], originals[1][start:stop]
-            else:
-                near = k_nearest(X_tr, part, k)
-            near = _merge(near, _offset(k_nearest(S, part, k), n_tr), k)
-            plain.append(positive[near[1]].sum(axis=1))
-            near = _merge(near, _offset(k_nearest(B, part, k), n_s), k)
-            aol.append(positive[near[1]].sum(axis=1))
-        # the plain row's training set ends before B
-        votes = {False: np.concatenate(plain)[:n_te + n_s], True: np.concatenate(aol)}
-        labels = {False: aug_y[:n_s], True: aug_y}
-        rows.extend(score_row(target, f, labels[f], votes[f]) for f in aol_flags)
+    rows = [score_row(None, False, 0)]
+    for t, target in enumerate(targets, start=1):
+        rows.extend(score_row(target, f, t) for f in aol_flags)
     return rows

@@ -383,6 +383,71 @@ def test_run_experiment_equals_the_per_row_reference(data, aol_flags, k):
     assert got == want
 
 
+def _shared_lengths(X, y, grid):
+    """Each target's generated records and its count of leading records
+    shared with the longest target's, as run_experiment sees them."""
+    train_idx, _ = evaluate.stratified_split(y, 0.2, 0)
+    blocks = []
+    for target in grid:
+        cfg = pipeline.SmoteConfig(target_minority_percent=target, seed=0)
+        result, _, _, _ = pipeline.augment(X[train_idx], y[train_idx], cfg, True, row_ids=train_idx)
+        blocks.append(np.array([r.features for r in result.synthetic]).reshape(-1, X.shape[1]))
+    pool = max(blocks, key=len)
+    return blocks, [evaluate._shared_length(g, pool) for g in blocks]
+
+
+@pytest.mark.parametrize("k", [1, 5])
+@pytest.mark.parametrize("data", sorted(_EXPERIMENT_DATA))
+def test_run_experiment_does_not_depend_on_grid_order(data, k):
+    # targets are scored in order of their shared length, not of the grid,
+    # and a repeated target shares all of its records
+    grid = (40, 10.5, 20, 40, 10)
+    X, y = _EXPERIMENT_DATA[data]()
+    _, lengths = _shared_lengths(X, y, grid)
+    assert lengths != sorted(lengths) and lengths[0] == lengths[3]
+    got = evaluate.run_experiment(X, y, grid, seed=0, k=k)
+    assert got == _run_experiment_reference(X, y, grid, seed=0, k=k)
+
+
+def test_run_experiment_in_many_chunks_equals_the_per_row_reference(monkeypatch):
+    # at k = 100 no chunk holds all 500 test and training queries, and some
+    # pool segment or target's tail holds fewer than k records
+    k = 100
+    X, y = _EXPERIMENT_DATA["demo"]()
+    blocks, lengths = _shared_lengths(X, y, _EXPERIMENT_GRID)
+    tails = [len(g) - n for g, n in zip(blocks, lengths)]
+    segments = np.diff(np.unique([0, *lengths])).tolist()
+    assert any(0 < n < k for n in tails + segments)
+    want = _run_experiment_reference(X, y, _EXPERIMENT_GRID, seed=0, k=k)
+    sizes = []
+    k_nearest = evaluate.k_nearest
+
+    def recording(train_X, queries, k):
+        sizes.append(len(queries))
+        return k_nearest(train_X, queries, k)
+
+    monkeypatch.setattr(evaluate, "k_nearest", recording)
+    assert evaluate.run_experiment(X, y, _EXPERIMENT_GRID, seed=0, k=k) == want
+    assert max(sizes) < len(X)
+
+
+def test_run_experiment_scores_shared_records_once(monkeypatch):
+    # neighbour pairs of the criterion-09 grid on the demo data at seed 0:
+    # 39,510,100 when each target scores all of its records, 12,160,939 when
+    # the records the targets share are scored once
+    pairs = []
+    k_nearest = evaluate.k_nearest
+
+    def counting(train_X, queries, k):
+        pairs.append(len(train_X) * len(queries))
+        return k_nearest(train_X, queries, k)
+
+    monkeypatch.setattr(evaluate, "k_nearest", counting)
+    X, y = demo.make_imbalanced_dataset()
+    evaluate.run_experiment(X, y, grid=(30, 32, 34, 36, 38, 40, 42, 45, 48, 50), seed=0)
+    assert sum(pairs) <= 13_000_000
+
+
 _augment = pipeline.augment
 
 
