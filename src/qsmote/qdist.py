@@ -142,7 +142,8 @@ def angular_distance_table(points, centroid, shots=0, seed=0, estimator="standar
     closed form of `overlap_probability_exact`, evaluated for the whole
     table at once with elementwise products and row sums, so a row's value
     does not depend on the rows batched with it. With shots > 0 row i
-    draws binomial(shots, p1) from default_rng([seed, i]): the streams'
+    draws binomial(shots, p1) from default_rng([seed, i]), with p1 rounded
+    by `statevec.sampling_probability` as the circuit rounds it: the streams'
     states come from one `keyed.streams` pass, but numpy's binomial is a
     rejection sampler with a varying number of draws, so each row's count
     is one call on a reused Generator.
@@ -178,7 +179,8 @@ def angular_distance_table(points, centroid, shots=0, seed=0, estimator="standar
     p1 = _clamp01(0.5 * (1.0 - quad))
     if shots > 0:
         rows = keyed.streams(seed, np.arange(len(p1)))
-        counts1 = np.array([rng.binomial(shots, p) for rng, p in zip(rows, p1.tolist())])
+        draw_p1 = statevec.sampling_probability(p1).tolist()
+        counts1 = np.array([rng.binomial(shots, p) for rng, p in zip(rows, draw_p1)])
         p1 = counts1 / shots
         p0 = (shots - counts1) / shots
     else:

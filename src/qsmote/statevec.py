@@ -131,12 +131,25 @@ def apply_gate(state, gate):
     raise TypeError(f"unsupported gate {gate!r}")
 
 
+def sampling_probability(p):
+    """p rounded to a multiple of 2**-32, the probability a sampled run draws from.
+
+    numpy's binomial sampler jumps at p = 0.5 and wherever (shots + 1) * p
+    is an integer, so two computations of one marginal that differ in the
+    last few bits (this simulator and a closed form) can draw different
+    counts from the same generator. Rounding both to 2**-32 makes them
+    draw the same count, exactly so at 0, 0.5 and 1; it moves p by at most
+    2**-33, far below the sampling error of any shot count.
+    """
+    return np.ldexp(np.rint(np.ldexp(p, 32)), -32)
+
+
 def measure_qubit(state, qubit, shots=0, rng=None):
     """Measure one qubit in the computational basis.
 
     shots=0 returns the exact marginal; shots>0 draws a binomial sample
-    from the caller-supplied generator (required so every sampled run is
-    seeded from the pipeline config).
+    of `sampling_probability(p1)` from the caller-supplied generator
+    (required so every sampled run is seeded from the pipeline config).
     """
     _check_qubit(state, qubit)
     if shots < 0:
@@ -151,7 +164,7 @@ def measure_qubit(state, qubit, shots=0, rng=None):
         return MeasurementOutcome(p0=p0, p1=p1, shots=0, counts0=0, counts1=0)
     if rng is None:
         raise ValueError("sampled measurement requires an explicit rng")
-    counts1 = int(rng.binomial(shots, p1))
+    counts1 = int(rng.binomial(shots, sampling_probability(p1)))
     counts0 = shots - counts1
     return MeasurementOutcome(
         p0=counts0 / shots, p1=counts1 / shots, shots=shots, counts0=counts0, counts1=counts1

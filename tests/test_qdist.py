@@ -212,6 +212,10 @@ def test_distance_table_equals_the_swap_test_circuit(case, estimator):
 # exact p1 of 0, 0.109 and 0.326: with 10 shots every n*p1 is at most 30
 # (numpy's inversion sampler), with 1000 the last two exceed it (rejection)
 _P1_EDGES = (np.array([[1e9, 0.0], [3.0, 1.0], [1.0, 1.0]]), np.array([1.0, 0.0]))
+# exact p1 of 0.5 (overlap 0): a row equal to the centroid, and a tiny row
+# parallel to it. The circuit rounds p1 to 0.5 - 1 ulp, and with an odd shot
+# count numpy's binomial draws differently on either side of 0.5
+_P1_HALF = [(np.ones((1, 2)), np.ones(2)), (np.array([[3.90625e-09, 0.0]]), np.array([1.0, 0.0]))]
 
 
 @settings(max_examples=60, deadline=None)
@@ -224,6 +228,8 @@ _P1_EDGES = (np.array([[1e9, 0.0], [3.0, 1.0], [1.0, 1.0]]), np.array([1.0, 0.0]
 @example(case=_P1_EDGES, shots=10, seed=2**32, estimator="standard")
 @example(case=_P1_EDGES, shots=1000, seed=2**64 + 3, estimator="standard")
 @example(case=_P1_EDGES, shots=1000, seed=5, estimator="paper-literal")
+@example(case=_P1_HALF[0], shots=107, seed=0, estimator="standard")
+@example(case=_P1_HALF[1], shots=107, seed=0, estimator="standard")
 def test_sampled_distance_table_equals_the_circuit_bit_for_bit(case, shots, seed, estimator):
     points, centroid = case
     table = qdist.angular_distance_table(points, centroid, shots=shots, seed=seed, estimator=estimator)
