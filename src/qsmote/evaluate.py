@@ -10,7 +10,9 @@ per grid row: the targets' generated records share leading rows, so each
 part of a row's training set (the originals, the segments of the shared
 records, the row's own generated and boosted records) gives every query
 its k nearest (distance, id) pairs once, and a row's neighbours are the
-first k of the merge of its parts' lists by (distance, id). The scores
+first k of the merge of its parts' lists by (distance, id). Each part
+added to a running list is screened against the list's k-th distance,
+so only rows that can enter it are recomputed and sorted. The scores
 equal those of ``knn_predict`` on each row's whole training set, bit for
 bit, and queries are scored in chunks, so no list is held for every
 query at once.
@@ -49,14 +51,15 @@ class MetricsReport:
     pr_curve: np.ndarray      # (recall, precision) points
 
 
-# Query rows per block are sized so one block's Gram matrix takes at most
-# this many bytes: enough rows for the matrix product to pay off, few enough
+# Query rows per block are sized so one block's Gram matrix, and its exact
+# recompute of min(k, n) candidate rows per query, each take at most this
+# many bytes: enough rows for the matrix product to pay off, few enough
 # that the grid's peak memory stays flat. The grid sizes its chunks of
 # neighbour lists from it too.
 _BLOCK_BYTES = 256 * 1024
 
 
-def k_nearest(train_X, queries, k):
+def k_nearest(train_X, queries, k, radius=None):
     """Each query's k nearest training rows as (distances, columns).
 
     Both arrays have shape ``(len(queries), min(k, len(train_X)))``, and each
@@ -66,7 +69,16 @@ def k_nearest(train_X, queries, k):
     whichever call scores it. The inputs must be finite float tables; the
     callers check them.
 
-    Queries run in blocks of ``_BLOCK_BYTES`` of Gram matrix, in three steps:
+    With ``radius``, one distance per query, each query gets only its first
+    ``min(k, len(train_X))`` candidates within the screen below, padded with
+    distance inf and column ``len(train_X)``. Every row whose distance is at
+    most the query's radius is a candidate, so a caller whose radius is an
+    exact distance from this expression, such as a running list's k-th
+    distance, misses no row that beats it.
+
+    Queries run in blocks sized so that neither the Gram matrix (n values
+    per query) nor min(k, n) candidate rows (d values each) per query
+    exceed ``_BLOCK_BYTES``, in three steps:
 
     1. Screen. With data centred on the training mean, the squared
        distances come from the Gram identity |q|^2 + |x|^2 - 2 q.x, one
@@ -80,11 +92,20 @@ def k_nearest(train_X, queries, k):
        mapping nearby sums to one value) stays below 8 (d + 2) eps times
        that scale. Two such errors lie between g_k and the Gram value of
        any row that ties with or beats the k-th neighbour in exact
-       distance, so 16 would do; 64 is a fourfold margin. A query whose
-       scale overflows keeps every row as a candidate.
+       distance, so 16 would do; 64 is a fourfold margin. With a radius r
+       the block skips the partition: the threshold is r^2 + tol, with
+       r^2 in place of |g_k| in the scale. r is itself an exact computed
+       distance, so it stands where the k-th neighbour's distance stood,
+       and squaring it adds one more rounding inside the same
+       8 (d + 2) eps scale. A query whose scale overflows keeps every row
+       as a candidate.
     2. Exact recompute. The candidates' distances are computed with the
        expression above, from the original rows in the same floating-point
        order as a loop over single queries, so only these reach the result.
+       A query keeps about min(k, n) candidates unless distances tie or
+       overflow. With a radius, a far radius keeps all n rows as well, so
+       a bounded block's recompute can hold up to block x n candidate
+       rows of d values, d times ``_BLOCK_BYTES``.
     3. Select. One stable lexsort by (query, distance) over the candidates
        in column order picks each query's k nearest.
     """
@@ -98,7 +119,7 @@ def k_nearest(train_X, queries, k):
     centred = train_X - mean
     sq_train = np.einsum("ij,ij->i", centred, centred)
     rel_tol = 64 * (d + 2) * np.finfo(float).eps
-    block = max(1, _BLOCK_BYTES // (8 * n))
+    block = max(1, _BLOCK_BYTES // (8 * max(n, k * d)))
     for start in range(0, len(queries), block):
         block_q = queries[start:start + block]
         q = block_q - mean
@@ -109,20 +130,27 @@ def k_nearest(train_X, queries, k):
             gram *= -2.0
             gram += sq_q[:, None]
             gram += sq_train
-            kth = np.partition(gram, k - 1, axis=1)[:, k - 1]
+            if radius is None:
+                kth = np.partition(gram, k - 1, axis=1)[:, k - 1]
+            else:
+                kth = np.square(radius[start:start + block])
             scale = sq_q + sq_train.max() + np.abs(kth)
             candidate = gram <= (kth + rel_tol * scale)[:, None]
             candidate[~(4.0 * scale < np.inf)] = True
-        rows, cols = np.nonzero(candidate)
+        # a flat nonzero is several times faster than a 2-d one
+        rows, cols = np.divmod(np.flatnonzero(candidate), n)
         diff = train_X[cols] - block_q[rows]
         dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
-        # nonzero lists each row's columns in ascending order and lexsort is
-        # stable, so equal distances keep the lower column
-        order = np.lexsort((dist, rows))
-        first = np.searchsorted(rows, np.arange(len(block_q)))
-        nearest = order[(first[:, None] + np.arange(k)).ravel()]
-        out_dist[start:start + block] = dist[nearest].reshape(-1, k)
-        out_cols[start:start + block] = cols[nearest].reshape(-1, k)
+        # rows lists each row's columns in ascending order and lexsort is
+        # stable, so equal distances keep the lower column; a query with
+        # fewer than k candidates takes the pad after the last one
+        order = np.append(np.lexsort((dist, rows)), len(rows))
+        first = np.searchsorted(rows, np.arange(len(block_q) + 1))
+        take = first[:-1, None] + np.arange(k)
+        take[take >= first[1:, None]] = len(rows)
+        nearest = order[take]
+        out_dist[start:start + block] = np.append(dist, np.inf)[nearest]
+        out_cols[start:start + block] = np.append(cols, n)[nearest]
     return out_dist, out_cols
 
 
@@ -320,10 +348,17 @@ def _merge(a, b, k):
 
 def _extend(near, train_X, queries, first_id, k):
     """``near`` merged with the queries' k nearest rows of ``train_X``, whose
-    ids run up from ``first_id``."""
+    ids run up from ``first_id``.
+
+    Every id of ``train_X`` exceeds every id in ``near``, so a row enters
+    only when it is strictly nearer than the query's k-th distance in
+    ``near``: that distance is the screen's radius. ``near`` holds k
+    entries per query, so the merge never reaches the radius screen's
+    padding.
+    """
     if len(train_X) == 0:
         return near
-    dist, cols = k_nearest(train_X, queries, k)
+    dist, cols = k_nearest(train_X, queries, k, radius=near[0][:, -1])
     return _merge(near, (dist, cols + first_id), k)
 
 
@@ -360,7 +395,10 @@ def run_experiment(X, y, grid, aol_flags=(False, True), test_fraction=0.2, seed=
     originals and segments so far merged by (distance, id); a target's
     lists add only its tail G[l:] and B. The tail and B rows as queries
     get their originals, G and B lists per target. The baseline is the
-    target with no records. Queries run in chunks of
+    target with no records. Only the originals are ranked in full; every
+    part merged into a running list (a segment, a tail, B) is screened
+    against the list's k-th distance, since its rows have higher ids and
+    enter only when strictly nearer. Queries run in chunks of
     ``_BLOCK_BYTES // (64 k)`` rows, so a chunk's lists and merge
     temporaries, about sixteen arrays of k values per row, take at most
     twice ``_BLOCK_BYTES``.

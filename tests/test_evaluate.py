@@ -1,6 +1,7 @@
 """Unit tests for KNN scoring, metrics, and the experiment harness."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +135,84 @@ def test_knn_overflowing_distances_equal_reference_loop():
     for k in range(1, 5):
         got = evaluate.knn_predict(train_X, train_y, test_X, k=k)
         assert (got == _knn_reference(train_X, train_y, test_X, k=k)).all()
+
+
+def test_knn_against_a_small_part_keeps_to_its_block_budget():
+    # the exact recompute holds min(k, n) candidate rows of d values per
+    # query, so blocks are sized for those as well as for the Gram matrix;
+    # sized by the Gram matrix alone this call peaked at 6.40 MiB
+    rng = np.random.default_rng(5)
+    part = rng.normal(size=(10, 21))
+    queries = rng.normal(size=(3000, 21))
+    tracemalloc.start()
+    try:
+        evaluate.k_nearest(part, queries, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+
+
+@st.composite
+def _extend_cases(draw):
+    """A running list of k neighbours among older rows, a part of newer rows
+    and the queries, drawn from the kinds of ``_knn_cases``."""
+    n_older = draw(st.integers(1, 30))
+    n_part = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 20))
+    kind = draw(st.sampled_from(["gaussian", "codes", "offset", "near-duplicate"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = _knn_features(kind, rng, (n_older + n_part + m, d))
+    if draw(st.booleans()):  # rows whose squared distances overflow
+        far = rng.random(len(X)) < 0.3
+        X[far] = rng.choice([-1e200, 1e200], size=(far.sum(), d))
+    older, part, queries = X[:n_older], X[n_older:-m], X[-m:]
+    # about half the queries are older or newer rows themselves
+    copied = rng.random(m) < 0.5
+    queries[copied] = X[rng.integers(0, len(X) - m, size=copied.sum())]
+    return older, part, queries, draw(st.integers(1, n_older))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@settings(max_examples=300, deadline=None)
+@given(_extend_cases())
+def test_extend_equals_the_merge_of_the_unbounded_lists(case):
+    older, part, queries, k = case
+    near = evaluate.k_nearest(older, queries, k)
+    got = evaluate._extend(near, part, queries, len(older), k)
+    dist, cols = evaluate.k_nearest(part, queries, k)
+    want = evaluate._merge(near, (dist, cols + len(older)), k)
+    assert got[0].shape == want[0].shape == (len(queries), k)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert (got[1] == want[1]).all()
+
+
+def test_extend_admits_only_rows_nearer_than_the_running_kth():
+    # the running 2nd distance is 2: a newer row at exactly 2 loses the tie
+    # to the older, lower id, and a newer row one ulp nearer enters
+    older = np.array([[1.0], [2.0], [3.0]])
+    queries = np.array([[0.0]])
+    near = evaluate.k_nearest(older, queries, 2)
+    assert near[0].tolist() == [[1.0, 2.0]]
+    nearer = np.nextafter(2.0, 0.0)
+    tied = evaluate._extend(near, np.array([[-2.0]]), queries, 3, 2)
+    assert tied[0].tolist() == [[1.0, 2.0]] and tied[1].tolist() == [[0, 1]]
+    both = evaluate._extend(near, np.array([[-2.0], [-nearer]]), queries, 3, 2)
+    assert both[0].tolist() == [[1.0, nearer]] and both[1].tolist() == [[0, 4]]
+    # a part with no row within the radius gives only padding
+    pad = evaluate.k_nearest(np.array([[5.0], [-6.0]]), queries, 2, radius=near[0][:, -1])
+    assert pad[0].tolist() == [[np.inf, np.inf]] and pad[1].tolist() == [[2, 2]]
+    # the same where the Gram value of the nearer row rounds above the
+    # squared radius: the 2nd distance is 2**-30, and a newer row one ulp
+    # of the query nearer must still enter
+    q, a = 0.7, 2.0**-30
+    queries = np.array([[q]])
+    near = evaluate.k_nearest(np.array([[q - a / 2], [q + a]]), queries, 2)
+    assert near[0].tolist() == [[a / 2, a]]
+    nearer = a - np.spacing(q)
+    got = evaluate._extend(near, np.array([[q + 10.0], [q + nearer]]), queries, 2, 2)
+    assert got[0].tolist() == [[a / 2, nearer]] and got[1].tolist() == [[0, 3]]
 
 
 def test_knn_rejects_label_count_mismatch():
@@ -422,9 +501,9 @@ def test_run_experiment_in_many_chunks_equals_the_per_row_reference(monkeypatch)
     sizes = []
     k_nearest = evaluate.k_nearest
 
-    def recording(train_X, queries, k):
+    def recording(train_X, queries, *args, **kwargs):
         sizes.append(len(queries))
-        return k_nearest(train_X, queries, k)
+        return k_nearest(train_X, queries, *args, **kwargs)
 
     monkeypatch.setattr(evaluate, "k_nearest", recording)
     assert evaluate.run_experiment(X, y, _EXPERIMENT_GRID, seed=0, k=k) == want
@@ -438,9 +517,9 @@ def test_run_experiment_scores_shared_records_once(monkeypatch):
     pairs = []
     k_nearest = evaluate.k_nearest
 
-    def counting(train_X, queries, k):
+    def counting(train_X, queries, *args, **kwargs):
         pairs.append(len(train_X) * len(queries))
-        return k_nearest(train_X, queries, k)
+        return k_nearest(train_X, queries, *args, **kwargs)
 
     monkeypatch.setattr(evaluate, "k_nearest", counting)
     X, y = demo.make_imbalanced_dataset()
