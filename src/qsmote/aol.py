@@ -3,7 +3,8 @@
 Outliers are records whose angular distance falls beyond 1.5 IQR of the
 combined original-plus-synthetic minority distribution. Underpopulated
 outlier histogram bins get extra synthetic records generated with wider
-rotation angles.
+rotation angles: one `synth.Records` table per outlier table, made by one
+`synth.create_syn_data` call.
 """
 
 from dataclasses import dataclass
@@ -38,21 +39,13 @@ class OutlierBinTable:
         return int(self.counts.sum())
 
 
-def _empty_table(side, num_bins):
-    return OutlierBinTable(
-        bin_starts=np.empty(0),
-        bin_ends=np.empty(0),
-        counts=np.empty(0, dtype=int),
-        side=side,
-        num_bins=num_bins,
-    )
-
-
 def _bin_table(values, side, num_bins):
+    """Equal-width bins over the values; no bins at all when there are no values."""
     if values.size == 0:
-        return _empty_table(side, num_bins)
-    edges = np.histogram_bin_edges(values, bins=num_bins)
-    counts, _ = np.histogram(values, bins=edges)
+        edges, counts = np.empty(1), np.empty(0, dtype=int)
+    else:
+        edges = np.histogram_bin_edges(values, bins=num_bins)
+        counts, _ = np.histogram(values, bins=edges)
     return OutlierBinTable(
         bin_starts=edges[:-1], bin_ends=edges[1:], counts=counts, side=side, num_bins=num_bins
     )
@@ -93,24 +86,24 @@ def bin_members(table, index, distances):
 
 
 def boost_outliers(table, features, distances, row_ids, config):
-    """Generate boosted records for underpopulated outlier bins.
+    """Boosted records for the underpopulated bins of one outlier table.
 
     threshold = round(total / num_bins); bins with 0 < count <
     half_threshold each get floor(threshold / count) extra records per
     member, every pass j widening the increment by the literal formula
     (itr * 1 degree) * multiplier + j. A boosted record draws from
     default_rng([seed, source row id, j, 0xB005]), via `keyed.uniform`.
+    The rows, passes and itr of every thin bin go to one
+    `synth.create_syn_data` call, in bin, then member, then pass order;
+    with no thin bin the table it returns is empty, of the features' width.
     """
-    total = table.total()
-    if total == 0:
-        return []
-    threshold = int(np.floor(total / table.num_bins + 0.5))
+    threshold = int(np.floor(table.total() / table.num_bins + 0.5))
     half_threshold = int(np.floor(threshold / 2 + 0.5))
     features = np.asarray(features, dtype=float)
     distances = np.asarray(distances, dtype=float)
     row_ids = np.asarray(row_ids)
 
-    boosted = []
+    rows, passes, itrs = ([np.empty(0, dtype=int)] for _ in range(3))
     for i in range(len(table)):
         count = int(table.counts[i])
         if count == 0 or count >= half_threshold:
@@ -118,17 +111,17 @@ def boost_outliers(table, features, distances, row_ids, config):
         itr = threshold // count
         # member-major: each member's passes j = 0 .. itr-1 in turn
         members = np.flatnonzero(bin_members(table, i, distances))
-        rows = np.repeat(members, itr)
-        passes = np.tile(np.arange(itr), len(members))
-        ids = row_ids[rows]
-        boosted += synth.create_syn_data(
-            features[rows],
-            distances[rows],
-            (itr * synth.DEGREE) * config.boost_angle_multiplier + passes,
-            config.split_factor,
-            keyed.uniform(config.seed, ids, passes, np.full(len(ids), 0xB005)),
-            ids,
-            rescale=config.rescale,
-            boosted=True,
-        )
-    return boosted
+        rows.append(np.repeat(members, itr))
+        passes.append(np.tile(np.arange(itr), len(members)))
+        itrs.append(np.full(len(members) * itr, itr))
+    rows, passes, itrs = map(np.concatenate, (rows, passes, itrs))
+    ids = row_ids[rows]
+    return synth.create_syn_data(
+        features[rows],
+        distances[rows],
+        (itrs * synth.DEGREE) * config.boost_angle_multiplier + passes,
+        config.split_factor,
+        keyed.uniform(config.seed, ids, passes, np.full(len(ids), 0xB005)),
+        ids,
+        boosted=True,
+    )

@@ -126,8 +126,6 @@ def cmd_smote(args):
         split_factor=args.sf,
         shots=args.shots,
         seed=args.seed,
-        rescale=not args.no_rescale,
-        estimator=args.estimator,
         num_bins=args.bins,
         boost_angle_multiplier=args.boost_multiplier,
     )
@@ -136,9 +134,9 @@ def cmd_smote(args):
     result, records, dists, bounds = pipeline.augment(
         dataset.X, dataset.y, config, args.aol, minority_label=minority
     )
-    distances_by_row = dict(zip((int(r) for r in result.minority_row_ids), result.angular_distances))
+    distances = (result.minority_row_ids, result.angular_distances)
     with _staged(outputs) as (staged_out, staged_svg, _):
-        data.write_augmented(dataset, records, staged_out, original_distances=distances_by_row)
+        data.write_augmented(dataset, records, staged_out, original_distances=distances)
         data.emit_histogram(dists, config.num_bins * 4, bounds, staged_svg)
         _write_manifest(
             staged_out,
@@ -152,8 +150,8 @@ def cmd_smote(args):
                 "shots": args.shots,
                 "aol": args.aol,
                 "bins": args.bins,
-                "estimator": args.estimator,
-                "rescale": not args.no_rescale,
+                "boost_multiplier": args.boost_multiplier,
+                "target_column": args.target_column,
             },
             achieved_percent=result.report.achieved_percent,
         )
@@ -202,17 +200,9 @@ def cmd_evaluate(args):
                 ["target_percent", "aol", "accuracy_train", "accuracy_test", "f1", "pr_auc", "roc_auc"]
             )
             for r in rows:
-                w.writerow(
-                    [
-                        "" if r.target_percent is None else r.target_percent,
-                        int(r.aol),
-                        _fmt_metric(r.accuracy_train),
-                        _fmt_metric(r.accuracy_test),
-                        _fmt_metric(r.f1),
-                        _fmt_metric(r.pr_auc),
-                        _fmt_metric(r.roc_auc),
-                    ]
-                )
+                metrics = (r.accuracy_train, r.accuracy_test, r.f1, r.pr_auc, r.roc_auc)
+                target = "" if r.target_percent is None else r.target_percent
+                w.writerow([target, int(r.aol), *map(_fmt_metric, metrics)])
         _write_manifest(
             output,
             [args.input],
@@ -224,6 +214,7 @@ def cmd_evaluate(args):
                 "k": args.k,
                 "split": args.split,
                 "aol": args.aol_mode,
+                "target_column": args.target_column,
             },
         )
     if args.assert_trend:
@@ -259,8 +250,6 @@ def build_parser():
     p.add_argument("--aol", action="store_true", help="boost underpopulated outlier bins")
     p.add_argument("--bins", type=int, default=5)
     p.add_argument("--boost-multiplier", type=float, default=1.5)
-    p.add_argument("--estimator", choices=["standard", "paper-literal"], default="standard")
-    p.add_argument("--no-rescale", action="store_true", help="keep raw rotated amplitudes")
     p.set_defaults(func=cmd_smote)
 
     p = sub.add_parser("evaluate", help="run the metrics grid on an encoded CSV")

@@ -339,13 +339,16 @@ def write_dataset(dataset, path):
         _write_blocks(w, dataset.X.shape[0], block)
 
 
-def write_augmented(dataset, synthetic, path, original_distances=None):
-    """Original rows then synthetic rows, with five metadata columns.
+def write_augmented(dataset, synthetic, path, original_distances=((), ())):
+    """Original rows then the `synth.Records` rows, with five metadata columns.
 
-    `original_distances` maps row_id -> angular distance for minority
-    originals whose distance was computed during the run.
+    `original_distances` is an aligned (row ids, angular distances) pair
+    for the minority originals whose distance was computed during the run;
+    where an id repeats, its last distance counts.
     """
-    original_distances = original_distances or {}
+    ids, dists = original_distances
+    order = np.argsort(ids, kind="stable")
+    ids, dists = np.asarray(ids, dtype=int)[order], np.asarray(dists, dtype=float)[order]
     header = dataset.feature_names + [dataset.target_name] + META_COLUMNS
     label = _fmt(minority_label(dataset.y))
 
@@ -353,20 +356,19 @@ def write_augmented(dataset, synthetic, path, original_distances=None):
         cells = np.full((hi - lo, 6), "", dtype=object)
         cells[:, 0] = _fmt_table(dataset.y[lo:hi])
         cells[:, 3:5] = "0"
-        for i, rid in enumerate(dataset.row_ids[lo:hi]):
-            dist = original_distances.get(int(rid))
-            if dist is not None:
-                cells[i, 1] = _fmt(dist)
+        rows = dataset.row_ids[lo:hi]
+        found = np.isin(rows, ids)
+        cells[found, 1] = _fmt_table(dists[np.searchsorted(ids, rows[found], side="right") - 1])
         return np.column_stack([_fmt_table(dataset.X[lo:hi]), cells])
 
     def generated(lo, hi):
-        recs = synthetic[lo:hi]
         cells = np.empty((hi - lo, 6), dtype=object)
         cells[:, 0], cells[:, 3] = label, "1"
-        cells[:, 1:3] = _fmt_table([(r.angular_distance, r.rotation_angle) for r in recs])
-        cells[:, 4] = ["1" if r.boosted else "0" for r in recs]
-        cells[:, 5] = _fmt_table([r.source_row_id for r in recs])
-        return np.column_stack([_fmt_table([r.features for r in recs]), cells])
+        cells[:, 1] = _fmt_table(synthetic.angular_distance[lo:hi])
+        cells[:, 2] = _fmt_table(synthetic.rotation_angle[lo:hi])
+        cells[:, 4] = _fmt_table(synthetic.boosted[lo:hi])
+        cells[:, 5] = _fmt_table(synthetic.source_row_id[lo:hi])
+        return np.column_stack([_fmt_table(synthetic.features[lo:hi]), cells])
 
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)

@@ -425,7 +425,7 @@ def run_experiment(X, y, grid, aol_flags=(False, True), test_fraction=0.2, seed=
         result, records, _, _ = pipeline.augment(
             X_tr, y_tr, cfg, True in aol_flags, row_ids=train_idx
         )
-        new = np.array([r.features for r in records], dtype=float).reshape(-1, X.shape[1])
+        new = records.features
         if not np.isfinite(new).all():
             raise ParameterError("features must be finite")
         gen.append(new[:len(result.synthetic)])

@@ -4,6 +4,8 @@ Computes the data centroid, the synthetic-record budget needed to hit a
 target minority percentage, and runs the per-loop generation with a one
 degree angle increment per pass. `augment` adds the angular-outlier
 stage: it is the one augmentation path of both the CLI and the grid.
+Its records travel as one `synth.Records` column table: the generated
+rows, then the boosted rows.
 """
 
 from dataclasses import dataclass
@@ -20,8 +22,6 @@ class SmoteConfig:
     split_factor: float = 10.0
     shots: int = 0
     seed: int = 0
-    rescale: bool = True
-    estimator: str = "standard"
     num_bins: int = 5
     boost_angle_multiplier: float = 1.5
 
@@ -44,7 +44,7 @@ class AugmentationReport:
 
 @dataclass
 class SmoteResult:
-    synthetic: list                      # SyntheticRecord, generation order
+    synthetic: synth.Records             # generation order
     report: AugmentationReport
     minority_row_ids: np.ndarray
     angular_distances: np.ndarray        # one per minority row, same order
@@ -105,9 +105,7 @@ def run_smote(features, labels, config, minority_label=1, row_ids=None):
 
     minority_X = X[minority_mask]
     minority_ids = row_ids[minority_mask]
-    distances = qdist.angular_distance_table(
-        minority_X, centroid(X), shots=config.shots, seed=config.seed, estimator=config.estimator
-    )
+    distances = qdist.angular_distance_table(minority_X, centroid(X), shots=config.shots, seed=config.seed)
 
     pick_rng = np.random.default_rng([config.seed, 0x5E1EC7])
     picked = np.sort(pick_rng.choice(m, size=remainder, replace=False))
@@ -121,7 +119,6 @@ def run_smote(features, labels, config, minority_label=1, row_ids=None):
         config.split_factor,
         keyed.uniform(config.seed, ids, passes),
         ids,
-        rescale=config.rescale,
     )
 
     achieved = 100.0 * (m + s) / (n_total + s)
@@ -153,12 +150,12 @@ def augment(features, labels, config, boost, minority_label=1, row_ids=None):
     """
     X = np.asarray(features, dtype=float)
     result = run_smote(X, labels, config, minority_label=minority_label, row_ids=row_ids)
-    records = list(result.synthetic)
-    distances = np.r_[result.angular_distances, [r.angular_distance for r in records]]
+    records = result.synthetic
+    distances = np.r_[result.angular_distances, records.angular_distance]
     bounds, low, high = aol.detect_outliers(distances, config.num_bins)
     if boost:
-        feats = list(X[np.asarray(labels) == minority_label]) + [r.features for r in records]
-        ids = np.r_[result.minority_row_ids, np.array([r.source_row_id for r in records], dtype=int)]
-        for table in (low, high):
-            records += aol.boost_outliers(table, feats, distances, ids, config)
+        feats = np.vstack([X[np.asarray(labels) == minority_label], records.features])
+        ids = np.r_[result.minority_row_ids, records.source_row_id]
+        boosted = [aol.boost_outliers(table, feats, distances, ids, config) for table in (low, high)]
+        records = synth.Records.concat([records, *boosted])
     return result, records, distances, bounds

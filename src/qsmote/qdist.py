@@ -2,8 +2,9 @@
 
 Two classical vectors are folded into a 2-amplitude norm state and an
 interleaved component state; a single controlled-SWAP between the norm
-qubit and the leading component qubit yields an overlap probability,
-from which the angular distance 2*arccos(sqrt(p)) is derived.
+qubit and the leading component qubit yields the control marginals p0
+and p1. The overlap probability is p = p0 - p1, clamped to [0, 1], and
+the angular distance is 2*arccos(sqrt(p)).
 
 `angular_distance_table`, the one production path, evaluates the exact
 control marginal of that circuit in closed form for a whole table of
@@ -36,7 +37,6 @@ class SwapTestStates:
 class SwapTestResult:
     overlap_probability: float
     angular_distance: float
-    euclid_dissimilarity: float
     outcome: MeasurementOutcome
 
 
@@ -72,16 +72,7 @@ def angular_distance_from_probability(p):
     return 2.0 * np.arccos(np.sqrt(_clamp01(p)))
 
 
-def _overlap(p0, p1, estimator):
-    """Overlap estimate from the control marginals (scalars or arrays)."""
-    if estimator == "standard":
-        return _clamp01(p0 - p1)
-    if estimator == "paper-literal":
-        return _clamp01(1.0 - 2.0 * p0 + p1)
-    raise ValueError(f"unknown estimator {estimator!r}")
-
-
-def swap_test(states, shots=0, rng=None, estimator="standard"):
+def swap_test(states, shots=0, rng=None):
     """Run the compact swap-test circuit on prepared states.
 
     Registers: control qubit, one qubit holding phi, log2(len(psi))
@@ -100,11 +91,10 @@ def swap_test(states, shots=0, rng=None, estimator="standard"):
     state = statevec.apply_gate(state, CSWAP(0, 1, 2))
     state = statevec.apply_gate(state, H(0))
     outcome = statevec.measure_qubit(state, 0, shots=shots, rng=rng)
-    p = float(_overlap(outcome.p0, outcome.p1, estimator))
+    p = float(_clamp01(outcome.p0 - outcome.p1))
     return SwapTestResult(
         overlap_probability=p,
         angular_distance=float(angular_distance_from_probability(p)),
-        euclid_dissimilarity=float(np.sqrt(2.0 * states.z * p)),
         outcome=outcome,
     )
 
@@ -114,7 +104,7 @@ def overlap_probability_exact(states):
 
     Independent of the full circuit: after X on the leading psi qubit,
     p0 = (1 + <phi| rho |phi>) / 2 with rho the reduced state of that
-    qubit. Returns the standard-estimator overlap p0 - p1 = 2*p0 - 1.
+    qubit. Returns the overlap p0 - p1 = 2*p0 - 1.
     """
     psi = np.asarray(states.psi, dtype=float)
     psi = psi / np.linalg.norm(psi)
@@ -135,7 +125,7 @@ def pad_to_power_of_two(vec):
     return out
 
 
-def angular_distance_table(points, centroid, shots=0, seed=0, estimator="standard"):
+def angular_distance_table(points, centroid, shots=0, seed=0):
     """Angular distance of every row of a (rows, d) table to the centroid.
 
     The exact control marginal p1 of every row's swap test comes from the
@@ -185,4 +175,4 @@ def angular_distance_table(points, centroid, shots=0, seed=0, estimator="standar
         p0 = (shots - counts1) / shots
     else:
         p0 = 1.0 - p1
-    return angular_distance_from_probability(_overlap(p0, p1, estimator))
+    return angular_distance_from_probability(_clamp01(p0 - p1))

@@ -7,9 +7,11 @@ synthetic point. Angles come from one `np.where` over the distance
 branches, given each record's own uniform draw, and the rotation is
 evaluated in closed form for a whole table of points at once; the
 statevector simulator (`statevec.RX`) is the oracle the tests hold it to.
+Records travel as one `Records` table of aligned columns, never as one
+object per record.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,14 +22,23 @@ TWO_PI = 2.0 * np.pi
 DEGREE = 0.0174533  # one degree in radians, as the generation loops use it
 
 
-@dataclass(frozen=True)
-class SyntheticRecord:
-    features: np.ndarray
-    source_row_id: int
-    rotation_angle: float
-    angular_distance: float
-    boosted: bool = False
-    synthetic: bool = True
+@dataclass(frozen=True, eq=False)
+class Records:
+    """Synthetic records as aligned columns, one row per record in generation order."""
+
+    features: np.ndarray          # (n, d)
+    source_row_id: np.ndarray     # int
+    rotation_angle: np.ndarray
+    angular_distance: np.ndarray
+    boosted: np.ndarray           # bool
+
+    def __len__(self):
+        return len(self.source_row_id)
+
+    @classmethod
+    def concat(cls, parts):
+        """The rows of one or more tables of one width, in order."""
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
 
 
 def rotation_angle(angular_distance, sf, u):
@@ -96,10 +107,8 @@ def rotate_point(features, theta, rescale=True):
     return out[0] if np.ndim(features) < 2 else out
 
 
-def create_syn_data(
-    features, distances, increments, sf, u, source_row_ids, rescale=True, boosted=False
-):
-    """One synthetic record per row of the aligned inputs, in row order.
+def create_syn_data(features, distances, increments, sf, u, source_row_ids, boosted=False):
+    """A `Records` table with one record per row of the aligned inputs, in row order.
 
     Row i is features[i] rotated by rotation_angle(distances[i], sf, u[i])
     + increments[i], mod 2*pi. The callers key each row's uniform draw
@@ -111,8 +120,6 @@ def create_syn_data(
         raise ParameterError(f"angle increment must be >= 0, got {increments.min()}")
     distances = np.asarray(distances, dtype=float)
     theta = (rotation_angle(distances, sf, u) + increments) % TWO_PI
-    new_features = rotate_point(np.atleast_2d(features), theta, rescale=rescale)
-    return [
-        SyntheticRecord(f, int(rid), t, d, boosted)
-        for f, rid, t, d in zip(new_features, source_row_ids, theta.tolist(), distances.tolist())
-    ]
+    features = rotate_point(np.atleast_2d(features), theta)
+    ids = np.asarray(source_row_ids, dtype=int)
+    return Records(features, ids, theta, distances, np.full(len(ids), boosted))

@@ -163,14 +163,14 @@ def test_criterion_07_boost_arithmetic():
     ok = True
     for i, c in enumerate(counts_per_bin):
         extra = sum(
-            1 for r in boosted
-            if aol.bin_members(table, i, [r.angular_distance]).any()
+            1 for d in boosted.angular_distance
+            if aol.bin_members(table, i, [d]).any()
         )
         if 0 < c < 2:
             ok = ok and c + extra == c * (1 + 4 // c)
         else:
             ok = ok and extra == 0
-    vectors = [tuple(np.round(r.features, 12)) for r in boosted]
+    vectors = [tuple(np.round(f, 12)) for f in boosted.features]
     ok = ok and len(vectors) == len(set(vectors)) and len(boosted) > 0
     sources = {tuple(np.round(f, 12)) for f in features}
     ok = ok and not (set(vectors) & sources)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qsmote import aol, pipeline
+from qsmote import aol, keyed, pipeline, synth
 from qsmote.errors import ParameterError
 
 
@@ -103,8 +103,8 @@ def test_boost_arithmetic_worked_example():
     config = pipeline.SmoteConfig(target_minority_percent=30.0, seed=2)
     boosted = aol.boost_outliers(table, features, distances, row_ids, config)
     assert len(boosted) == 4
-    assert all(r.boosted for r in boosted)
-    assert {r.source_row_id for r in boosted} == {0}
+    assert all(boosted.boosted)
+    assert set(boosted.source_row_id.tolist()) == {0}
     # post-boost population of the boosted bin: count * (1 + floor(threshold/count))
     assert 1 + len(boosted) == 1 * (1 + 4 // 1)
 
@@ -112,14 +112,14 @@ def test_boost_arithmetic_worked_example():
 def test_boost_skips_bins_at_or_above_half_threshold():
     table, features, distances, row_ids = _boost_setup([3, 5, 6, 3, 3])
     config = pipeline.SmoteConfig(target_minority_percent=30.0, seed=3)
-    assert aol.boost_outliers(table, features, distances, row_ids, config) == []
+    assert len(aol.boost_outliers(table, features, distances, row_ids, config)) == 0
 
 
 def test_boost_skips_empty_bins():
     table, features, distances, row_ids = _boost_setup([0, 5, 6, 5, 4])
     config = pipeline.SmoteConfig(target_minority_percent=30.0, seed=4)
     boosted = aol.boost_outliers(table, features, distances, row_ids, config)
-    assert boosted == []
+    assert len(boosted) == 0
 
 
 def test_boost_empty_table_is_empty():
@@ -128,14 +128,14 @@ def test_boost_empty_table_is_empty():
         counts=np.empty(0, dtype=int), side="low", num_bins=5,
     )
     config = pipeline.SmoteConfig(target_minority_percent=30.0)
-    assert aol.boost_outliers(table, np.empty((0, 2)), np.empty(0), np.empty(0, int), config) == []
+    assert len(aol.boost_outliers(table, np.empty((0, 2)), np.empty(0), np.empty(0, int), config)) == 0
 
 
 def test_boosted_records_are_distinct_from_sources_and_each_other():
     table, features, distances, row_ids = _boost_setup([1, 5, 6, 5, 3], seed=5)
     config = pipeline.SmoteConfig(target_minority_percent=30.0, seed=6)
     boosted = aol.boost_outliers(table, features, distances, row_ids, config)
-    vectors = [r.features for r in boosted]
+    vectors = list(boosted.features)
     source = features[0]
     for v in vectors:
         assert not np.array_equal(v, source)
@@ -151,3 +151,44 @@ def test_bin_members_last_bin_is_right_closed():
     assert mask[-1]
     first = aol.bin_members(table, 0, d)
     assert not first[-1]
+
+
+def test_two_thin_bins_boost_in_bin_member_pass_order():
+    # total 50 over 5 bins: threshold 10, half-threshold 5; bin 0 (2 members)
+    # gets 5 passes each and bin 2 (3 members) 3 each. Rows are shuffled, so
+    # bin order and row order differ
+    table, features, distances, _ = _boost_setup([2, 20, 3, 15, 10], seed=8)
+    order = np.random.default_rng(8).permutation(len(distances))
+    features, distances, row_ids = features[order], distances[order], 100 + order
+    config = pipeline.SmoteConfig(target_minority_percent=30.0, seed=9, boost_angle_multiplier=2.5)
+    boosted = aol.boost_outliers(table, features, distances, row_ids, config)
+    expected = [
+        (m, itr, j)
+        for b, itr in ((0, 5), (2, 3))
+        for m in np.flatnonzero(aol.bin_members(table, b, distances))
+        for j in range(itr)
+    ]
+    assert len(boosted) == len(expected) == 2 * 5 + 3 * 3
+    assert all(boosted.boosted)
+    for i, (m, itr, j) in enumerate(expected):
+        one = synth.create_syn_data(
+            features[m : m + 1],
+            distances[m : m + 1],
+            [(itr * synth.DEGREE) * 2.5 + j],
+            config.split_factor,
+            keyed.uniform(config.seed, row_ids[m : m + 1], [j], [0xB005]),
+            row_ids[m : m + 1],
+            boosted=True,
+        )
+        assert np.array_equal(boosted.features[i], one.features[0])
+        assert boosted.rotation_angle[i] == one.rotation_angle[0]
+        assert boosted.angular_distance[i] == one.angular_distance[0]
+        assert boosted.source_row_id[i] == one.source_row_id[0] == row_ids[m]
+
+
+def test_boost_with_no_thin_bin_is_empty_of_the_features_width():
+    table, features, distances, row_ids = _boost_setup([3, 5, 6, 3, 3])
+    config = pipeline.SmoteConfig(target_minority_percent=30.0, seed=3)
+    boosted = aol.boost_outliers(table, features, distances, row_ids, config)
+    assert boosted.features.shape == (0, 3)
+    assert len(boosted.source_row_id) == len(boosted.boosted) == 0

@@ -366,6 +366,49 @@ def test_threads_flag_is_gone(capsys):
     assert "unrecognized arguments: --threads=2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--estimator", "standard"], ["--no-rescale"]], ids=["estimator", "no-rescale"])
+def test_legacy_smote_flags_are_gone(encoded, tmp_path, capsys, flag):
+    out = tmp_path / "aug.csv"
+    assert cli.main(["smote", str(encoded), str(out), "--target-percent", "30", *flag]) == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_boost_multiplier_changes_the_config_hash(tmp_path):
+    # seven planted near-axis minority rows give a thin low-side bin, so
+    # the multiplier moves the boosted records
+    X, y = demo.make_imbalanced_dataset(n_rows=300)
+    for i, m in zip(np.nonzero(y == 1)[0], [1, 1, 1, 1, 1, 1, 2]):
+        X[i] = 0.05
+        X[i, :m] = 5.0
+    src = tmp_path / "planted.csv"
+    demo.write_dataset_csv(X, y, src)
+    runs = []
+    for multiplier in ("1.5", "3.0"):
+        out = tmp_path / f"aug-{multiplier}.csv"
+        argv = ["smote", str(src), str(out), "--target-percent", "20", "--seed", "3", "--aol", "--bins", "3"]
+        assert cli.main(argv + ["--boost-multiplier", multiplier]) == 0
+        runs.append((out.read_bytes(), json.loads(out.with_suffix(".manifest.json").read_text())))
+    assert runs[0][0] != runs[1][0]
+    assert runs[0][1]["config_hash"] != runs[1][1]["config_hash"]
+    assert [m["params"]["boost_multiplier"] for _, m in runs] == [1.5, 3.0]
+
+
+@pytest.mark.parametrize("command", [["smote", "--target-percent", "30"], ["evaluate"]], ids=["smote", "evaluate"])
+def test_target_column_changes_the_config_hash(encoded, tmp_path, command):
+    renamed = tmp_path / "renamed.csv"
+    header, rest = encoded.read_text().split("\n", 1)
+    renamed.write_text(header.replace("label", "churn") + "\n" + rest)
+    hashes = []
+    for src, target in ((encoded, "label"), (renamed, "churn")):
+        out = tmp_path / f"out-{target}.csv"
+        assert cli.main([command[0], str(src), str(out), "--target-column", target, *command[1:]]) == 0
+        manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+        assert manifest["params"]["target_column"] == target
+        hashes.append(manifest["config_hash"])
+    assert hashes[0] != hashes[1]
+
+
 def test_evaluate_baseline_only(encoded, tmp_path):
     report = tmp_path / "report.csv"
     code = cli.main(["evaluate", str(encoded), str(report), "--seed", "0"])

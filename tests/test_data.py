@@ -426,8 +426,8 @@ def test_write_augmented_format_and_round_trip(tmp_path):
     assert (np.array(meta["synthetic"][:20]) == "0").all()
     assert (np.array(meta["synthetic"][20:]) == "1").all()
     assert len(X2) == 20 + len(result.synthetic)
-    for rec, row in zip(result.synthetic, X2[20:]):
-        assert np.allclose(row, rec.features)
+    for features, row in zip(result.synthetic.features, X2[20:]):
+        assert np.allclose(row, features)
 
 
 @pytest.mark.parametrize(
@@ -460,15 +460,21 @@ def _augmented_cases(draw):
         target_name="label",
     )
     distances = draw(st.dictionaries(st.integers(0, n - 1), _FINITE))
-    record = st.builds(
-        synth.SyntheticRecord,
-        features=row.map(np.array),
-        source_row_id=st.integers(-1, 10**6),
-        rotation_angle=_FINITE,
-        angular_distance=_FINITE,
-        boosted=st.booleans(),
+    record = st.tuples(row, st.integers(-1, 10**6), _FINITE, _FINITE, st.booleans())
+    columns = list(zip(*draw(st.lists(record, max_size=6)))) or [[]] * 5
+    records = synth.Records(
+        features=np.array(columns[0], dtype=float).reshape(-1, width),
+        source_row_id=np.array(columns[1], dtype=int),
+        rotation_angle=np.array(columns[2], dtype=float),
+        angular_distance=np.array(columns[3], dtype=float),
+        boosted=np.array(columns[4], dtype=bool),
     )
-    return ds, draw(st.lists(record, max_size=6)), distances
+    return ds, records, distances
+
+
+def _aligned(distances):
+    """A {row id: distance} dict as the aligned (row ids, distances) pair write_augmented takes."""
+    return np.array(list(distances), dtype=int), np.array(list(distances.values()), dtype=float)
 
 
 @settings(max_examples=100, deadline=None)
@@ -476,10 +482,10 @@ def _augmented_cases(draw):
 def test_write_augmented_read_augmented_round_trip(tmp_path_factory, case):
     ds, records, distances = case
     path = tmp_path_factory.mktemp("augmented") / "aug.csv"
-    data.write_augmented(ds, records, path, original_distances=distances)
+    data.write_augmented(ds, records, path, original_distances=_aligned(distances))
     names, target, X, y, meta = data.read_augmented(path, feature_names=ds.feature_names)
     assert (names, target) == (ds.feature_names, "label")
-    assert np.array_equal(X, np.vstack([ds.X] + [r.features for r in records]))
+    assert np.array_equal(X, np.vstack([ds.X, records.features]))
     minority = data.minority_label(ds.y)
     assert np.array_equal(y, np.r_[ds.y, [minority] * len(records)])
 
@@ -489,13 +495,11 @@ def test_write_augmented_read_augmented_round_trip(tmp_path_factory, case):
     n = len(ds.y)
     assert [number(c) for c in meta["angular_distance"]] == [
         distances.get(i) for i in range(n)
-    ] + [r.angular_distance for r in records]
-    assert [number(c) for c in meta["rotation_angle"]] == [None] * n + [
-        r.rotation_angle for r in records
-    ]
+    ] + records.angular_distance.tolist()
+    assert [number(c) for c in meta["rotation_angle"]] == [None] * n + records.rotation_angle.tolist()
     assert meta["synthetic"] == ["0"] * n + ["1"] * len(records)
-    assert meta["boosted"] == ["0"] * n + [str(int(r.boosted)) for r in records]
-    assert meta["source_row_id"] == [""] * n + [str(r.source_row_id) for r in records]
+    assert meta["boosted"] == ["0"] * n + [str(int(b)) for b in records.boosted]
+    assert meta["source_row_id"] == [""] * n + [str(i) for i in records.source_row_id.tolist()]
 
 
 _EDGE_FLOATS = [
@@ -550,11 +554,11 @@ def _reference_write_augmented(dataset, synthetic, path, original_distances):
                 [data._fmt(v) for v in dataset.X[i]]
                 + [data._fmt(dataset.y[i]), "" if dist is None else data._fmt(dist), "", "0", "0", ""]
             )
-        for r in synthetic:
+        for j in range(len(synthetic)):
             w.writerow(
-                [data._fmt(v) for v in r.features]
-                + [label, data._fmt(r.angular_distance), data._fmt(r.rotation_angle), "1",
-                   "1" if r.boosted else "0", data._fmt(r.source_row_id)]
+                [data._fmt(v) for v in synthetic.features[j]]
+                + [label, data._fmt(synthetic.angular_distance[j]), data._fmt(synthetic.rotation_angle[j]),
+                   "1", "1" if synthetic.boosted[j] else "0", data._fmt(synthetic.source_row_id[j])]
             )
 
 
@@ -576,18 +580,19 @@ def test_blocked_writers_match_the_per_cell_writers(tmp_path):
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
     assert b'"7,001"' in (tmp_path / "got.csv").read_bytes()
 
-    records = [
-        synth.SyntheticRecord(
-            features=np.r_[float(i), X[i % n, 1:]], source_row_id=i % n,
-            rotation_angle=[0.0, 0.01745, 3.0][i % 3], angular_distance=float(X[i % n, 1]),
-            boosted=i % 7 == 0,
-        )
-        for i in range(data.BLOCK_ROWS + 5)
-    ]
+    i = np.arange(data.BLOCK_ROWS + 5)
+    records = synth.Records(
+        features=np.column_stack([i.astype(float), X[i % n, 1:]]), source_row_id=i % n,
+        rotation_angle=np.array([0.0, 0.01745, 3.0])[i % 3], angular_distance=X[i % n, 1],
+        boosted=i % 7 == 0,
+    )
     distances = {i: float(rng.uniform(0, np.pi)) for i in range(0, n, 3)}
     distances[4] = 2.0
-    data.write_augmented(ds, records, tmp_path / "got-aug.csv", original_distances=distances)
-    _reference_write_augmented(ds, records, tmp_path / "want-aug.csv", distances)
+    ids, dists = _aligned(distances)
+    # an id given twice keeps its last distance, as a dict built from the pair does
+    ids, dists = np.r_[ids, 3], np.r_[dists, 0.5]
+    data.write_augmented(ds, records, tmp_path / "got-aug.csv", original_distances=(ids, dists))
+    _reference_write_augmented(ds, records, tmp_path / "want-aug.csv", dict(zip(ids.tolist(), dists.tolist())))
     assert (tmp_path / "got-aug.csv").read_bytes() == (tmp_path / "want-aug.csv").read_bytes()
 
 
@@ -600,7 +605,8 @@ def test_write_augmented_with_no_synthetic_rows(tmp_path):
         target_name="label",
     )
     path = tmp_path / "plain.csv"
-    data.write_augmented(ds, [], path)
+    empty = synth.Records(np.empty((0, 1)), np.empty(0, int), np.empty(0), np.empty(0), np.empty(0, bool))
+    data.write_augmented(ds, empty, path)
     lines = path.read_text().splitlines()
     assert len(lines) == 3  # header + 2 originals
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsmote import demo, evaluate, pipeline
+from qsmote import demo, evaluate, pipeline, synth
 from qsmote.errors import ParameterError
 
 
@@ -397,7 +397,7 @@ def _run_experiment_reference(X, y, grid, aol_flags=(False, True), test_fraction
         for use_aol in aol_flags:
             cfg = pipeline.SmoteConfig(target_minority_percent=target, seed=seed)
             _, records, _, _ = pipeline.augment(X_tr, y_tr, cfg, use_aol, row_ids=train_idx)
-            aug_X = np.vstack([X_tr] + [r.features for r in records])
+            aug_X = np.vstack([X_tr, records.features])
             aug_y = np.r_[y_tr, np.ones(len(records), dtype=y_tr.dtype)]
             rows.append(score_row(target, use_aol, aug_X, aug_y))
     return rows
@@ -470,7 +470,7 @@ def _shared_lengths(X, y, grid):
     for target in grid:
         cfg = pipeline.SmoteConfig(target_minority_percent=target, seed=0)
         result, _, _, _ = pipeline.augment(X[train_idx], y[train_idx], cfg, True, row_ids=train_idx)
-        blocks.append(np.array([r.features for r in result.synthetic]).reshape(-1, X.shape[1]))
+        blocks.append(result.synthetic.features)
     pool = max(blocks, key=len)
     return blocks, [evaluate._shared_length(g, pool) for g in blocks]
 
@@ -540,13 +540,18 @@ def _copying_augment(features, labels, config, boost, minority_label=1, row_ids=
     )
     rng = np.random.default_rng(len(records))
     rows = rng.integers(0, len(X), len(records))
-    records = [dataclasses.replace(r, features=X[i]) for r, i in zip(records, rows)]
+    records = dataclasses.replace(records, features=X[rows])
     if boost:
-        older = list(X) + [r.features for r in records]
-        records += [
-            dataclasses.replace(records[0], features=older[i], boosted=True)
-            for i in rng.integers(0, len(older), len(records) // 2)
-        ]
+        older = np.vstack([X, records.features])
+        picks = rng.integers(0, len(older), len(records) // 2)
+        first = np.zeros(len(picks), dtype=int)
+        records = synth.Records.concat([records, synth.Records(
+            older[picks],
+            records.source_row_id[first],
+            records.rotation_angle[first],
+            records.angular_distance[first],
+            np.ones(len(picks), dtype=bool),
+        )])
     return result, records, distances, bounds
 
 
@@ -590,6 +595,6 @@ def test_synthetic_sources_never_leak_from_test_split():
     result = pipeline.run_smote(
         X[train_idx], y[train_idx], config, row_ids=train_idx
     )
-    sources = {r.source_row_id for r in result.synthetic}
+    sources = set(result.synthetic.source_row_id.tolist())
     assert sources <= set(train_idx.tolist())
     assert sources.isdisjoint(test_idx.tolist())

@@ -76,7 +76,7 @@ def test_run_smote_zero_budget_gives_empty_output():
     X, y = _toy_dataset(n=100, minority=50)
     config = pipeline.SmoteConfig(target_minority_percent=50.0, seed=1)
     result = pipeline.run_smote(X, y, config)
-    assert result.synthetic == []
+    assert len(result.synthetic) == 0
     assert result.report.synthetic_generated == 0
 
 
@@ -86,10 +86,11 @@ def test_run_smote_deterministic():
     a = pipeline.run_smote(X, y, config)
     b = pipeline.run_smote(X, y, config)
     assert len(a.synthetic) == len(b.synthetic)
-    for ra, rb in zip(a.synthetic, b.synthetic):
-        assert np.array_equal(ra.features, rb.features)
-        assert ra.rotation_angle == rb.rotation_angle
-        assert ra.source_row_id == rb.source_row_id
+    ra, rb = a.synthetic, b.synthetic
+    for i in range(len(ra)):
+        assert np.array_equal(ra.features[i], rb.features[i])
+        assert ra.rotation_angle[i] == rb.rotation_angle[i]
+        assert ra.source_row_id[i] == rb.source_row_id[i]
 
 
 def test_run_smote_does_not_mutate_originals():
@@ -103,7 +104,7 @@ def test_run_smote_sources_are_minority_rows():
     X, y = _toy_dataset(seed=4)
     result = pipeline.run_smote(X, y, pipeline.SmoteConfig(target_minority_percent=35.0))
     minority_rows = set(np.nonzero(y == 1)[0].tolist())
-    assert {r.source_row_id for r in result.synthetic} <= minority_rows
+    assert set(result.synthetic.source_row_id.tolist()) <= minority_rows
 
 
 def test_run_smote_loop_structure_covers_full_and_remainder_passes():
@@ -115,8 +116,8 @@ def test_run_smote_loop_structure_covers_full_and_remainder_passes():
     assert len(result.synthetic) == 100
     # every full loop visits all minority rows exactly once
     counts = {}
-    for rec in result.synthetic:
-        counts[rec.source_row_id] = counts.get(rec.source_row_id, 0) + 1
+    for rid in result.synthetic.source_row_id.tolist():
+        counts[rid] = counts.get(rid, 0) + 1
     assert set(counts.values()) == {5}
 
 
@@ -125,8 +126,7 @@ def test_run_smote_remainder_samples_without_replacement():
     result = pipeline.run_smote(X, y, pipeline.SmoteConfig(target_minority_percent=30.0, seed=4))
     rem = result.report.remainder
     assert rem > 0
-    remainder_records = result.synthetic[-rem:]
-    sources = [r.source_row_id for r in remainder_records]
+    sources = result.synthetic.source_row_id[-rem:].tolist()
     assert len(sources) == len(set(sources))
 
 
@@ -136,7 +136,7 @@ def test_run_smote_custom_row_ids_propagate():
     result = pipeline.run_smote(
         X, y, pipeline.SmoteConfig(target_minority_percent=20.0), row_ids=ids
     )
-    assert all(1000 <= r.source_row_id < 1100 for r in result.synthetic)
+    assert all(1000 <= rid < 1100 for rid in result.synthetic.source_row_id)
 
 
 def test_achieved_share_tracks_grid():
@@ -163,16 +163,19 @@ def test_augment_is_run_smote_then_the_outlier_stage(boost):
     plain = pipeline.run_smote(X, y, config)
     n = len(plain.synthetic)
     assert len(result.synthetic) == n
-    for got, want in zip(records[:n], plain.synthetic):
-        assert np.array_equal(got.features, want.features)
-        assert (got.rotation_angle, got.source_row_id) == (want.rotation_angle, want.source_row_id)
-        assert not got.boosted
-    pooled = np.r_[plain.angular_distances, [r.angular_distance for r in plain.synthetic]]
+    want = plain.synthetic
+    for i in range(n):
+        assert np.array_equal(records.features[i], want.features[i])
+        assert (records.rotation_angle[i], records.source_row_id[i]) == (
+            want.rotation_angle[i], want.source_row_id[i]
+        )
+        assert not records.boosted[i]
+    pooled = np.r_[plain.angular_distances, plain.synthetic.angular_distance]
     assert np.array_equal(distances, pooled)
     assert bounds == aol.detect_outliers(pooled, config.num_bins)[0]
-    boosted = records[n:]
-    assert all(r.boosted for r in boosted)
-    assert bool(boosted) == boost
+    boosted = records.boosted[n:]
+    assert all(boosted)
+    assert bool(len(boosted)) == boost
 
 
 def test_negative_seed_is_a_parameter_error():

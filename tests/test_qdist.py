@@ -71,21 +71,6 @@ def test_swap_test_sampled_near_exact():
     assert abs(result.overlap_probability - 0.5) <= 0.03
 
 
-def test_legacy_literal_estimator_clamps_at_zero():
-    # 1 - 2*p0 + p1 goes negative whenever p0 > 2/3; the literal
-    # estimator clamps rather than feeding a negative into the sqrt
-    states = qdist.prep_swap_test([1, 0], [1, 0])
-    result = qdist.swap_test(states, shots=0, estimator="paper-literal")
-    assert result.overlap_probability == 0.0
-    assert result.angular_distance == pytest.approx(np.pi)
-
-
-def test_unknown_estimator_rejected():
-    states = qdist.prep_swap_test([1, 0], [1, 0])
-    with pytest.raises(ValueError):
-        qdist.swap_test(states, estimator="bogus")
-
-
 def test_circuit_matches_density_matrix_oracle():
     rng = np.random.default_rng(5)
     for _ in range(50):
@@ -110,14 +95,6 @@ def test_scale_invariance_of_overlap():
     p_scaled = qdist.swap_test(scaled, shots=0).overlap_probability
     assert abs(p_base - p_scaled) <= 1e-9
     assert scaled.z == pytest.approx(3.7**2 * base.z)
-
-
-def test_euclid_dissimilarity_identity():
-    states = qdist.prep_swap_test([1, 2], [2, 1])
-    result = qdist.swap_test(states, shots=0)
-    assert result.euclid_dissimilarity**2 == pytest.approx(
-        2 * states.z * result.overlap_probability
-    )
 
 
 def test_pad_to_power_of_two():
@@ -193,12 +170,12 @@ def _circuit(points, centroid, **kwargs):
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=_tables(), estimator=st.sampled_from(["standard", "paper-literal"]))
-@example(case=(np.ones((1, 2)), np.ones(2)), estimator="standard")
-def test_distance_table_equals_the_swap_test_circuit(case, estimator):
+@given(case=_tables())
+@example(case=(np.ones((1, 2)), np.ones(2)))
+def test_distance_table_equals_the_swap_test_circuit(case):
     points, centroid = case
-    table = qdist.angular_distance_table(points, centroid, estimator=estimator)
-    for d, ref in zip(table, _circuit(points, centroid, estimator=estimator)):
+    table = qdist.angular_distance_table(points, centroid)
+    for d, ref in zip(table, _circuit(points, centroid)):
         p = ref.overlap_probability
         assert abs(np.cos(d / 2) ** 2 - p) <= 1e-12
         # within 1e-6 of p = 0 or 1 the slope of 2*arccos(sqrt(p)) passes 500,
@@ -223,22 +200,20 @@ _P1_HALF = [(np.ones((1, 2)), np.ones(2)), (np.array([[3.90625e-09, 0.0]]), np.a
     case=_tables(),
     shots=st.integers(1, 2000),
     seed=st.one_of(st.integers(0, 2**32 - 1), st.sampled_from([2**32, 2**64 + 3])),
-    estimator=st.sampled_from(["standard", "paper-literal"]),
 )
-@example(case=_P1_EDGES, shots=10, seed=2**32, estimator="standard")
-@example(case=_P1_EDGES, shots=1000, seed=2**64 + 3, estimator="standard")
-@example(case=_P1_EDGES, shots=1000, seed=5, estimator="paper-literal")
-@example(case=_P1_HALF[0], shots=107, seed=0, estimator="standard")
-@example(case=_P1_HALF[1], shots=107, seed=0, estimator="standard")
-def test_sampled_distance_table_equals_the_circuit_bit_for_bit(case, shots, seed, estimator):
+@example(case=_P1_EDGES, shots=10, seed=2**32)
+@example(case=_P1_EDGES, shots=1000, seed=2**64 + 3)
+@example(case=_P1_EDGES, shots=1000, seed=5)
+@example(case=_P1_HALF[0], shots=107, seed=0)
+@example(case=_P1_HALF[1], shots=107, seed=0)
+def test_sampled_distance_table_equals_the_circuit_bit_for_bit(case, shots, seed):
     points, centroid = case
-    table = qdist.angular_distance_table(points, centroid, shots=shots, seed=seed, estimator=estimator)
+    table = qdist.angular_distance_table(points, centroid, shots=shots, seed=seed)
     refs = [
         qdist.swap_test(
             qdist.prep_swap_test(qdist.pad_to_power_of_two(centroid), qdist.pad_to_power_of_two(row)),
             shots=shots,
             rng=np.random.default_rng([seed, i]),
-            estimator=estimator,
         ).angular_distance
         for i, row in enumerate(points)
     ]

@@ -155,29 +155,47 @@ def _records(n=12, width=3, seed=0, boosted=False):
 
 
 def test_create_syn_data_records_provenance():
-    (rec,) = synth.create_syn_data([[1.0, 2.0, 3.0]], [1.2], [0.05], 10, [0.4], [42])
-    assert rec.source_row_id == 42
-    assert rec.synthetic is True
-    assert rec.boosted is False
-    assert rec.angular_distance == pytest.approx(1.2)
-    assert rec.rotation_angle == pytest.approx(0.05 + 1.2 * 0.4 / 10)
-    assert rec.features.shape == (3,)
+    rec = synth.create_syn_data([[1.0, 2.0, 3.0]], [1.2], [0.05], 10, [0.4], [42])
+    assert len(rec) == 1
+    assert rec.source_row_id[0] == 42
+    assert rec.boosted.tolist() == [False]
+    assert rec.angular_distance[0] == pytest.approx(1.2)
+    assert rec.rotation_angle[0] == pytest.approx(0.05 + 1.2 * 0.4 / 10)
+    assert rec.features[0].shape == (3,)
     recs = synth.create_syn_data(**_records(boosted=True))
-    assert len(recs) == 12 and all(r.boosted and r.synthetic for r in recs)
-    assert synth.create_syn_data(np.empty((0, 3)), [], [], 10, [], []) == []
+    assert len(recs) == 12 and all(recs.boosted)
+    assert len(synth.create_syn_data(np.empty((0, 3)), [], [], 10, [], [])) == 0
+
+
+def test_records_concat_keeps_rows_in_order():
+    a = synth.create_syn_data(**_records(n=5, seed=1))
+    b = synth.create_syn_data(**_records(n=3, seed=2, boosted=True))
+    empty = synth.create_syn_data(np.empty((0, 3)), [], [], 10, [], [])
+    assert empty.features.shape == (0, 3)
+    assert empty.source_row_id.dtype.kind == "i" and empty.boosted.dtype == bool
+    both = synth.Records.concat([a, empty, b])
+    assert len(both) == 8 and both.features.shape == (8, 3)
+    assert np.array_equal(both.features, np.vstack([a.features, b.features]))
+    assert both.source_row_id.tolist() == a.source_row_id.tolist() + b.source_row_id.tolist()
+    assert both.rotation_angle.tolist() == a.rotation_angle.tolist() + b.rotation_angle.tolist()
+    assert both.angular_distance.tolist() == a.angular_distance.tolist() + b.angular_distance.tolist()
+    assert both.boosted.tolist() == [False] * 5 + [True] * 3
+    none = synth.Records.concat([empty, empty])
+    assert len(none) == 0 and none.features.shape == (0, 3)
 
 
 def test_create_syn_data_wraps_runaway_angles():
-    (rec,) = synth.create_syn_data([[1.0, 0.0]], [0.0], [2 * np.pi + 0.25], 10, [0.6], [-1])
-    assert rec.rotation_angle == pytest.approx(0.25)
+    rec = synth.create_syn_data([[1.0, 0.0]], [0.0], [2 * np.pi + 0.25], 10, [0.6], [-1])
+    assert len(rec) == 1
+    assert rec.rotation_angle[0] == pytest.approx(0.25)
 
 
 def test_create_syn_data_deterministic_per_stream():
     a = synth.create_syn_data(**_records(seed=3))
     b = synth.create_syn_data(**_records(seed=3))
-    for x, y in zip(a, b):
-        assert np.array_equal(x.features, y.features)
-        assert x.rotation_angle == y.rotation_angle
+    for i in range(len(a)):
+        assert np.array_equal(a.features[i], b.features[i])
+        assert a.rotation_angle[i] == b.rotation_angle[i]
 
 
 def test_batched_create_syn_data_equals_one_record_calls():
@@ -193,11 +211,11 @@ def test_batched_create_syn_data_equals_one_record_calls():
         one = synth.create_syn_data(
             **{k: v if k in ("sf", "boosted") else v[i : i + 1] for k, v in inputs.items()}
         )
-        for rec in (one[0], shuffled[pos]):
-            assert np.array_equal(rec.features, batch[i].features)
-            assert rec.rotation_angle == batch[i].rotation_angle
-            assert rec.angular_distance == batch[i].angular_distance
-            assert rec.source_row_id == batch[i].source_row_id
+        for recs, j in ((one, 0), (shuffled, pos)):
+            assert np.array_equal(recs.features[j], batch.features[i])
+            assert recs.rotation_angle[j] == batch.rotation_angle[i]
+            assert recs.angular_distance[j] == batch.angular_distance[i]
+            assert recs.source_row_id[j] == batch.source_row_id[i]
 
 
 def test_create_syn_data_rejects_bad_inputs():
