@@ -29,7 +29,6 @@ class OutlierBinTable:
     bin_starts: np.ndarray
     bin_ends: np.ndarray
     counts: np.ndarray
-    side: str          # "low" | "high"
     num_bins: int
 
     def __len__(self):
@@ -39,7 +38,7 @@ class OutlierBinTable:
         return int(self.counts.sum())
 
 
-def _bin_table(values, side, num_bins):
+def _bin_table(values, num_bins):
     """Equal-width bins over the values; no bins at all when there are no values."""
     if values.size == 0:
         edges, counts = np.empty(1), np.empty(0, dtype=int)
@@ -47,7 +46,7 @@ def _bin_table(values, side, num_bins):
         edges = np.histogram_bin_edges(values, bins=num_bins)
         counts, _ = np.histogram(values, bins=edges)
     return OutlierBinTable(
-        bin_starts=edges[:-1], bin_ends=edges[1:], counts=counts, side=side, num_bins=num_bins
+        bin_starts=edges[:-1], bin_ends=edges[1:], counts=counts, num_bins=num_bins
     )
 
 
@@ -71,8 +70,8 @@ def detect_outliers(angular_distances, num_bins):
         lower_bound=float(q1 - 1.5 * iqr),
         upper_bound=float(q3 + 1.5 * iqr),
     )
-    low = _bin_table(d[d < bounds.lower_bound], "low", num_bins)
-    high = _bin_table(d[d > bounds.upper_bound], "high", num_bins)
+    low = _bin_table(d[d < bounds.lower_bound], num_bins)
+    high = _bin_table(d[d > bounds.upper_bound], num_bins)
     return bounds, low, high
 
 

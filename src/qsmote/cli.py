@@ -112,7 +112,6 @@ def _load_encoded(path, target):
         feature_names=header,
         X=X,
         y=labels.astype(int),
-        row_ids=np.arange(len(labels)),
         target_name=target,
     )
 
@@ -130,13 +129,10 @@ def cmd_smote(args):
         boost_angle_multiplier=args.boost_multiplier,
     )
     dataset = _load_encoded(args.input, args.target_column)
-    minority = data.minority_label(dataset.y)
-    result, records, dists, bounds = pipeline.augment(
-        dataset.X, dataset.y, config, args.aol, minority_label=minority
-    )
-    distances = (result.minority_row_ids, result.angular_distances)
+    labels = (dataset.y == data.minority_label(dataset.y)).astype(int)
+    result, records, dists, bounds = pipeline.augment(dataset.X, labels, config, args.aol)
     with _staged(outputs) as (staged_out, staged_svg, _):
-        data.write_augmented(dataset, records, staged_out, original_distances=distances)
+        data.write_augmented(dataset, records, staged_out, result.angular_distances)
         data.emit_histogram(dists, config.num_bins * 4, bounds, staged_svg)
         _write_manifest(
             staged_out,

@@ -2,8 +2,9 @@
 
 The column config drives missing-value policy, label encoding, and
 binning; the same module serializes augmented datasets (with provenance
-metadata columns) and emits angular-distribution histograms as SVG plus
-a sibling CSV.
+metadata columns, the originals' angular distances aligned with the
+minority rows by position) and emits angular-distribution histograms as
+SVG plus a sibling CSV.
 """
 
 import csv
@@ -52,7 +53,6 @@ class Dataset:
     feature_names: list
     X: np.ndarray
     y: np.ndarray
-    row_ids: np.ndarray
     target_name: str
     id_values: list = field(default_factory=list)
     id_name: str = None
@@ -268,7 +268,6 @@ def load_csv(path, config):
         feature_names=feature_names,
         X=X,
         y=y,
-        row_ids=np.arange(len(file_rows)),
         target_name=target_spec.name,
         id_values=columns[id_name] if id_name else [],
         id_name=id_name,
@@ -339,31 +338,28 @@ def write_dataset(dataset, path):
         _write_blocks(w, dataset.X.shape[0], block)
 
 
-def write_augmented(dataset, synthetic, path, original_distances=((), ())):
+def write_augmented(dataset, synthetic, path, minority_distances):
     """Original rows then the `synth.Records` rows, with five metadata columns.
 
-    `original_distances` is an aligned (row ids, angular distances) pair
-    for the minority originals whose distance was computed during the run;
-    where an id repeats, its last distance counts.
+    `minority_distances` holds one angular distance per original row of
+    the minority label, in row order, as `pipeline.SmoteResult` keeps
+    them; the majority rows' distance cells are blank.
     """
-    ids, dists = original_distances
-    order = np.argsort(ids, kind="stable")
-    ids, dists = np.asarray(ids, dtype=int)[order], np.asarray(dists, dtype=float)[order]
     header = dataset.feature_names + [dataset.target_name] + META_COLUMNS
-    label = _fmt(minority_label(dataset.y))
+    label = minority_label(dataset.y)
+    distance_cells = np.full(len(dataset.y), "", dtype=object)
+    distance_cells[dataset.y == label] = _fmt_table(np.asarray(minority_distances, dtype=float))
 
     def original(lo, hi):
         cells = np.full((hi - lo, 6), "", dtype=object)
         cells[:, 0] = _fmt_table(dataset.y[lo:hi])
+        cells[:, 1] = distance_cells[lo:hi]
         cells[:, 3:5] = "0"
-        rows = dataset.row_ids[lo:hi]
-        found = np.isin(rows, ids)
-        cells[found, 1] = _fmt_table(dists[np.searchsorted(ids, rows[found], side="right") - 1])
         return np.column_stack([_fmt_table(dataset.X[lo:hi]), cells])
 
     def generated(lo, hi):
         cells = np.empty((hi - lo, 6), dtype=object)
-        cells[:, 0], cells[:, 3] = label, "1"
+        cells[:, 0], cells[:, 3] = _fmt(label), "1"
         cells[:, 1] = _fmt_table(synthetic.angular_distance[lo:hi])
         cells[:, 2] = _fmt_table(synthetic.rotation_angle[lo:hi])
         cells[:, 4] = _fmt_table(synthetic.boosted[lo:hi])
@@ -398,7 +394,10 @@ def minority_label(y):
     return int(values[np.argmin(counts)])
 
 
-def emit_histogram(values, bins, bounds, path, width=640, height=400):
+SVG_WIDTH, SVG_HEIGHT = 640, 400  # histogram size in pixels
+
+
+def emit_histogram(values, bins, bounds, path):
     """Standalone SVG histogram with dashed outlier-threshold lines.
 
     Also writes a sibling CSV of (bin_start, bin_end, count) next to the
@@ -417,7 +416,7 @@ def emit_histogram(values, bins, bounds, path, width=640, height=400):
         for s, e, c in zip(edges[:-1], edges[1:], counts):
             w.writerow([repr(float(s)), repr(float(e)), int(c)])
 
-    margin = 40
+    width, height, margin = SVG_WIDTH, SVG_HEIGHT, 40
     plot_w, plot_h = width - 2 * margin, height - 2 * margin
     lo, hi = edges[0], edges[-1]
     span = hi - lo or 1.0

@@ -47,8 +47,6 @@ class MetricsReport:
     f1: float
     roc_auc: float
     pr_auc: float
-    roc_curve: np.ndarray     # (fpr, tpr) points
-    pr_curve: np.ndarray      # (recall, precision) points
 
 
 # Query rows per block are sized so one block's Gram matrix, and its exact
@@ -196,19 +194,16 @@ def _check_knn(train_X, train_y, test_X, k):
         raise ParameterError("features must be finite")
 
 
-def _roc_points(scores, labels):
+def _ranked(scores, labels):
+    """Cumulative true and false positives at the last rank of each tied block.
+
+    Ranks run by descending score, equal scores in input order (a stable
+    argsort of -score); every label other than 1 counts as a negative.
+    """
     order = np.argsort(-scores, kind="stable")
-    s, y = scores[order], labels[order]
-    pos = int((labels == 1).sum())
-    neg = len(labels) - pos
-    tps = np.cumsum(y == 1)
-    fps = np.cumsum(y == 0)
-    # collapse ties: keep the last point of each distinct score
+    s, hit = scores[order], labels[order] == 1
     last = np.r_[np.nonzero(np.diff(s))[0], len(s) - 1]
-    pts = [(0.0, 0.0)]
-    for i in last:
-        pts.append((fps[i] / neg if neg else 0.0, tps[i] / pos if pos else 0.0))
-    return np.array(pts), pos, neg
+    return np.cumsum(hit)[last], np.cumsum(~hit)[last]
 
 
 def roc_auc_trapezoidal(scores, labels):
@@ -219,10 +214,13 @@ def roc_auc_trapezoidal(scores, labels):
     result must equal ``roc_auc_pairwise``, the Mann-Whitney oracle with
     ties counted 1/2. The AUC is None when either class is absent.
     """
-    pts, pos, neg = _roc_points(np.asarray(scores, float), np.asarray(labels))
+    tps, fps = _ranked(np.asarray(scores, float), np.asarray(labels))
+    pos, neg = tps[-1], fps[-1]
+    x = np.r_[0.0, fps / neg if neg else np.zeros(len(fps))]
+    y = np.r_[0.0, tps / pos if pos else np.zeros(len(tps))]
+    pts = np.column_stack([x, y])
     if pos == 0 or neg == 0:
         return None, pts
-    x, y = pts[:, 0], pts[:, 1]
     return float(np.add.reduce(np.diff(x) * (y[1:] + y[:-1]) / 2.0)), pts
 
 
@@ -239,27 +237,14 @@ def roc_auc_pairwise(scores, labels):
 
 
 def average_precision(scores, labels):
-    """Step-interpolated PR-AUC; None when there are no positives."""
-    scores = np.asarray(scores, float)
+    """Step-interpolated PR-AUC, summed left to right over the tied blocks; None without positives."""
     labels = np.asarray(labels)
     pos = int((labels == 1).sum())
     if pos == 0:
-        return None, np.empty((0, 2))
-    order = np.argsort(-scores, kind="stable")
-    s, y = scores[order], labels[order]
-    tps = np.cumsum(y == 1)
-    ranks = np.arange(1, len(y) + 1)
-    last = np.r_[np.nonzero(np.diff(s))[0], len(s) - 1]
-    ap = 0.0
-    prev_tp = 0
-    curve = []
-    for i in last:
-        precision = tps[i] / ranks[i]
-        recall = tps[i] / pos
-        ap += (tps[i] - prev_tp) / pos * precision
-        curve.append((recall, precision))
-        prev_tp = tps[i]
-    return float(ap), np.array(curve)
+        return None
+    tps, fps = _ranked(np.asarray(scores, float), labels)
+    terms = np.diff(tps, prepend=0) / pos * (tps / (tps + fps))
+    return float(np.cumsum(terms)[-1])
 
 
 def compute_metrics(scores, labels, threshold=0.5):
@@ -289,8 +274,7 @@ def compute_metrics(scores, labels, threshold=0.5):
         f1 = 0.0
     else:
         f1 = None
-    roc_auc, roc_pts = roc_auc_trapezoidal(scores, labels)
-    pr_auc, pr_pts = average_precision(scores, labels)
+    roc_auc, _ = roc_auc_trapezoidal(scores, labels)
     return MetricsReport(
         confusion=cm,
         accuracy=accuracy,
@@ -298,9 +282,7 @@ def compute_metrics(scores, labels, threshold=0.5):
         recall=recall,
         f1=f1,
         roc_auc=roc_auc,
-        pr_auc=pr_auc,
-        roc_curve=roc_pts,
-        pr_curve=pr_pts,
+        pr_auc=average_precision(scores, labels),
     )
 
 

@@ -1,11 +1,13 @@
 """Oversampling orchestration.
 
-Computes the data centroid, the synthetic-record budget needed to hit a
-target minority percentage, and runs the per-loop generation with a one
-degree angle increment per pass. `augment` adds the angular-outlier
-stage: it is the one augmentation path of both the CLI and the grid.
-Its records travel as one `synth.Records` column table: the generated
-rows, then the boosted rows.
+Labels are 0/1 with 1 the minority class: the CLI maps a file's rarest
+label to 1 before it calls in. Computes the data centroid, the
+synthetic-record budget needed to hit a target minority percentage, and
+runs the per-loop generation with a one degree angle increment per
+pass. `augment` adds the angular-outlier stage: it is the one
+augmentation path of both the CLI and the grid. Its records travel as
+one `synth.Records` column table: the generated rows, then the boosted
+rows.
 """
 
 from dataclasses import dataclass
@@ -33,8 +35,6 @@ class SmoteConfig:
 
 @dataclass
 class AugmentationReport:
-    original_total: int
-    minority_count: int
     target_percent: float
     synthetic_generated: int
     achieved_percent: float
@@ -80,12 +80,13 @@ def target_counts(total, minority, target_percent):
     return target_minority_count, s, s // minority, s % minority
 
 
-def run_smote(features, labels, config, minority_label=1, row_ids=None):
+def run_smote(features, labels, config, row_ids=None):
     """Generate synthetic minority records up to the configured share.
 
-    Angular distances are computed once per minority row and reused
-    across loops; loop k applies an angle increment of k degrees, and a
-    final partial loop samples the remainder without replacement. Every
+    Labels are 0/1 with 1 the minority class. Angular distances are
+    computed once per minority row, in row order, and reused across
+    loops; loop k applies an angle increment of k degrees, and a final
+    partial loop samples the remainder without replacement. Every
     record's uniform draw is the first of default_rng([seed, row id, k]),
     computed for all records in one `keyed.uniform` pass.
     """
@@ -93,11 +94,13 @@ def run_smote(features, labels, config, minority_label=1, row_ids=None):
     y = np.asarray(labels)
     if X.shape[0] != y.shape[0]:
         raise ParameterError("features and labels disagree on row count")
+    if not np.isin(y, (0, 1)).all():
+        raise ParameterError("labels must be 0/1 with 1 the minority class")
     if row_ids is None:
         row_ids = np.arange(X.shape[0])
     row_ids = np.asarray(row_ids)
 
-    minority_mask = y == minority_label
+    minority_mask = y == 1
     m = int(minority_mask.sum())
     n_total = X.shape[0]
 
@@ -123,8 +126,6 @@ def run_smote(features, labels, config, minority_label=1, row_ids=None):
 
     achieved = 100.0 * (m + s) / (n_total + s)
     report = AugmentationReport(
-        original_total=n_total,
-        minority_count=m,
         target_percent=config.target_minority_percent,
         synthetic_generated=s,
         achieved_percent=achieved,
@@ -139,7 +140,7 @@ def run_smote(features, labels, config, minority_label=1, row_ids=None):
     )
 
 
-def augment(features, labels, config, boost, minority_label=1, row_ids=None):
+def augment(features, labels, config, boost, row_ids=None):
     """Synthesis plus the angular-outlier stage.
 
     Pools the minority rows' distances with those of the generated
@@ -149,12 +150,12 @@ def augment(features, labels, config, boost, minority_label=1, row_ids=None):
     then boosted; pooled distances; bounds).
     """
     X = np.asarray(features, dtype=float)
-    result = run_smote(X, labels, config, minority_label=minority_label, row_ids=row_ids)
+    result = run_smote(X, labels, config, row_ids=row_ids)
     records = result.synthetic
     distances = np.r_[result.angular_distances, records.angular_distance]
     bounds, low, high = aol.detect_outliers(distances, config.num_bins)
     if boost:
-        feats = np.vstack([X[np.asarray(labels) == minority_label], records.features])
+        feats = np.vstack([X[np.asarray(labels) == 1], records.features])
         ids = np.r_[result.minority_row_ids, records.source_row_id]
         boosted = [aol.boost_outliers(table, feats, distances, ids, config) for table in (low, high)]
         records = synth.Records.concat([records, *boosted])

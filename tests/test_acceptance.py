@@ -156,7 +156,7 @@ def test_criterion_07_boost_arithmetic():
     features = rng.uniform(1.0, 4.0, size=(len(distances), 4))
     table = aol.OutlierBinTable(
         bin_starts=starts, bin_ends=ends,
-        counts=np.array(counts_per_bin), side="high", num_bins=5,
+        counts=np.array(counts_per_bin), num_bins=5,
     )
     config = pipeline.SmoteConfig(target_minority_percent=30.0, seed=7)
     boosted = aol.boost_outliers(table, features, distances, np.arange(len(distances)), config)

@@ -90,7 +90,6 @@ def _boost_setup(counts_per_bin, seed=0):
         bin_starts=starts,
         bin_ends=ends,
         counts=np.array(counts_per_bin),
-        side="high",
         num_bins=num_bins,
     )
     return table, features, distances, row_ids
@@ -125,7 +124,7 @@ def test_boost_skips_empty_bins():
 def test_boost_empty_table_is_empty():
     table = aol.OutlierBinTable(
         bin_starts=np.empty(0), bin_ends=np.empty(0),
-        counts=np.empty(0, dtype=int), side="low", num_bins=5,
+        counts=np.empty(0, dtype=int), num_bins=5,
     )
     config = pipeline.SmoteConfig(target_minority_percent=30.0)
     assert len(aol.boost_outliers(table, np.empty((0, 2)), np.empty(0), np.empty(0, int), config)) == 0

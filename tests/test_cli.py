@@ -394,6 +394,29 @@ def test_boost_multiplier_changes_the_config_hash(tmp_path):
     assert [m["params"]["boost_multiplier"] for _, m in runs] == [1.5, 3.0]
 
 
+def test_a_minority_label_other_than_1_augments_as_the_0_1_coding(tmp_path):
+    # the planted demo data of the boost multiplier test, its labels recoded
+    # 1 -> 0 (the minority) and 0 -> 7
+    X, y = demo.make_imbalanced_dataset(n_rows=300)
+    for i, m in zip(np.nonzero(y == 1)[0], [1, 1, 1, 1, 1, 1, 2]):
+        X[i] = 0.05
+        X[i, :m] = 5.0
+    tables = []
+    for name, labels in (("01", y), ("70", np.where(y == 1, 0, 7))):
+        src, out = tmp_path / f"planted-{name}.csv", tmp_path / f"aug-{name}.csv"
+        demo.write_dataset_csv(X, labels, src)
+        argv = ["smote", str(src), str(out), "--target-percent", "20", "--seed", "3", "--aol", "--bins", "3"]
+        assert cli.main(argv) == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            tables.append(list(csv.reader(fh)))
+    t = X.shape[1]
+    plain, recoded = ([row[:t] + row[t + 1:] for row in table] for table in tables)
+    assert plain == recoded
+    assert any(row[-2] == "1" for row in plain[1:])  # some records were boosted
+    labels = [row[t] for row in tables[1][1:]]
+    assert labels == [str(v) for v in np.where(y == 1, 0, 7)] + ["0"] * (len(labels) - len(y))
+
+
 @pytest.mark.parametrize("command", [["smote", "--target-percent", "30"], ["evaluate"]], ids=["smote", "evaluate"])
 def test_target_column_changes_the_config_hash(encoded, tmp_path, command):
     renamed = tmp_path / "renamed.csv"
@@ -509,7 +532,6 @@ def _load_encoded_reference(path, target):
         feature_names=[h for i, h in enumerate(header) if i != t],
         X=np.delete(table, t, axis=1),
         y=labels.astype(int),
-        row_ids=np.arange(len(rows)),
         target_name=target,
     )
 
@@ -560,4 +582,3 @@ def test_load_encoded_equals_the_whole_table_reference(tmp_path_factory, text):
     assert (got.feature_names, got.target_name) == (want.feature_names, want.target_name)
     assert (got.X.shape, got.X.dtype, got.X.tobytes()) == (want.X.shape, want.X.dtype, want.X.tobytes())
     assert (got.y.dtype, got.y.tolist()) == (want.y.dtype, want.y.tolist())
-    assert got.row_ids.tolist() == want.row_ids.tolist()

@@ -252,7 +252,6 @@ def _load_csv_reference(path, config):
         feature_names=feature_names,
         X=np.column_stack([columns[n] for n in feature_names]) if feature_names else np.empty((len(kept), 0)),
         y=np.asarray(columns[config.target.name], dtype=float).astype(int),
-        row_ids=np.arange(len(kept)),
         target_name=config.target.name,
         id_values=columns[id_name] if id_name else [],
         id_name=id_name,
@@ -340,7 +339,6 @@ def test_load_csv_equals_the_per_cell_reference(tmp_path_factory, case):
     assert (got.X.shape, got.X.dtype, got.X.tobytes()) == (want.X.shape, want.X.dtype, want.X.tobytes())
     assert (got.y.dtype, got.y.tolist()) == (want.y.dtype, want.y.tolist())
     assert (got.id_name, got.id_values) == (want.id_name, want.id_values)
-    assert got.row_ids.tolist() == want.row_ids.tolist()
 
 
 @pytest.mark.parametrize(
@@ -412,11 +410,11 @@ def test_write_augmented_format_and_round_trip(tmp_path):
     y = np.r_[np.ones(4, dtype=int), np.zeros(16, dtype=int)]
     ds = data.Dataset(
         feature_names=["f0", "f1", "f2"],
-        X=X, y=y, row_ids=np.arange(20), target_name="label",
+        X=X, y=y, target_name="label",
     )
     result = pipeline.run_smote(X, y, pipeline.SmoteConfig(target_minority_percent=30.0))
     path = tmp_path / "aug.csv"
-    data.write_augmented(ds, result.synthetic, path)
+    data.write_augmented(ds, result.synthetic, path, result.angular_distances)
     header = path.read_text().splitlines()[0].split(",")
     assert header[-5:] == data.META_COLUMNS
     names, target, X2, y2, meta = data.read_augmented(path)
@@ -456,10 +454,10 @@ def _augmented_cases(draw):
         feature_names=[f"f{j}" for j in range(width)],
         X=np.array(draw(st.lists(row, min_size=n, max_size=n))),
         y=np.array(draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))),
-        row_ids=np.arange(n),
         target_name="label",
     )
-    distances = draw(st.dictionaries(st.integers(0, n - 1), _FINITE))
+    m = int((ds.y == data.minority_label(ds.y)).sum())
+    distances = draw(st.lists(_FINITE, min_size=m, max_size=m))
     record = st.tuples(row, st.integers(-1, 10**6), _FINITE, _FINITE, st.booleans())
     columns = list(zip(*draw(st.lists(record, max_size=6)))) or [[]] * 5
     records = synth.Records(
@@ -472,9 +470,11 @@ def _augmented_cases(draw):
     return ds, records, distances
 
 
-def _aligned(distances):
-    """A {row id: distance} dict as the aligned (row ids, distances) pair write_augmented takes."""
-    return np.array(list(distances), dtype=int), np.array(list(distances.values()), dtype=float)
+def _per_row(y, minority_distances):
+    """Each original row's distance: the next minority distance on a minority row, else None."""
+    it = iter(minority_distances)
+    minority = data.minority_label(y)
+    return [next(it) if label == minority else None for label in y.tolist()]
 
 
 @settings(max_examples=100, deadline=None)
@@ -482,7 +482,7 @@ def _aligned(distances):
 def test_write_augmented_read_augmented_round_trip(tmp_path_factory, case):
     ds, records, distances = case
     path = tmp_path_factory.mktemp("augmented") / "aug.csv"
-    data.write_augmented(ds, records, path, original_distances=_aligned(distances))
+    data.write_augmented(ds, records, path, distances)
     names, target, X, y, meta = data.read_augmented(path, feature_names=ds.feature_names)
     assert (names, target) == (ds.feature_names, "label")
     assert np.array_equal(X, np.vstack([ds.X, records.features]))
@@ -493,9 +493,9 @@ def test_write_augmented_read_augmented_round_trip(tmp_path_factory, case):
         return None if cell == "" else float(cell)
 
     n = len(ds.y)
-    assert [number(c) for c in meta["angular_distance"]] == [
-        distances.get(i) for i in range(n)
-    ] + records.angular_distance.tolist()
+    assert [number(c) for c in meta["angular_distance"]] == (
+        _per_row(ds.y, distances) + records.angular_distance.tolist()
+    )
     assert [number(c) for c in meta["rotation_angle"]] == [None] * n + records.rotation_angle.tolist()
     assert meta["synthetic"] == ["0"] * n + ["1"] * len(records)
     assert meta["boosted"] == ["0"] * n + [str(int(b)) for b in records.boosted]
@@ -543,13 +543,13 @@ def _reference_write_dataset(dataset, path):
             w.writerow(ids + [data._fmt(v) for v in dataset.X[i]] + [data._fmt(dataset.y[i])])
 
 
-def _reference_write_augmented(dataset, synthetic, path, original_distances):
+def _reference_write_augmented(dataset, synthetic, path, minority_distances):
     label = data._fmt(data.minority_label(dataset.y))
+    distances = _per_row(dataset.y, minority_distances)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(dataset.feature_names + [dataset.target_name] + data.META_COLUMNS)
-        for i in range(dataset.X.shape[0]):
-            dist = original_distances.get(int(dataset.row_ids[i]))
+        for i, dist in enumerate(distances):
             w.writerow(
                 [data._fmt(v) for v in dataset.X[i]]
                 + [data._fmt(dataset.y[i]), "" if dist is None else data._fmt(dist), "", "0", "0", ""]
@@ -572,7 +572,7 @@ def test_blocked_writers_match_the_per_cell_writers(tmp_path):
     ids = [f"c{i}" for i in range(n)]
     ids[5], ids[n - 1] = "7,001", 'say "hi"'
     ds = data.Dataset(
-        feature_names=["a", "b", "c", "d"], X=X, y=y, row_ids=np.arange(n),
+        feature_names=["a", "b", "c", "d"], X=X, y=y,
         target_name="label", id_values=ids, id_name="id",
     )
     data.write_dataset(ds, tmp_path / "got.csv")
@@ -586,13 +586,10 @@ def test_blocked_writers_match_the_per_cell_writers(tmp_path):
         rotation_angle=np.array([0.0, 0.01745, 3.0])[i % 3], angular_distance=X[i % n, 1],
         boosted=i % 7 == 0,
     )
-    distances = {i: float(rng.uniform(0, np.pi)) for i in range(0, n, 3)}
-    distances[4] = 2.0
-    ids, dists = _aligned(distances)
-    # an id given twice keeps its last distance, as a dict built from the pair does
-    ids, dists = np.r_[ids, 3], np.r_[dists, 0.5]
-    data.write_augmented(ds, records, tmp_path / "got-aug.csv", original_distances=(ids, dists))
-    _reference_write_augmented(ds, records, tmp_path / "want-aug.csv", dict(zip(ids.tolist(), dists.tolist())))
+    dists = rng.uniform(0, np.pi, size=int((y == data.minority_label(y)).sum()))
+    dists[4] = 2.0
+    data.write_augmented(ds, records, tmp_path / "got-aug.csv", dists)
+    _reference_write_augmented(ds, records, tmp_path / "want-aug.csv", dists.tolist())
     assert (tmp_path / "got-aug.csv").read_bytes() == (tmp_path / "want-aug.csv").read_bytes()
 
 
@@ -601,12 +598,11 @@ def test_write_augmented_with_no_synthetic_rows(tmp_path):
         feature_names=["f0"],
         X=np.array([[1.0], [2.0]]),
         y=np.array([0, 1]),
-        row_ids=np.arange(2),
         target_name="label",
     )
     path = tmp_path / "plain.csv"
     empty = synth.Records(np.empty((0, 1)), np.empty(0, int), np.empty(0), np.empty(0), np.empty(0, bool))
-    data.write_augmented(ds, empty, path)
+    data.write_augmented(ds, empty, path, [0.5])
     lines = path.read_text().splitlines()
     assert len(lines) == 3  # header + 2 originals
 
@@ -633,7 +629,7 @@ def test_emit_histogram_clamps_out_of_range_thresholds(tmp_path):
     values = np.linspace(1.0, 2.0, 30)
     bounds = aol.OutlierBounds(q1=1.2, q3=1.8, iqr=0.6, lower_bound=-5.0, upper_bound=9.0)
     svg = tmp_path / "clamp.svg"
-    data.emit_histogram(values, 5, bounds, svg, width=640, height=400)
+    data.emit_histogram(values, 5, bounds, svg)
     text = svg.read_text()
     xs = [float(m) for m in re.findall(r'<line x1="([0-9.]+)" y1="40"', text)]
     assert len(xs) == 2

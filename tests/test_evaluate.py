@@ -317,9 +317,39 @@ def test_undefined_metrics_are_none_not_zero():
 def test_average_precision_step_rule():
     scores = np.array([0.9, 0.8, 0.7, 0.6])
     labels = np.array([1, 0, 1, 0])
-    ap, _ = evaluate.average_precision(scores, labels)
+    ap = evaluate.average_precision(scores, labels)
     # hits at ranks 1 and 3: (1/1 + 2/3) / 2
     assert ap == pytest.approx((1.0 + 2 / 3) / 2)
+
+
+def _average_precision_loop(scores, labels):
+    """The step rule as a running sum over the tied blocks, one block at a time."""
+    scores = np.asarray(scores, float)
+    labels = np.asarray(labels)
+    pos = int((labels == 1).sum())
+    if pos == 0:
+        return None
+    order = np.argsort(-scores, kind="stable")
+    s, y = scores[order], labels[order]
+    tps = np.cumsum(y == 1)
+    ranks = np.arange(1, len(y) + 1)
+    last = np.r_[np.nonzero(np.diff(s))[0], len(s) - 1]
+    ap = 0.0
+    prev_tp = 0
+    for i in last:
+        ap += (tps[i] - prev_tp) / pos * (tps[i] / ranks[i])
+        prev_tp = tps[i]
+    return float(ap)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 1)), min_size=1, max_size=80))
+def test_average_precision_equals_the_running_sum_loop(pairs):
+    # 31 score levels: tied blocks, and often more blocks than a pairwise
+    # sum adds in order
+    levels, labels = map(np.array, zip(*pairs))
+    scores = levels / 30
+    assert evaluate.average_precision(scores, labels) == _average_precision_loop(scores, labels)
 
 
 def test_stratified_split_is_deterministic_and_disjoint():
@@ -530,14 +560,12 @@ def test_run_experiment_scores_shared_records_once(monkeypatch):
 _augment = pipeline.augment
 
 
-def _copying_augment(features, labels, config, boost, minority_label=1, row_ids=None):
+def _copying_augment(features, labels, config, boost, row_ids=None):
     """pipeline.augment with every new record moved onto a training row or an
     earlier record, so new records tie in distance with older rows and only
     the lower-id rule orders them."""
     X = np.asarray(features, dtype=float)
-    result, records, distances, bounds = _augment(
-        X, labels, config, False, minority_label=minority_label, row_ids=row_ids
-    )
+    result, records, distances, bounds = _augment(X, labels, config, False, row_ids=row_ids)
     rng = np.random.default_rng(len(records))
     rows = rng.integers(0, len(X), len(records))
     records = dataclasses.replace(records, features=X[rows])

@@ -139,6 +139,13 @@ def test_run_smote_custom_row_ids_propagate():
     assert all(1000 <= rid < 1100 for rid in result.synthetic.source_row_id)
 
 
+@pytest.mark.parametrize("minority, majority", [(0, 7), (2, 0)])
+def test_run_smote_takes_only_0_1_labels(minority, majority):
+    X, y = _toy_dataset(n=100, minority=10)
+    with pytest.raises(ParameterError, match="labels must be 0/1 with 1 the minority class"):
+        pipeline.run_smote(X, np.where(y == 1, minority, majority), pipeline.SmoteConfig(target_minority_percent=20.0))
+
+
 def test_achieved_share_tracks_grid():
     X, y = _toy_dataset(n=400, minority=40, seed=8)
     for target in (30, 36, 42, 50):
