@@ -207,7 +207,7 @@ def _ranked(scores, labels):
 
 
 def roc_auc_trapezoidal(scores, labels):
-    """Area under the ROC curve and its (fpr, tpr) points.
+    """Area under the ROC curve.
 
     The trapezoid rule is computed in place over the tie-collapsed ROC
     points, so a tied block of scores contributes a diagonal segment. The
@@ -216,12 +216,10 @@ def roc_auc_trapezoidal(scores, labels):
     """
     tps, fps = _ranked(np.asarray(scores, float), np.asarray(labels))
     pos, neg = tps[-1], fps[-1]
-    x = np.r_[0.0, fps / neg if neg else np.zeros(len(fps))]
-    y = np.r_[0.0, tps / pos if pos else np.zeros(len(tps))]
-    pts = np.column_stack([x, y])
     if pos == 0 or neg == 0:
-        return None, pts
-    return float(np.add.reduce(np.diff(x) * (y[1:] + y[:-1]) / 2.0)), pts
+        return None
+    x, y = np.r_[0.0, fps / neg], np.r_[0.0, tps / pos]
+    return float(np.add.reduce(np.diff(x) * (y[1:] + y[:-1]) / 2.0))
 
 
 def roc_auc_pairwise(scores, labels):
@@ -274,14 +272,13 @@ def compute_metrics(scores, labels, threshold=0.5):
         f1 = 0.0
     else:
         f1 = None
-    roc_auc, _ = roc_auc_trapezoidal(scores, labels)
     return MetricsReport(
         confusion=cm,
         accuracy=accuracy,
         precision=precision,
         recall=recall,
         f1=f1,
-        roc_auc=roc_auc,
+        roc_auc=roc_auc_trapezoidal(scores, labels),
         pr_auc=average_precision(scores, labels),
     )
 

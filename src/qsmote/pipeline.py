@@ -35,7 +35,6 @@ class SmoteConfig:
 
 @dataclass
 class AugmentationReport:
-    target_percent: float
     synthetic_generated: int
     achieved_percent: float
     full_loops: int
@@ -126,7 +125,6 @@ def run_smote(features, labels, config, row_ids=None):
 
     achieved = 100.0 * (m + s) / (n_total + s)
     report = AugmentationReport(
-        target_percent=config.target_minority_percent,
         synthetic_generated=s,
         achieved_percent=achieved,
         full_loops=full_loops,

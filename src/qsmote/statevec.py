@@ -2,7 +2,7 @@
 
 Supports exactly the gates of the swap-test and rotation circuits: H, X,
 RX and CSWAP, plus exact single-qubit marginals and seeded shot sampling.
-The production paths use closed forms; this simulator is their oracle.
+The production paths batch whole tables; this simulator is their oracle.
 Qubit ordering is big-endian: qubit 0 is the most significant bit of the
 basis-state index. States are immutable; every gate returns a new state.
 """

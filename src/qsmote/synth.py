@@ -5,8 +5,8 @@ same small angle derived from the point's angular distance to the
 centroid, and the real part of the resulting state becomes the
 synthetic point. Angles come from one `np.where` over the distance
 branches, given each record's own uniform draw, and the rotation is
-evaluated in closed form for a whole table of points at once; the
-statevector simulator (`statevec.RX`) is the oracle the tests hold it to.
+applied gate by gate to a whole table of points at once; the statevector
+simulator (`statevec.RX`) is the oracle the tests hold it to.
 Records travel as one `Records` table of aligned columns, never as one
 object per record.
 """
@@ -67,41 +67,31 @@ def rotate_point(features, theta, rescale=True):
     """Rotate amplitude-encoded points by theta on every qubit.
 
     Takes one vector and one angle, or a (rows, d) table and one angle
-    per row. Pads each row to N = 2^n, rotates it, takes the real part
+    per row. Pads each row to N = 2^n, normalizes it, applies RX(theta)
+    to its complex amplitudes one qubit at a time, takes the real part
     and (with rescale on) renormalizes it to the source norm before
-    stripping the padding; theta = 0 then returns the row exactly.
-    As RX = H·RZ·H, the real part is H·diag(cos(θ(n−2·popcount(j))/2))·H·a / N
-    for the ±1 Sylvester–Hadamard matrix H, applied in n butterfly
-    stages so that no row's result depends on the rows beside it.
+    stripping the padding; theta = 0 then returns the row exactly. Every
+    gate acts on each row alone, so no row's result depends on the rows
+    beside it.
     """
     table = np.atleast_2d(np.asarray(features, dtype=float))
     theta = np.asarray(theta, dtype=float).reshape(-1, 1)
     norms = np.linalg.norm(table, axis=1, keepdims=True)
     if not norms.all():
         raise DegenerateInputError("cannot rotate a zero vector")
-    real = unit = pad_to_power_of_two(table / norms)
-    rows, size = real.shape
-    n = size.bit_length() - 1
-    popcount = np.array([bin(j).count("1") for j in range(size)])
-    for scale in (np.cos(theta * (n - 2 * popcount) / 2), 1.0 / size):
-        for q in range(n):
-            v = real.reshape(rows, 2**q, 2, size >> (q + 1))
-            real = np.stack([v[:, :, 0] + v[:, :, 1], v[:, :, 0] - v[:, :, 1]], axis=2)
-        real = real.reshape(rows, size) * scale
+    state = pad_to_power_of_two(table / norms).astype(complex)
+    rows, size = state.shape
+    c, s = np.cos(theta[:, :, None] / 2), -1j * np.sin(theta[:, :, None] / 2)
+    for q in range(size.bit_length() - 1):
+        a, b = np.moveaxis(state.reshape(rows, 2**q, 2, size >> (q + 1)), 2, 0)
+        state = np.stack([c * a + s * b, c * b + s * a], axis=2)
+    real = state.real.reshape(rows, size)
     if rescale:
         real_norms = np.linalg.norm(real, axis=1, keepdims=True)
         if not real_norms.all():
             bad = theta[real_norms == 0][0]
             raise DegenerateInputError(f"rotation by {bad} annihilated the real part")
-        # rescaling would blow up the H form's cancellation error: apply RX gate by gate
-        weak = real_norms[:, 0] < 1e-2
-        c, s = np.cos(theta[weak, :, None] / 2), -1j * np.sin(theta[weak, :, None] / 2)
-        state = unit[weak].astype(complex)
-        for q in range(n):
-            a, b = np.moveaxis(state.reshape(-1, 2**q, 2, size >> (q + 1)), 2, 0)
-            state = np.stack([c * a + s * b, c * b + s * a], axis=2)
-        real[weak] = state.real.reshape(-1, size)
-        real = real / np.linalg.norm(real, axis=1, keepdims=True) * norms
+        real = real / real_norms * norms
         real[theta[:, 0] == 0.0, : table.shape[1]] = table[theta[:, 0] == 0.0]
     out = real[:, : table.shape[1]]
     return out[0] if np.ndim(features) < 2 else out

@@ -186,7 +186,7 @@ def test_criterion_08_metrics_oracle():
         labels = rng.integers(0, 2, size=n)
         if labels.sum() in (0, n):
             continue
-        trap, _ = evaluate.roc_auc_trapezoidal(scores, labels)
+        trap = evaluate.roc_auc_trapezoidal(scores, labels)
         pair = evaluate.roc_auc_pairwise(scores, labels)
         ok = ok and abs(trap - pair) <= 1e-9
     scores = np.r_[np.ones(50), np.zeros(20), np.ones(10), np.zeros(120)]

@@ -257,14 +257,14 @@ def test_accuracy_is_threshold_consistent():
 
 
 def test_roc_auc_perfect_ranking():
-    auc, _ = evaluate.roc_auc_trapezoidal(
+    auc = evaluate.roc_auc_trapezoidal(
         np.array([0.9, 0.8, 0.4, 0.3]), np.array([1, 1, 0, 0])
     )
     assert auc == pytest.approx(1.0)
 
 
 def test_roc_auc_interleaved_ranking():
-    auc, _ = evaluate.roc_auc_trapezoidal(
+    auc = evaluate.roc_auc_trapezoidal(
         np.array([0.9, 0.8, 0.7, 0.6]), np.array([1, 0, 1, 0])
     )
     assert auc == pytest.approx(0.75)
@@ -278,7 +278,7 @@ def test_trapezoidal_equals_pairwise_auc():
         labels = rng.integers(0, 2, size=n)
         if labels.sum() in (0, n):
             continue
-        trap, _ = evaluate.roc_auc_trapezoidal(scores, labels)
+        trap = evaluate.roc_auc_trapezoidal(scores, labels)
         pair = evaluate.roc_auc_pairwise(scores, labels)
         assert abs(trap - pair) <= 1e-9
 
@@ -290,7 +290,7 @@ def test_trapezoidal_auc_needs_no_numpy_integrator(monkeypatch):
     monkeypatch.delattr(np, "trapezoid", raising=False)
     scores = np.array([0.9, 0.5, 0.5, 0.5, 0.2, 0.2, 0.1])
     labels = np.array([1, 1, 0, 1, 0, 1, 0])
-    trap, _ = evaluate.roc_auc_trapezoidal(scores, labels)
+    trap = evaluate.roc_auc_trapezoidal(scores, labels)
     assert abs(trap - evaluate.roc_auc_pairwise(scores, labels)) <= 1e-12
 
 
@@ -298,7 +298,8 @@ def test_roc_curve_spans_unit_square():
     rng = np.random.default_rng(2)
     scores = rng.uniform(size=30)
     labels = rng.integers(0, 2, size=30)
-    _, pts = evaluate.roc_auc_trapezoidal(scores, labels)
+    tps, fps = evaluate._ranked(scores, labels)
+    pts = np.column_stack([np.r_[0.0, fps / fps[-1]], np.r_[0.0, tps / tps[-1]]])
     assert tuple(pts[0]) == (0.0, 0.0)
     assert tuple(pts[-1]) == (1.0, 1.0)
 

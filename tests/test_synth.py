@@ -248,8 +248,8 @@ def _rotate_by_circuit(vec, theta, rescale):
     seed=st.integers(0, 2**32 - 1),
     rescale=st.booleans(),
 )
-# the second row's angle is 1.2e-4 short of pi: its real part is 8e-5 of
-# the input, and the H form's rounding error alone, rescaled, was 2.5e-12
+# the second row's angle is 1.2e-4 short of pi, so its real part is 8e-5
+# of the input, and rescaling magnifies any rounding in it about 1e4-fold
 @example(rows=5, width=5, scale=1.0, seed=97456, rescale=True)
 def test_rotate_point_equals_the_statevector_circuit(rows, width, scale, seed, rescale):
     rng = np.random.default_rng(seed)
@@ -261,3 +261,25 @@ def test_rotate_point_equals_the_statevector_circuit(rows, width, scale, seed, r
         # with rescale off the rotated state has unit norm
         tol = 1e-12 * (np.linalg.norm(vec) if rescale else 1.0)
         assert np.abs(row - _rotate_by_circuit(vec, t, rescale)).max() <= tol
+
+
+def _angle_for_real_norm(real_norm, qubits):
+    """The angle whose RX on an odd number of qubits leaves |0...0> a real part of this norm.
+
+    That norm is sqrt((1 + cos(theta)^n) / 2), so theta = pi - phi with
+    cos(phi)^n = 1 - 2 real_norm^2, solved without cancellation.
+    """
+    half_versine = -np.expm1(np.log1p(-2 * real_norm**2) / qubits) / 2  # (1 - cos(phi)) / 2
+    return np.pi - 2 * np.arcsin(np.sqrt(half_versine))
+
+
+@pytest.mark.parametrize("qubits", [1, 3, 5])
+@pytest.mark.parametrize("real_norm", [1e-1, 1e-2, 1e-6])
+def test_rotate_point_equals_the_circuit_where_the_real_part_is_small(real_norm, qubits):
+    vec = np.zeros(2**qubits)
+    vec[0] = 3.0
+    theta = _angle_for_real_norm(real_norm, qubits)
+    raw = synth.rotate_point(vec, theta, rescale=False)
+    assert np.linalg.norm(raw) == pytest.approx(real_norm, rel=1e-6)
+    got = synth.rotate_point(vec, theta)
+    assert np.abs(got - _rotate_by_circuit(vec, theta, True)).max() <= 1e-12 * np.linalg.norm(vec)
