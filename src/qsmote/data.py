@@ -4,13 +4,15 @@ The column config drives missing-value policy, label encoding, and
 binning; the same module serializes augmented datasets (with provenance
 metadata columns, the originals' angular distances aligned with the
 minority rows by position) and emits angular-distribution histograms as
-SVG plus a sibling CSV.
+SVG plus a sibling CSV. Rows are written as comma-joined text lines;
+only the header and id cells can hold a character that needs quoting.
 """
 
 import csv
 import itertools
 import math
 import operator
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -185,7 +187,7 @@ def _resolve_edges(spec, values, column):
         if scheme != "equal-width" or not arg.isdigit() or int(arg) < 1:
             raise DataError(f"bad bin scheme {spec.bin_edges!r}", column=column)
         k = int(arg)
-        lo, hi = float(values.min()), float(values.max())
+        lo, hi = float(values[values.argmin()]), float(values[values.argmax()])  # first extreme: 0.0 before -0.0 stays 0.0
         if hi == lo:
             hi = lo + 1.0
         edges = [lo + (hi - lo) * i / k for i in range(k + 1)]
@@ -283,7 +285,7 @@ def _fmt(v):
     return str(int(f)) if f.is_integer() else repr(f)
 
 
-BLOCK_ROWS = 4096  # rows formatted per block: keeps the string table small
+BLOCK_ROWS = 4096  # rows formatted per block, each written as its own line: no string holds a block
 
 # the strings of 0..1023: every category code, bin index and label the
 # CLI writes is one of them
@@ -318,10 +320,21 @@ def _fmt_table(values):
     return out
 
 
-def _write_blocks(writer, n, block):
-    """Write rows 0..n-1, taking each block's (rows, columns) cells from block(lo, hi)."""
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+
+
+def _quote(cell):
+    """A text cell as csv.writer writes it: in quotes, inner quotes doubled, if it holds , " \\r or \\n."""
+    return '"' + cell.replace('"', '""') + '"' if _NEEDS_QUOTES(cell) else cell
+
+
+def _write_lines(fh, n, block):
+    """Write rows 0..n-1 one at a time as comma-joined lines ending in csv.writer's \\r\\n.
+
+    block(lo, hi) gives a block's cells as string columns, none needing quotes (see `_quote`).
+    """
     for lo in range(0, n, BLOCK_ROWS):
-        writer.writerows(block(lo, min(lo + BLOCK_ROWS, n)).tolist())
+        fh.writelines(map("{}\r\n".format, map(",".join, zip(*block(lo, min(lo + BLOCK_ROWS, n))))))
 
 
 def write_dataset(dataset, path):
@@ -329,13 +342,12 @@ def write_dataset(dataset, path):
     header = ([dataset.id_name] if dataset.id_name else []) + dataset.feature_names + [dataset.target_name]
 
     def block(lo, hi):
-        ids = [np.array(dataset.id_values[lo:hi], dtype=object)] if dataset.id_name else []
-        return np.column_stack(ids + [_fmt_table(dataset.X[lo:hi]), _fmt_table(dataset.y[lo:hi])])
+        ids = [list(map(_quote, dataset.id_values[lo:hi]))] if dataset.id_name else []
+        return [*ids, *_fmt_table(dataset.X[lo:hi].T), _fmt_table(dataset.y[lo:hi])]
 
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        _write_blocks(w, dataset.X.shape[0], block)
+        csv.writer(fh).writerow(header)
+        _write_lines(fh, dataset.X.shape[0], block)
 
 
 def write_augmented(dataset, synthetic, path, minority_distances):
@@ -351,26 +363,20 @@ def write_augmented(dataset, synthetic, path, minority_distances):
     distance_cells[dataset.y == label] = _fmt_table(np.asarray(minority_distances, dtype=float))
 
     def original(lo, hi):
-        cells = np.full((hi - lo, 6), "", dtype=object)
-        cells[:, 0] = _fmt_table(dataset.y[lo:hi])
-        cells[:, 1] = distance_cells[lo:hi]
-        cells[:, 3:5] = "0"
-        return np.column_stack([_fmt_table(dataset.X[lo:hi]), cells])
+        blank, zero = [""] * (hi - lo), ["0"] * (hi - lo)
+        features = _fmt_table(dataset.X[lo:hi].T)
+        return [*features, _fmt_table(dataset.y[lo:hi]), distance_cells[lo:hi], blank, zero, zero, blank]
 
     def generated(lo, hi):
-        cells = np.empty((hi - lo, 6), dtype=object)
-        cells[:, 0], cells[:, 3] = _fmt(label), "1"
-        cells[:, 1] = _fmt_table(synthetic.angular_distance[lo:hi])
-        cells[:, 2] = _fmt_table(synthetic.rotation_angle[lo:hi])
-        cells[:, 4] = _fmt_table(synthetic.boosted[lo:hi])
-        cells[:, 5] = _fmt_table(synthetic.source_row_id[lo:hi])
-        return np.column_stack([_fmt_table(synthetic.features[lo:hi]), cells])
+        s, k = synthetic, hi - lo
+        meta = (s.angular_distance, s.rotation_angle, s.boosted, s.source_row_id)
+        dist, angle, boosted, source = (_fmt_table(c[lo:hi]) for c in meta)
+        return [*_fmt_table(s.features[lo:hi].T), [_fmt(label)] * k, dist, angle, ["1"] * k, boosted, source]
 
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        _write_blocks(w, dataset.X.shape[0], original)
-        _write_blocks(w, len(synthetic), generated)
+        csv.writer(fh).writerow(header)
+        _write_lines(fh, dataset.X.shape[0], original)
+        _write_lines(fh, len(synthetic), generated)
 
 
 def read_augmented(path, feature_names=None):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import aol, keyed, qdist, synth
-from .errors import ParameterError
+from .errors import DataError, ParameterError
 
 
 @dataclass
@@ -87,7 +87,8 @@ def run_smote(features, labels, config, row_ids=None):
     loops; loop k applies an angle increment of k degrees, and a final
     partial loop samples the remainder without replacement. Every
     record's uniform draw is the first of default_rng([seed, row id, k]),
-    computed for all records in one `keyed.uniform` pass.
+    computed for all records in one `keyed.uniform` pass. An all-zero
+    minority row is a DataError naming the lowest such row id + 1.
     """
     X = np.asarray(features, dtype=float)
     y = np.asarray(labels)
@@ -100,6 +101,9 @@ def run_smote(features, labels, config, row_ids=None):
     row_ids = np.asarray(row_ids)
 
     minority_mask = y == 1
+    zero = np.flatnonzero(minority_mask & ~X.any(axis=1))
+    if zero.size:
+        raise DataError("all-zero minority row cannot be amplitude-encoded", row=int(row_ids[zero].min()) + 1)
     m = int(minority_mask.sum())
     n_total = X.shape[0]
 

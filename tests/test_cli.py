@@ -339,6 +339,16 @@ def test_unusable_encoded_input_exits_2(tmp_path, capsys, command, text, message
     assert not out.exists()
 
 
+def test_zero_minority_row_exits_2_and_names_its_file_row(tmp_path, capsys):
+    src = tmp_path / "in.csv"
+    src.write_text("a,b,label\n1,2,0\n3,4,0\n5,6,0\n0,0,1\n7,8,1\n2,9,0\n")
+    out = tmp_path / "out.csv"
+    assert cli.main(["smote", str(src), str(out), "--target-percent", "45"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "all-zero minority row" in err and "(row 4)" in err
+    assert not out.exists()
+
+
 def test_failed_evaluate_keeps_existing_outputs(encoded, tmp_path):
     report = tmp_path / "report.csv"
     before = _existing_outputs([report, tmp_path / "report.manifest.json"])

@@ -1,8 +1,10 @@
 """Unit tests for CSV ingestion, serialization, and histogram output."""
 
 import csv
+import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -605,6 +607,71 @@ def test_write_augmented_with_no_synthetic_rows(tmp_path):
     data.write_augmented(ds, empty, path, [0.5])
     lines = path.read_text().splitlines()
     assert len(lines) == 3  # header + 2 originals
+
+
+_ID_TEXT = st.one_of(
+    st.text(),
+    st.text(alphabet=st.sampled_from(',"\r\n a\u00e9\u6771')),
+    st.sampled_from(["", " lead", "trail ", "7,001", 'say "hi"', "\r", "\n", "\r\n", 'a\r\n"b",c', "Z\u00fcrich"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cell=_ID_TEXT)
+def test_quote_matches_csv_writer(cell):
+    buf = io.StringIO()
+    csv.writer(buf).writerow([cell, "0"])
+    assert data._quote(cell) + ",0\r\n" == buf.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(ids=st.lists(_ID_TEXT, min_size=1, max_size=8))
+def test_write_dataset_with_text_ids_matches_the_per_cell_writer(tmp_path_factory, ids):
+    n = len(ids)
+    ds = data.Dataset(
+        feature_names=["a", "b"], X=np.random.default_rng(n).normal(size=(n, 2)), y=np.arange(n) % 2,
+        target_name="label", id_values=ids, id_name="id",
+    )
+    path = tmp_path_factory.mktemp("ids")
+    data.write_dataset(ds, path / "got.csv")
+    _reference_write_dataset(ds, path / "want.csv")
+    assert (path / "got.csv").read_bytes() == (path / "want.csv").read_bytes()
+    header, columns = data.read_table(path / "got.csv")
+    assert header == ["id", "a", "b", "label"] and list(columns[0]) == ids
+
+
+def _traced_peak(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_augmented_holds_no_block_or_file_string(tmp_path):
+    # integral cells from 2**63 up format as 100-300 digit strings, so a
+    # block's text outweighs the formatting temporaries: the writer peaks
+    # about 1.2x the formatting of one block's features whatever the row
+    # count, a string or list of lines holding a block about 2.7x, and a
+    # whole-file string grows with the rows
+    rng = np.random.default_rng(11)
+    ds = data.Dataset(feature_names=["f0", "f1"], X=10.0 ** rng.uniform(100, 300, size=(10, 2)),
+                      y=np.arange(10) % 2, target_name="label")
+
+    def records(n):
+        return synth.Records(
+            features=10.0 ** rng.uniform(100, 300, size=(n, 2)), source_row_id=np.arange(n) % 10,
+            rotation_angle=rng.uniform(0, 1, n), angular_distance=rng.uniform(0, 3, n),
+            boosted=np.arange(n) % 7 == 0,
+        )
+
+    one, three = records(data.BLOCK_ROWS), records(3 * data.BLOCK_ROWS)
+    formatting = _traced_peak(lambda: data._fmt_table(one.features.T))
+    path = tmp_path / "aug.csv"
+    peaks = [_traced_peak(lambda: data.write_augmented(ds, r, path, [0.5] * 5)) for r in (one, three)]
+    assert peaks[1] < 1.5 * peaks[0]
+    assert peaks[1] < 1.5 * formatting
 
 
 def test_emit_histogram_counts_conserved(tmp_path):
