@@ -2,8 +2,9 @@
 
 Subcommands: preprocess (CSV + column config -> encoded CSV), smote
 (encoded CSV -> augmented CSV + histogram), evaluate (encoded CSV ->
-metrics grid CSV). Every mutating command writes a JSON run manifest;
-all randomness flows from --seed.
+metrics grid CSV). Every command writes a JSON run manifest through
+`_staged`, its params taken from the parsed command line; all
+randomness flows from --seed.
 """
 
 import argparse
@@ -36,37 +37,46 @@ def _manifest_path(out_path):
     return Path(out_path).with_suffix(".manifest.json")
 
 
-def _write_manifest(out_path, inputs, outputs, params, achieved_percent=None):
+def _write_manifest(out_path, inputs, outputs, params, **extra):
     manifest = {
         "tool_version": __version__,
         "config_hash": _config_hash(params),
-        "seed": params.get("seed"),
+        "seed": params["seed"],
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
         "params": params,
+        **extra,
     }
-    if achieved_percent is not None:
-        manifest["achieved_minority_percent"] = achieved_percent
     with open(_manifest_path(out_path), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-@contextlib.contextmanager
-def _staged(outputs):
-    """Yield scratch paths for the outputs; move them and the manifest in on success.
+# parsed arguments that are not run parameters: the paths have their own
+# manifest fields, and --assert-trend only checks the result
+_NOT_PARAMS = ("input", "output", "func", "assert_trend")
 
-    The scratch directory sits beside the first output and each file in
-    it has its final name, so a sibling that a writer derives (the
-    histogram CSV, the manifest) lands right. A failed run removes the
-    directory and leaves every existing file as it was.
+
+@contextlib.contextmanager
+def _staged(args, outputs, inputs, **extra):
+    """Yield scratch paths for the outputs; on success write the manifest and move them all in.
+
+    The manifest's params are every parsed argument but `_NOT_PARAMS`;
+    `extra` holds its other fields. The scratch directory sits beside
+    the first output and each file in it has its final name, so a
+    sibling that a writer derives (the histogram CSV, the manifest)
+    lands right. A failed run removes the directory and leaves every
+    existing file as it was.
     """
-    outputs = [Path(p) for p in outputs]
-    stage = Path(tempfile.mkdtemp(prefix=".qsmote-", dir=outputs[0].parent))
+    paths = [Path(p) for p in outputs]
+    stage = Path(tempfile.mkdtemp(prefix=".qsmote-", dir=paths[0].parent))
     try:
-        yield [stage / p.name for p in outputs]
-        for p in [*outputs, _manifest_path(outputs[0])]:
+        staged = [stage / p.name for p in paths]
+        yield staged
+        params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
+        _write_manifest(staged[0], inputs, outputs, params, **extra)
+        for p in [*paths, _manifest_path(paths[0])]:
             os.replace(stage / p.name, p)
     finally:
         shutil.rmtree(stage, ignore_errors=True)
@@ -75,14 +85,8 @@ def _staged(outputs):
 def cmd_preprocess(args):
     config = data.load_config(args.config)
     dataset = data.load_csv(args.input, config)
-    with _staged([args.output]) as (output,):
+    with _staged(args, [args.output], [args.input, args.config]) as (output,):
         data.write_dataset(dataset, output)
-        _write_manifest(
-            output,
-            [args.input, args.config],
-            [args.output],
-            {"command": "preprocess", "seed": None, "config": str(args.config)},
-        )
     return EXIT_OK
 
 
@@ -131,30 +135,15 @@ def cmd_smote(args):
     dataset = _load_encoded(args.input, args.target_column)
     labels = (dataset.y == data.minority_label(dataset.y)).astype(int)
     result, records, dists, bounds = pipeline.augment(dataset.X, labels, config, args.aol)
-    with _staged(outputs) as (staged_out, staged_svg, _):
+    achieved = result.report.achieved_percent
+    staged = _staged(args, outputs, [args.input], achieved_minority_percent=achieved)
+    with staged as (staged_out, staged_svg, _):
         data.write_augmented(dataset, records, staged_out, result.angular_distances)
         data.emit_histogram(dists, config.num_bins * 4, bounds, staged_svg)
-        _write_manifest(
-            staged_out,
-            [args.input],
-            outputs,
-            {
-                "command": "smote",
-                "seed": args.seed,
-                "target_percent": args.target_percent,
-                "sf": args.sf,
-                "shots": args.shots,
-                "aol": args.aol,
-                "bins": args.bins,
-                "boost_multiplier": args.boost_multiplier,
-                "target_column": args.target_column,
-            },
-            achieved_percent=result.report.achieved_percent,
-        )
     print(
         f"generated {result.report.synthetic_generated} synthetic records "
         f"({len(records) - result.report.synthetic_generated} boosted), "
-        f"achieved {result.report.achieved_percent:.2f}% minority"
+        f"achieved {achieved:.2f}% minority"
     )
     return EXIT_OK
 
@@ -175,21 +164,21 @@ def _parse_grid(text):
 
 
 def cmd_evaluate(args):
-    grid = _parse_grid(args.grid)
+    args.grid = _parse_grid(args.grid)
     keyed.check_seed(args.seed)
     dataset = _load_encoded(args.input, args.target_column)
     minority = data.minority_label(dataset.y)
-    aol_flags = {"both": (False, True), "on": (True,), "off": (False,)}[args.aol_mode]
+    aol_flags = {"both": (False, True), "on": (True,), "off": (False,)}[args.aol]
     rows = evaluate.run_experiment(
         dataset.X,
         (dataset.y == minority).astype(int),
-        grid,
+        args.grid,
         aol_flags=aol_flags,
         test_fraction=args.split,
         seed=args.seed,
         k=args.k,
     )
-    with _staged([args.output]) as (output,):
+    with _staged(args, [args.output], [args.input]) as (output,):
         with open(output, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(
@@ -199,20 +188,6 @@ def cmd_evaluate(args):
                 metrics = (r.accuracy_train, r.accuracy_test, r.f1, r.pr_auc, r.roc_auc)
                 target = "" if r.target_percent is None else r.target_percent
                 w.writerow([target, int(r.aol), *map(_fmt_metric, metrics)])
-        _write_manifest(
-            output,
-            [args.input],
-            [args.output],
-            {
-                "command": "evaluate",
-                "seed": args.seed,
-                "grid": grid,
-                "k": args.k,
-                "split": args.split,
-                "aol": args.aol_mode,
-                "target_column": args.target_column,
-            },
-        )
     if args.assert_trend:
         baseline = rows[0].f1
         best = max((r.f1 for r in rows[1:]), default=None)
@@ -233,7 +208,7 @@ def build_parser():
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--config", required=True, help="YAML column config (version: 1)")
-    p.set_defaults(func=cmd_preprocess)
+    p.set_defaults(func=cmd_preprocess, seed=None)
 
     p = sub.add_parser("smote", help="augment the minority class of an encoded CSV")
     p.add_argument("input")
@@ -253,7 +228,7 @@ def build_parser():
     p.add_argument("output")
     p.add_argument("--target-column", default="label")
     p.add_argument("--grid", default="", help="comma-separated minority percents")
-    p.add_argument("--aol-mode", choices=["both", "on", "off"], default="both")
+    p.add_argument("--aol-mode", dest="aol", choices=["both", "on", "off"], default="both")
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--split", type=float, default=0.2, help="test fraction")
     p.add_argument("--seed", type=int, default=0)

@@ -6,29 +6,26 @@ A plain KNN under-predicts the sparse minority until its region is
 densified, which is the regime this library is meant to improve.
 """
 
-import csv
-
 import numpy as np
 
+from . import data
 
-def make_imbalanced_dataset(
-    n_rows=2000,
-    minority_fraction=0.10,
-    n_features=8,
-    seed=7,
-    shell_radius=(3.2, 4.8),
-):
-    """Returns (X, y) with y == 1 on the minority rows."""
+N_FEATURES = 8
+SHELL_RADIUS = (3.2, 4.8)  # the minority shell's inner and outer radius about the core's centre
+
+
+def make_imbalanced_dataset(n_rows=2000, minority_fraction=0.10, seed=7):
+    """Returns (X, y), N_FEATURES columns, with y == 1 on the minority rows."""
     rng = np.random.default_rng([seed, 0xDA7A])
     n_min = int(round(n_rows * minority_fraction))
     n_maj = n_rows - n_min
 
-    base = np.full(n_features, 5.0)
-    X_maj = rng.normal(base, 1.0, size=(n_maj, n_features))
+    base = np.full(N_FEATURES, 5.0)
+    X_maj = rng.normal(base, 1.0, size=(n_maj, N_FEATURES))
 
-    dirs = rng.normal(size=(n_min, n_features))
+    dirs = rng.normal(size=(n_min, N_FEATURES))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = rng.uniform(shell_radius[0], shell_radius[1], size=(n_min, 1))
+    radii = rng.uniform(*SHELL_RADIUS, size=(n_min, 1))
     X_min = base + dirs * radii
 
     X = np.clip(np.vstack([X_maj, X_min]), 0.05, None)
@@ -38,9 +35,7 @@ def make_imbalanced_dataset(
     return X[order], y[order]
 
 
-def write_dataset_csv(X, y, path, target_name="label"):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"f{i}" for i in range(X.shape[1])] + [target_name])
-        for row, label in zip(X, y):
-            w.writerow([repr(float(v)) for v in row] + [int(label)])
+def write_dataset_csv(X, y, path):
+    """Write columns f0, f1, ... and `label`, as `data.write_dataset` formats them."""
+    features = [f"f{i}" for i in range(X.shape[1])]
+    data.write_dataset(data.Dataset(feature_names=features, X=X, y=y, target_name="label"), path)

@@ -245,8 +245,8 @@ def average_precision(scores, labels):
     return float(np.cumsum(terms)[-1])
 
 
-def compute_metrics(scores, labels, threshold=0.5):
-    """Confusion matrix at the threshold plus ranking metrics.
+def compute_metrics(scores, labels):
+    """Confusion matrix at the score threshold 0.5 plus ranking metrics.
 
     Undefined quantities (no positive labels, empty predicted-positive
     set) are reported as None rather than zero.
@@ -255,7 +255,7 @@ def compute_metrics(scores, labels, threshold=0.5):
     labels = np.asarray(labels)
     if scores.shape != labels.shape:
         raise ParameterError("scores and labels must align")
-    pred = scores >= threshold
+    pred = scores >= 0.5
     pos = labels == 1
     cm = ConfusionMatrix(
         tp=int((pred & pos).sum()),

@@ -88,7 +88,9 @@ def run_smote(features, labels, config, row_ids=None):
     partial loop samples the remainder without replacement. Every
     record's uniform draw is the first of default_rng([seed, row id, k]),
     computed for all records in one `keyed.uniform` pass. An all-zero
-    minority row is a DataError naming the lowest such row id + 1.
+    minority row is a DataError naming the lowest such row id + 1; so
+    is, after it, a minority row whose squared norm underflows to 0, or
+    whose squared norm plus the centroid's is not finite.
     """
     X = np.asarray(features, dtype=float)
     y = np.asarray(labels)
@@ -101,17 +103,27 @@ def run_smote(features, labels, config, row_ids=None):
     row_ids = np.asarray(row_ids)
 
     minority_mask = y == 1
-    zero = np.flatnonzero(minority_mask & ~X.any(axis=1))
+    minority_X = X[minority_mask]
+    minority_ids = row_ids[minority_mask]
+    zero = np.flatnonzero(~minority_X.any(axis=1))
     if zero.size:
-        raise DataError("all-zero minority row cannot be amplitude-encoded", row=int(row_ids[zero].min()) + 1)
-    m = int(minority_mask.sum())
+        raise DataError("all-zero minority row cannot be amplitude-encoded", row=int(minority_ids[zero].min()) + 1)
+    with np.errstate(all="ignore"):
+        c = centroid(X)
+        sq = np.einsum("ij,ij->i", minority_X, minority_X)
+        bad = np.flatnonzero((sq == 0) | ~np.isfinite(sq + c @ c))
+    if bad.size:
+        raise DataError(
+            "minority row cannot be amplitude-encoded: its squared norm underflows to 0, "
+            "or with the centroid's is not finite",
+            row=int(minority_ids[bad].min()) + 1,
+        )
+    m = len(minority_X)
     n_total = X.shape[0]
 
     _, s, full_loops, remainder = target_counts(n_total, m, config.target_minority_percent)
 
-    minority_X = X[minority_mask]
-    minority_ids = row_ids[minority_mask]
-    distances = qdist.angular_distance_table(minority_X, centroid(X), shots=config.shots, seed=config.seed)
+    distances = qdist.angular_distance_table(minority_X, c, shots=config.shots, seed=config.seed)
 
     pick_rng = np.random.default_rng([config.seed, 0x5E1EC7])
     picked = np.sort(pick_rng.choice(m, size=remainder, replace=False))

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import csv
 import itertools
 import json
@@ -349,6 +350,29 @@ def test_zero_minority_row_exits_2_and_names_its_file_row(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, row",
+    [
+        ("a,b,label\n1e308,1e308,1\n1e308,1e308,0\n1e308,1e308,0\n1e308,1e308,0\n", 1),
+        ("a,b,label\n1,2,0\n1e154,1e154,1\n3,4,0\n5,6,0\n2,2,1\n7,8,0\n", 2),
+        ("a,b,label\n1,2,0\n3,4,0\n1e-320,0,1\n5,6,0\n2,2,1\n7,8,0\n", 3),
+    ],
+    ids=["1e308-table", "1e154-row", "1e-320-row"],
+)
+@pytest.mark.parametrize("shots", ["0", "100"])
+def test_minority_norm_out_of_range_exits_2_and_names_its_file_row(tmp_path, capsys, text, row, shots):
+    # a squared norm that overflows, alone or with the centroid's, or
+    # underflows to 0 has no amplitude encoding
+    src = tmp_path / "in.csv"
+    src.write_text(text)
+    out = tmp_path / "out.csv"
+    assert cli.main(["smote", str(src), str(out), "--target-percent", "45", "--shots", shots]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"(row {row})" in err
+    assert not out.exists()
+    assert not out.with_suffix(".manifest.json").exists()
+
+
 def test_failed_evaluate_keeps_existing_outputs(encoded, tmp_path):
     report = tmp_path / "report.csv"
     before = _existing_outputs([report, tmp_path / "report.manifest.json"])
@@ -440,6 +464,32 @@ def test_target_column_changes_the_config_hash(encoded, tmp_path, command):
         assert manifest["params"]["target_column"] == target
         hashes.append(manifest["config_hash"])
     assert hashes[0] != hashes[1]
+
+
+def _subparsers():
+    action = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_manifest_params_are_the_parsed_options(raw, encoded, tmp_path):
+    # every option but the paths and --assert-trend is a run parameter
+    raw_path, cfg_path = raw
+    argvs = {
+        "preprocess": [str(raw_path), "--config", str(cfg_path)],
+        "smote": [str(encoded), "--target-percent", "30"],
+        "evaluate": [str(encoded), "--grid", "30"],
+    }
+    subparsers = _subparsers()
+    assert sorted(subparsers) == sorted(argvs)
+    for command, parser in subparsers.items():
+        out = tmp_path / f"{command}.csv"
+        argv = argvs[command]
+        assert cli.main([command, argv[0], str(out), *argv[1:]]) == 0
+        params = json.loads(out.with_suffix(".manifest.json").read_text())["params"]
+        dests = {a.dest for a in parser._actions if a.dest != "help"}
+        want = dests - set(cli._NOT_PARAMS) | {"command"} | ({"seed"} if command == "preprocess" else set())
+        assert set(params) == want, command
+        assert params["command"] == command
 
 
 def test_evaluate_baseline_only(encoded, tmp_path):

@@ -251,7 +251,7 @@ def test_confusion_matrix_worked_example():
 
 def test_accuracy_is_threshold_consistent():
     scores, labels = _confusion_vectors()
-    report = evaluate.compute_metrics(scores, labels, threshold=0.5)
+    report = evaluate.compute_metrics(scores, labels)
     cm = report.confusion
     assert report.accuracy == (cm.tp + cm.tn) / cm.total
 
