@@ -140,11 +140,9 @@ def cmd_smote(args):
     with staged as (staged_out, staged_svg, _):
         data.write_augmented(dataset, records, staged_out, result.angular_distances)
         data.emit_histogram(dists, config.num_bins * 4, bounds, staged_svg)
-    print(
-        f"generated {result.report.synthetic_generated} synthetic records "
-        f"({len(records) - result.report.synthetic_generated} boosted), "
-        f"achieved {achieved:.2f}% minority"
-    )
+    generated = len(result.synthetic)
+    boosted = len(records) - generated
+    print(f"generated {generated} synthetic records ({boosted} boosted), achieved {achieved:.2f}% minority")
     return EXIT_OK
 
 

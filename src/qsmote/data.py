@@ -37,7 +37,6 @@ class ColumnSpec:
 @dataclass
 class DataConfig:
     columns: list
-    version: int = 1
 
     @property
     def target(self):
@@ -277,8 +276,6 @@ def load_csv(path, config):
 
 
 def _fmt(v):
-    if v is None:
-        return ""
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     f = float(v)

@@ -64,8 +64,9 @@ def k_nearest(train_X, queries, k, radius=None):
     row lists its neighbours by (distance, column): of equal distances the
     lower column comes first. The distance is
     ``sqrt(add.reduce((x - q)**2, axis=-1))``, so a pair gets the same bits
-    whichever call scores it. The inputs must be finite float tables; the
-    callers check them.
+    whichever call scores it. The inputs must be finite float tables, k at
+    least 1 and ``train_X`` nonempty; the callers check them (``_check_knn``)
+    or skip empty parts (``_extend``).
 
     With ``radius``, one distance per query, each query gets only its first
     ``min(k, len(train_X))`` candidates within the screen below, padded with
@@ -111,8 +112,6 @@ def k_nearest(train_X, queries, k, radius=None):
     k = min(k, n)
     out_dist = np.empty((len(queries), k))
     out_cols = np.empty((len(queries), k), dtype=np.intp)
-    if k == 0:
-        return out_dist, out_cols
     mean = train_X.mean(axis=0)
     centred = train_X - mean
     sq_train = np.einsum("ij,ij->i", centred, centred)

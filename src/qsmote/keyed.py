@@ -5,7 +5,7 @@ so no record depends on the records batched with it. Building one
 Generator per key is slow, so this module computes those streams' start
 in array arithmetic instead: SeedSequence's entropy pool and
 `generate_state(4, uint64)` in uint32, then PCG64's seeding (two 128-bit
-LCG steps, kept as 64-bit limbs) in uint64. `uniform` and `streams` are
+LCG steps, kept as 64-bit limbs) in uint64. `uniform` and `binomial` are
 bit-identical to `default_rng([seed, *row])`, which the tests hold them to.
 """
 
@@ -124,23 +124,23 @@ def uniform(seed, *columns):
     return (x >> np.uint64(11)) * 2.0**-53
 
 
-def streams(seed, *columns):
-    """One reused Generator per row, in the state default_rng([seed, *row]) starts in.
+def binomial(seed, n, p, *columns):
+    """`np.random.default_rng([seed, *row]).binomial(n, p[i])` for every row i of the key columns.
 
-    The states are computed at once; each row's is set as the iterator
-    reaches it, so draw from each Generator before taking the next.
+    The start states are computed at once, but numpy's binomial is a
+    rejection sampler with a varying number of draws, so each row's count
+    is one call on a Generator set to that row's state.
     """
     states = zip(*(a.tolist() for a in _seeded(seed, columns)))
     bit_generator = np.random.PCG64(0)
     generator = np.random.Generator(bit_generator)
-
-    def at(s_hi, s_lo, c_hi, c_lo):
+    counts = []
+    for (s_hi, s_lo, c_hi, c_lo), p_row in zip(states, np.asarray(p, dtype=float).tolist()):
         bit_generator.state = {
             "bit_generator": "PCG64",
             "state": {"state": s_hi << 64 | s_lo, "inc": c_hi << 64 | c_lo},
             "has_uint32": 0,
             "uinteger": 0,
         }
-        return generator
-
-    return (at(*state) for state in states)
+        counts.append(generator.binomial(n, p_row))
+    return np.array(counts, dtype=np.int64)

@@ -35,7 +35,6 @@ class SmoteConfig:
 
 @dataclass
 class AugmentationReport:
-    synthetic_generated: int
     achieved_percent: float
     full_loops: int
     remainder: int
@@ -88,9 +87,11 @@ def run_smote(features, labels, config, row_ids=None):
     partial loop samples the remainder without replacement. Every
     record's uniform draw is the first of default_rng([seed, row id, k]),
     computed for all records in one `keyed.uniform` pass. An all-zero
-    minority row is a DataError naming the lowest such row id + 1; so
-    is, after it, a minority row whose squared norm underflows to 0, or
-    whose squared norm plus the centroid's is not finite.
+    minority row is a DataError naming the lowest such row id + 1. After
+    it come, in this order: a minority row whose squared norm underflows
+    to 0 or is not finite, named the same way; a centroid whose squared
+    norm is 0 or not finite; and a minority row whose squared norm plus
+    the centroid's is not finite, named the same way.
     """
     X = np.asarray(features, dtype=float)
     y = np.asarray(labels)
@@ -105,23 +106,28 @@ def run_smote(features, labels, config, row_ids=None):
     minority_mask = y == 1
     minority_X = X[minority_mask]
     minority_ids = row_ids[minority_mask]
+    m = len(minority_X)
+    n_total = X.shape[0]
+    _, s, full_loops, remainder = target_counts(n_total, m, config.target_minority_percent)
+
     zero = np.flatnonzero(~minority_X.any(axis=1))
     if zero.size:
         raise DataError("all-zero minority row cannot be amplitude-encoded", row=int(minority_ids[zero].min()) + 1)
     with np.errstate(all="ignore"):
         c = centroid(X)
+        c_sq = (c * c).sum()
         sq = np.einsum("ij,ij->i", minority_X, minority_X)
-        bad = np.flatnonzero((sq == 0) | ~np.isfinite(sq + c @ c))
-    if bad.size:
+        alone, wide = (sq == 0) | ~np.isfinite(sq), ~np.isfinite(sq + c_sq)
+    # a row bad on its own is named before the centroid, a row bad only with it after
+    if not alone.any() and not 0 < c_sq < np.inf:
+        raise DataError("centroid cannot be amplitude-encoded: its squared norm is 0 or not finite")
+    bad = alone if alone.any() else wide
+    if bad.any():
         raise DataError(
             "minority row cannot be amplitude-encoded: its squared norm underflows to 0, "
             "or with the centroid's is not finite",
             row=int(minority_ids[bad].min()) + 1,
         )
-    m = len(minority_X)
-    n_total = X.shape[0]
-
-    _, s, full_loops, remainder = target_counts(n_total, m, config.target_minority_percent)
 
     distances = qdist.angular_distance_table(minority_X, c, shots=config.shots, seed=config.seed)
 
@@ -140,12 +146,7 @@ def run_smote(features, labels, config, row_ids=None):
     )
 
     achieved = 100.0 * (m + s) / (n_total + s)
-    report = AugmentationReport(
-        synthetic_generated=s,
-        achieved_percent=achieved,
-        full_loops=full_loops,
-        remainder=remainder,
-    )
+    report = AugmentationReport(achieved_percent=achieved, full_loops=full_loops, remainder=remainder)
     return SmoteResult(
         synthetic=synthetic,
         report=report,

@@ -6,11 +6,12 @@ qubit and the leading component qubit yields the control marginals p0
 and p1. The overlap probability is p = p0 - p1, clamped to [0, 1], and
 the angular distance is 2*arccos(sqrt(p)).
 
-`angular_distance_table`, the one production path, evaluates the exact
-control marginal of that circuit in closed form for a whole table of
-rows at once. `prep_swap_test`, `swap_test` (which simulates the circuit
-on `statevec`) and `overlap_probability_exact` are the oracle the tests
-hold it to; no production path runs them.
+`angular_distance_table`, the one production path, prepares the states
+of a whole table of rows at once with `prep_swap_test` and evaluates the
+exact control marginal of that circuit in closed form. `swap_test`
+(which simulates the circuit on `statevec`) and
+`overlap_probability_exact` are the oracle the tests hold it to; no
+production path runs them.
 """
 
 from dataclasses import dataclass
@@ -43,23 +44,31 @@ class SwapTestResult:
 def prep_swap_test(point_a, point_b):
     """Build the norm state phi and interleaved state psi for two vectors.
 
-    Inputs must already be zero-padded to a power-of-two length.
+    `point_b` may also be a (rows, n) table, each row prepared against
+    `point_a`: phi, psi, z and md_norm then gain a leading row axis, and
+    a zero row is named by its index. Inputs must already be zero-padded
+    to a power-of-two length.
     """
     a = np.asarray(point_a, dtype=float).ravel()
-    b = np.asarray(point_b, dtype=float).ravel()
-    if a.size != b.size:
-        raise DimensionError(f"length mismatch: {a.size} vs {b.size}")
+    b = np.asarray(point_b, dtype=float)
+    b = b if b.ndim == 2 else b.ravel()
+    if a.size != b.shape[-1]:
+        raise DimensionError(f"length mismatch: {a.size} vs {b.shape[-1]}")
     if a.size == 0 or (a.size & (a.size - 1)) != 0:
         raise DimensionError(f"length must be a power of two, got {a.size}")
-    dc_norm = float(np.linalg.norm(a))
-    md_norm = float(np.linalg.norm(b))
-    if dc_norm == 0.0 or md_norm == 0.0:
+    dc_norm = np.sqrt((a * a).sum())
+    md_norm = np.sqrt((b * b).sum(axis=-1))
+    if dc_norm == 0.0:
         raise DegenerateInputError("swap test inputs must be nonzero")
+    zero = np.flatnonzero(md_norm == 0.0)
+    if zero.size:
+        row = f"row {zero[0]}: " if b.ndim == 2 else ""
+        raise DegenerateInputError(f"{row}swap test inputs must be nonzero")
     z = dc_norm**2 + md_norm**2
-    phi = np.array([dc_norm / np.sqrt(z), -md_norm / np.sqrt(z)])
-    psi = np.empty(2 * a.size)
-    psi[0::2] = a / (dc_norm * SQRT2)
-    psi[1::2] = b / (md_norm * SQRT2)
+    phi = np.stack([dc_norm / np.sqrt(z), -md_norm / np.sqrt(z)], axis=-1)
+    psi = np.empty(b.shape[:-1] + (2 * a.size,))
+    psi[..., 0::2] = a / (dc_norm * SQRT2)
+    psi[..., 1::2] = b / (md_norm * SQRT2)[..., None]
     return SwapTestStates(phi=phi, psi=psi, z=z, dc_norm=dc_norm, md_norm=md_norm)
 
 
@@ -128,49 +137,31 @@ def pad_to_power_of_two(vec):
 def angular_distance_table(points, centroid, shots=0, seed=0):
     """Angular distance of every row of a (rows, d) table to the centroid.
 
-    The exact control marginal p1 of every row's swap test comes from the
-    closed form of `overlap_probability_exact`, evaluated for the whole
-    table at once with elementwise products and row sums, so a row's value
-    does not depend on the rows batched with it. With shots > 0 row i
-    draws binomial(shots, p1) from default_rng([seed, i]), with p1 rounded
-    by `statevec.sampling_probability` as the circuit rounds it: the streams'
-    states come from one `keyed.streams` pass, but numpy's binomial is a
-    rejection sampler with a varying number of draws, so each row's count
-    is one call on a reused Generator.
+    `prep_swap_test` prepares every row's states against the padded
+    centroid, and the exact control marginal p1 of every row's swap test
+    comes from the closed form of `overlap_probability_exact`, evaluated
+    for the whole table at once with elementwise products and row sums,
+    so a row's value does not depend on the rows batched with it. With
+    shots > 0 row i draws binomial(shots, p1) from default_rng([seed, i])
+    through `keyed.binomial`, with p1 rounded by
+    `statevec.sampling_probability` as the circuit rounds it.
     """
     centroid = np.asarray(centroid, dtype=float).ravel()
     points = np.asarray(points, dtype=float)
-    if len(points) == 0:
-        return np.empty(0)
     if points.ndim != 2 or points.shape[1] != centroid.size:
         raise DimensionError(f"points must be a (rows, {centroid.size}) table, got shape {points.shape}")
-    a = pad_to_power_of_two(centroid)
-    b = pad_to_power_of_two(points)
-    dc_norm = float(np.sqrt((a * a).sum()))
-    md_norm = np.sqrt((b * b).sum(axis=1))
-    if dc_norm == 0.0:
-        raise DegenerateInputError("centroid must be nonzero")
-    zero = np.flatnonzero(md_norm == 0.0)
-    if zero.size:
-        raise DegenerateInputError(f"row {zero[0]}: swap test inputs must be nonzero")
-
-    # prep_swap_test for every row: phi = [|a|, -|b|]/sqrt(z), psi interleaved
-    z = dc_norm**2 + md_norm**2
-    phi0, phi1 = dc_norm / np.sqrt(z), -md_norm / np.sqrt(z)
-    psi = np.empty((len(b), 2 * a.size))
-    psi[:, 0::2] = a / (dc_norm * SQRT2)
-    psi[:, 1::2] = b / (md_norm * SQRT2)[:, None]
+    states = prep_swap_test(pad_to_power_of_two(centroid), pad_to_power_of_two(points))
+    phi0, phi1 = states.phi[:, 0], states.phi[:, 1]
     # psi and phi are unit vectors by construction, so the oracle's two
     # normalisations are left out. X on the leading psi qubit swaps the
     # halves of psi; rho is their 2x2 Gram matrix
-    h0, h1 = psi[:, a.size :], psi[:, : a.size]
+    half = states.psi.shape[1] // 2
+    h0, h1 = states.psi[:, half:], states.psi[:, :half]
     r00, r01, r11 = (h0 * h0).sum(axis=1), (h0 * h1).sum(axis=1), (h1 * h1).sum(axis=1)
     quad = (phi0 * r00 + phi1 * r01) * phi0 + (phi0 * r01 + phi1 * r11) * phi1
     p1 = _clamp01(0.5 * (1.0 - quad))
     if shots > 0:
-        rows = keyed.streams(seed, np.arange(len(p1)))
-        draw_p1 = statevec.sampling_probability(p1).tolist()
-        counts1 = np.array([rng.binomial(shots, p) for rng, p in zip(rows, draw_p1)])
+        counts1 = keyed.binomial(seed, shots, statevec.sampling_probability(p1), np.arange(len(p1)))
         p1 = counts1 / shots
         p0 = (shots - counts1) / shots
     else:

@@ -373,6 +373,51 @@ def test_minority_norm_out_of_range_exits_2_and_names_its_file_row(tmp_path, cap
     assert not out.with_suffix(".manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "text, target",
+    [
+        ("a,b,label\n1,1,1\n-1,-1,0\n2,-2,0\n-2,2,0\n3,3,0\n-3,-3,0\n", "30"),
+        ("a,b,label\n1,2,1\n1e308,1e308,0\n3,4,0\n5,6,0\n2,2,1\n7,8,0\n", "45"),
+    ],
+    ids=["zero-centroid", "1e308-majority-row"],
+)
+def test_centroid_out_of_range_exits_2_and_names_the_centroid(tmp_path, capsys, text, target):
+    # every column mean is exactly 0, or a majority row's magnitude makes
+    # the centroid's squared norm overflow: no minority row is at fault
+    src = tmp_path / "in.csv"
+    src.write_text(text)
+    out = tmp_path / "out.csv"
+    assert cli.main(["smote", str(src), str(out), "--target-percent", target]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "centroid" in err and "(row" not in err
+    assert not out.exists()
+    assert not out.with_suffix(".manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "bins, message, column",
+    [
+        (None, "target column missing", "nope"),
+        ("'equal-width:0'", "bad bin scheme 'equal-width:0'", "age"),
+        ("[0, 2, 1]", "bin edges must be strictly increasing", "age"),
+    ],
+    ids=["smote-target-column", "preprocess-bin-scheme", "preprocess-bin-edges"],
+)
+def test_bad_column_input_exits_2_and_names_the_column(raw, encoded, tmp_path, capsys, bins, message, column):
+    out = tmp_path / "out.csv"
+    if bins is None:
+        argv = ["smote", str(encoded), str(out), "--target-percent", "30", "--target-column", "nope"]
+    else:
+        raw_path, cfg_path = raw
+        cfg_path.write_text(CONFIG_YAML.replace("'equal-width:3'", bins))
+        argv = ["preprocess", str(raw_path), str(out), "--config", str(cfg_path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{message} (column {column!r})" in err
+    assert not out.exists()
+    assert not out.with_suffix(".manifest.json").exists()
+
+
 def test_failed_evaluate_keeps_existing_outputs(encoded, tmp_path):
     report = tmp_path / "report.csv"
     before = _existing_outputs([report, tmp_path / "report.manifest.json"])

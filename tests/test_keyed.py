@@ -37,11 +37,11 @@ def test_uniform_equals_default_rng(seed, columns):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=_SEEDS, columns=_keys(), n=st.sampled_from([1, 30, 1000]))
-def test_streams_equal_default_rng(seed, columns, n):
+def test_binomial_equals_default_rng(seed, columns, n):
     # p = 0 and 1 draw nothing; n*p <= 30 is numpy's inversion sampler and
     # n*p > 30 its rejection sampler, which takes a varying number of draws
     for p in (0.0, 1.0, 0.01, 0.3, 0.5):
-        got = [rng.binomial(n, p) for rng in keyed.streams(seed, *columns)]
+        got = keyed.binomial(seed, n, np.full(len(columns[0]), p), *columns).tolist()
         want = [np.random.default_rng([seed, *row]).binomial(n, p) for row in _rows(columns)]
         assert got == want
 
@@ -73,10 +73,10 @@ def test_keys_outside_one_word_each_raise(columns):
     with pytest.raises(ParameterError):
         keyed.uniform(0, *columns)
     with pytest.raises(ParameterError):
-        keyed.streams(0, *columns)
+        keyed.binomial(0, 1, [0.5, 0.5], *columns)
 
 
 def test_negative_seed_raises():
-    for draw in (keyed.uniform, keyed.streams):
+    for draw in (keyed.uniform, lambda seed, keys: keyed.binomial(seed, 1, np.full(len(keys), 0.5), keys)):
         with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
             draw(-1, np.arange(3))

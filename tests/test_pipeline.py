@@ -67,9 +67,8 @@ def test_run_smote_hits_target_share():
     X, y = _toy_dataset()
     config = pipeline.SmoteConfig(target_minority_percent=30.0, seed=1)
     result = pipeline.run_smote(X, y, config)
-    assert result.report.synthetic_generated in (57, 58)
+    assert len(result.synthetic) in (57, 58)
     assert 29.8 <= result.report.achieved_percent <= 30.2
-    assert len(result.synthetic) == result.report.synthetic_generated
 
 
 def test_run_smote_zero_budget_gives_empty_output():
@@ -77,7 +76,6 @@ def test_run_smote_zero_budget_gives_empty_output():
     config = pipeline.SmoteConfig(target_minority_percent=50.0, seed=1)
     result = pipeline.run_smote(X, y, config)
     assert len(result.synthetic) == 0
-    assert result.report.synthetic_generated == 0
 
 
 def test_run_smote_deterministic():
