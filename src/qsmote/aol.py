@@ -19,7 +19,6 @@ from .errors import ParameterError
 class OutlierBounds:
     q1: float
     q3: float
-    iqr: float
     lower_bound: float
     upper_bound: float
 
@@ -66,7 +65,6 @@ def detect_outliers(angular_distances, num_bins):
     bounds = OutlierBounds(
         q1=float(q1),
         q3=float(q3),
-        iqr=float(iqr),
         lower_bound=float(q1 - 1.5 * iqr),
         upper_bound=float(q3 + 1.5 * iqr),
     )

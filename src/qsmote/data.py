@@ -83,6 +83,9 @@ def load_config(path):
     _check_unique(c.name for c in columns)
     if sum(1 for c in columns if c.kind == "target") != 1:
         raise DataError("config must declare exactly one target column")
+    ids = [c.name for c in columns if c.kind == "id"]
+    if len(ids) > 1:
+        raise DataError("config must declare at most one id column", column=ids[1])
     return DataConfig(columns=columns)
 
 
@@ -245,7 +248,6 @@ def load_csv(path, config):
 
     feature_names = [s.name for s in specs if s.kind in ("categorical", "numeric-binned", "numeric-raw")]
     target_spec = config.target
-    id_specs = [s for s in specs if s.kind == "id"]
 
     columns = {}
     for spec in specs:
@@ -264,7 +266,7 @@ def load_csv(path, config):
 
     X = np.column_stack([columns[n] for n in feature_names]) if feature_names else np.empty((len(file_rows), 0))
     y = columns[target_spec.name].astype(int)
-    id_name = id_specs[0].name if id_specs else None
+    id_name = next((s.name for s in specs if s.kind == "id"), None)
     return Dataset(
         feature_names=feature_names,
         X=X,
@@ -376,15 +378,13 @@ def write_augmented(dataset, synthetic, path, minority_distances):
         _write_lines(fh, len(synthetic), generated)
 
 
-def read_augmented(path, feature_names=None):
+def read_augmented(path):
     """Round-trip loader for files produced by write_augmented."""
     header, columns = read_table(path)
     if len(header) < 6 or header[-5:] != META_COLUMNS:
         raise DataError(f"{path} lacks a target column followed by the augmented metadata columns")
     names = header[: -5 - 1]
     target_name = header[-6]
-    if feature_names is not None and names != list(feature_names):
-        raise DataError(f"{path} feature columns differ from expectation")
     parsed = [parse_floats(col, name) for col, name in zip(columns, header[: len(names) + 1])]
     X = np.column_stack(parsed[:-1]) if names else np.empty((len(parsed[-1]), 0))
     y = parsed[-1].astype(int)

@@ -27,23 +27,8 @@ from .errors import ParameterError
 
 
 @dataclass(frozen=True)
-class ConfusionMatrix:
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-
-    @property
-    def total(self):
-        return self.tp + self.fp + self.fn + self.tn
-
-
-@dataclass(frozen=True)
 class MetricsReport:
-    confusion: ConfusionMatrix
-    accuracy: float
-    precision: float          # None when undefined
-    recall: float
+    accuracy: float           # None when undefined
     f1: float
     roc_auc: float
     pr_auc: float
@@ -151,30 +136,20 @@ def k_nearest(train_X, queries, k, radius=None):
     return out_dist, out_cols
 
 
-def knn_predict(train_X, train_y, test_X, k=5, train_ids=None):
+def knn_predict(train_X, train_y, test_X, k=5):
     """Fraction of the k nearest training rows that are positive.
 
     The distance is ``sqrt(add.reduce((x - q)**2, axis=-1))`` on the given
-    rows. Distance ties break toward the lower row id (``train_ids``, by
-    default the row index; equal ids keep their input order), so scores are
-    deterministic under any input permutation. The scores are exactly those
-    of sorting every training row by (distance, id) for each query: the
-    training rows are put in id order by a stable argsort, so the lower
-    column of ``k_nearest`` is the lower id.
+    rows, and distance ties break toward the lower row index, as in
+    ``k_nearest``, so the scores are exactly those of sorting every
+    training row by (distance, index) for each query.
     """
     train_X = np.asarray(train_X, dtype=float)
     train_y = np.asarray(train_y)
     test_X = np.atleast_2d(np.asarray(test_X, dtype=float))
     _check_knn(train_X, train_y, test_X, k)
-    positive = train_y == 1
-    if train_ids is not None:
-        train_ids = np.asarray(train_ids)
-        if train_ids.shape != (len(train_X),):
-            raise ParameterError(f"need one id per training row, got {train_ids.shape}")
-        by_id = np.argsort(train_ids, kind="stable")
-        train_X, positive = train_X[by_id], positive[by_id]
     _, cols = k_nearest(train_X, test_X, k)
-    return positive[cols].sum(axis=1) / k
+    return (train_y == 1)[cols].sum(axis=1) / k
 
 
 def _check_knn(train_X, train_y, test_X, k):
@@ -245,10 +220,10 @@ def average_precision(scores, labels):
 
 
 def compute_metrics(scores, labels):
-    """Confusion matrix at the score threshold 0.5 plus ranking metrics.
+    """Accuracy and F1 at the score threshold 0.5 plus ROC-AUC and PR-AUC.
 
-    Undefined quantities (no positive labels, empty predicted-positive
-    set) are reported as None rather than zero.
+    Undefined quantities (no labels, no positive labels, an empty
+    predicted-positive set) are reported as None rather than zero.
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
@@ -256,26 +231,19 @@ def compute_metrics(scores, labels):
         raise ParameterError("scores and labels must align")
     pred = scores >= 0.5
     pos = labels == 1
-    cm = ConfusionMatrix(
-        tp=int((pred & pos).sum()),
-        fp=int((pred & ~pos).sum()),
-        fn=int((~pred & pos).sum()),
-        tn=int((~pred & ~pos).sum()),
-    )
-    accuracy = (cm.tp + cm.tn) / cm.total if cm.total else None
-    precision = cm.tp / (cm.tp + cm.fp) if (cm.tp + cm.fp) else None
-    recall = cm.tp / (cm.tp + cm.fn) if (cm.tp + cm.fn) else None
-    if precision is not None and recall is not None and (precision + recall) > 0:
-        f1 = 2 * precision * recall / (precision + recall)
-    elif precision is not None and recall is not None:
-        f1 = 0.0
-    else:
+    tp = int((pred & pos).sum())
+    fp = int((pred & ~pos).sum())
+    fn = int((~pred & pos).sum())
+    tn = int((~pred & ~pos).sum())
+    accuracy = (tp + tn) / labels.size if labels.size else None
+    precision = tp / (tp + fp) if (tp + fp) else None
+    recall = tp / (tp + fn) if (tp + fn) else None
+    if precision is None or recall is None:
         f1 = None
+    else:
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return MetricsReport(
-        confusion=cm,
         accuracy=accuracy,
-        precision=precision,
-        recall=recall,
         f1=f1,
         roc_auc=roc_auc_trapezoidal(scores, labels),
         pr_auc=average_precision(scores, labels),

@@ -28,8 +28,14 @@ class SmoteConfig:
     boost_angle_multiplier: float = 1.5
 
     def __post_init__(self):
+        if not self.split_factor > 0:
+            raise ParameterError(f"split factor must be positive, got {self.split_factor}")
+        if not 0 <= self.boost_angle_multiplier < np.inf:
+            raise ParameterError(f"boost multiplier must be finite and >= 0, got {self.boost_angle_multiplier}")
         if self.shots < 0:
             raise ParameterError(f"shots must be >= 0, got {self.shots}")
+        if self.shots >= 2**63:
+            raise ParameterError(f"shots must be < 2**63, got {self.shots}")
         keyed.check_seed(self.seed)
 
 

@@ -27,11 +27,8 @@ SQRT2 = np.sqrt(2.0)
 
 @dataclass(frozen=True)
 class SwapTestStates:
-    phi: np.ndarray       # [|a|/sqrt(z), -|b|/sqrt(z)]
+    phi: np.ndarray       # [|a|/sqrt(z), -|b|/sqrt(z)], z = |a|^2 + |b|^2
     psi: np.ndarray       # interleaved a/b components, unit norm
-    z: float              # |a|^2 + |b|^2
-    dc_norm: float
-    md_norm: float
 
 
 @dataclass(frozen=True)
@@ -45,9 +42,9 @@ def prep_swap_test(point_a, point_b):
     """Build the norm state phi and interleaved state psi for two vectors.
 
     `point_b` may also be a (rows, n) table, each row prepared against
-    `point_a`: phi, psi, z and md_norm then gain a leading row axis, and
-    a zero row is named by its index. Inputs must already be zero-padded
-    to a power-of-two length.
+    `point_a`: phi and psi then gain a leading row axis, and a zero row
+    is named by its index. Inputs must already be zero-padded to a
+    power-of-two length.
     """
     a = np.asarray(point_a, dtype=float).ravel()
     b = np.asarray(point_b, dtype=float)
@@ -69,7 +66,7 @@ def prep_swap_test(point_a, point_b):
     psi = np.empty(b.shape[:-1] + (2 * a.size,))
     psi[..., 0::2] = a / (dc_norm * SQRT2)
     psi[..., 1::2] = b / (md_norm * SQRT2)[..., None]
-    return SwapTestStates(phi=phi, psi=psi, z=z, dc_norm=dc_norm, md_norm=md_norm)
+    return SwapTestStates(phi=phi, psi=psi)
 
 
 def _clamp01(x):

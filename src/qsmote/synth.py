@@ -51,7 +51,7 @@ def rotation_angle(angular_distance, sf, u):
     - d = 0: 0;
     - otherwise: (0.0 + d·u) / sf.
     """
-    if sf <= 0:
+    if not sf > 0:
         raise ParameterError(f"split factor must be positive, got {sf}")
     d = np.asarray(angular_distance, dtype=float)
     u = np.asarray(u, dtype=float)

@@ -12,7 +12,6 @@ def test_worked_iqr_example():
     bounds, low, high = aol.detect_outliers(values, num_bins=2)
     assert bounds.q1 == pytest.approx(2.75)
     assert bounds.q3 == pytest.approx(8.25)
-    assert bounds.iqr == pytest.approx(5.5)
     assert bounds.upper_bound == pytest.approx(16.5)
     assert bounds.lower_bound == pytest.approx(2.75 - 1.5 * 5.5)
     assert high.total() == 1
@@ -22,7 +21,6 @@ def test_worked_iqr_example():
 
 def test_constant_vector_has_no_outliers():
     bounds, low, high = aol.detect_outliers(np.full(50, 1.3), num_bins=5)
-    assert bounds.iqr == 0.0
     assert bounds.lower_bound == pytest.approx(1.3)
     assert bounds.upper_bound == pytest.approx(1.3)
     assert low.total() == 0 and high.total() == 0

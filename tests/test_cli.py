@@ -128,9 +128,13 @@ def test_preprocess_missing_column_exits_2_and_names_it(raw, tmp_path, capsys):
             "unknown missing policy 5 (column 'age')",
         ),
         ("columns: 5\n", "a list of columns"),
+        (
+            "columns:\n  - {name: age, kind: id}\n  - {name: plan, kind: id}\n  - {name: label, kind: target}\n",
+            "config must declare at most one id column (column 'plan')",
+        ),
     ],
     ids=["yaml", "no-name", "string-entry", "bins-int", "bins-text", "no-bins", "no-kind",
-         "missing-int", "columns-int"],
+         "missing-int", "columns-int", "two-ids"],
 )
 def test_preprocess_bad_config_exits_2_without_traceback(raw, tmp_path, capsys, columns, message):
     raw_path, _ = raw
@@ -149,6 +153,18 @@ def test_smote_negative_shots_exits_2_before_reading_input(tmp_path, capsys):
     assert cli.main(argv + ["--shots", "-1"]) == 2
     assert "shots must be >= 0, got -1" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+    # a non-finite split factor or multiplier would write NaN records, and
+    # shots past int64 overflow the binomial draw
+    for flag, value, message in [
+        ("--sf", "nan", "split factor must be positive, got nan"),
+        ("--boost-multiplier", "nan", "boost multiplier must be finite and >= 0, got nan"),
+        ("--boost-multiplier", "inf", "boost multiplier must be finite and >= 0, got inf"),
+        ("--shots", str(2**63), f"shots must be < 2**63, got {2**63}"),
+    ]:
+        assert cli.main(argv + [flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", [["smote", "--target-percent", "40"], ["evaluate"]], ids=["smote", "evaluate"])
@@ -471,6 +487,11 @@ def test_boost_multiplier_changes_the_config_hash(tmp_path):
     assert runs[0][0] != runs[1][0]
     assert runs[0][1]["config_hash"] != runs[1][1]["config_hash"]
     assert [m["params"]["boost_multiplier"] for _, m in runs] == [1.5, 3.0]
+    # a nan multiplier would boost these bins into non-finite records
+    out = tmp_path / "aug-nan.csv"
+    argv = ["smote", str(src), str(out), "--target-percent", "20", "--seed", "3", "--aol", "--bins", "3"]
+    assert cli.main(argv + ["--boost-multiplier", "nan"]) == 2
+    assert not list(tmp_path.glob("aug-nan*"))
 
 
 def test_a_minority_label_other_than_1_augments_as_the_0_1_coding(tmp_path):

@@ -485,7 +485,7 @@ def test_write_augmented_read_augmented_round_trip(tmp_path_factory, case):
     ds, records, distances = case
     path = tmp_path_factory.mktemp("augmented") / "aug.csv"
     data.write_augmented(ds, records, path, distances)
-    names, target, X, y, meta = data.read_augmented(path, feature_names=ds.feature_names)
+    names, target, X, y, meta = data.read_augmented(path)
     assert (names, target) == (ds.feature_names, "label")
     assert np.array_equal(X, np.vstack([ds.X, records.features]))
     minority = data.minority_label(ds.y)
@@ -694,7 +694,7 @@ def test_emit_histogram_constant_vector(tmp_path):
 
 def test_emit_histogram_clamps_out_of_range_thresholds(tmp_path):
     values = np.linspace(1.0, 2.0, 30)
-    bounds = aol.OutlierBounds(q1=1.2, q3=1.8, iqr=0.6, lower_bound=-5.0, upper_bound=9.0)
+    bounds = aol.OutlierBounds(q1=1.2, q3=1.8, lower_bound=-5.0, upper_bound=9.0)
     svg = tmp_path / "clamp.svg"
     data.emit_histogram(values, 5, bounds, svg)
     text = svg.read_text()
