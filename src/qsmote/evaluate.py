@@ -1,8 +1,10 @@
 """KNN scoring, binary classification metrics, and the experiment grid.
 
-Everything is self-contained: exact nearest neighbours from a blocked Gram
-screen with an exact distance repair (``k_nearest``), a trapezoidal ROC-AUC
-(with a pairwise cross-check), and step-interpolated average precision.
+Everything is self-contained: exact nearest neighbours from a blocked
+screen, one matrix product per block of queries against the centred
+training rows with their squared norms appended, and an exact distance
+repair (``k_nearest``), a trapezoidal ROC-AUC (with a pairwise
+cross-check), and step-interpolated average precision.
 
 ``knn_predict`` scores queries against one training set. The grid,
 ``run_experiment``, scores shared records once per grid instead of once
@@ -34,11 +36,12 @@ class MetricsReport:
     pr_auc: float
 
 
-# Query rows per block are sized so one block's Gram matrix, and its exact
-# recompute of min(k, n) candidate rows per query, each take at most this
-# many bytes: enough rows for the matrix product to pay off, few enough
-# that the grid's peak memory stays flat. The grid sizes its chunks of
-# neighbour lists from it too.
+# A block of queries is sized so its screen (n values per query) and its
+# min(k, n) candidate rows per query (d values each) take at most this
+# many bytes, but holds at least 16 queries, so that the screen stays a
+# matrix product on large training sets. The exact recompute works through
+# its candidate rows in slices of this many bytes, and the grid sizes its
+# chunks of neighbour lists from it too.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -60,36 +63,48 @@ def k_nearest(train_X, queries, k, radius=None):
     exact distance from this expression, such as a running list's k-th
     distance, misses no row that beats it.
 
-    Queries run in blocks sized so that neither the Gram matrix (n values
-    per query) nor min(k, n) candidate rows (d values each) per query
-    exceed ``_BLOCK_BYTES``, in three steps:
+    Queries run in blocks of at least 16, and of more while a block's screen
+    (n values per query) and min(k, n) candidate rows (d values each) per
+    query fit in ``_BLOCK_BYTES``; with fewer, the screen's matrix product
+    degrades to a matrix-vector product on large training sets. Each block
+    takes three steps:
 
-    1. Screen. With data centred on the training mean, the squared
-       distances come from the Gram identity |q|^2 + |x|^2 - 2 q.x, one
-       matrix product per block, and ``np.partition`` finds each query's
-       k-th smallest value g_k. Every training row whose Gram value is
-       within tol = 64 (d + 2) eps (|q|^2 + max|x|^2 + |g_k|) of g_k is a
-       candidate. A length-d sum of products errs by at most d eps / 2
-       times the sum of the absolute products, so the rounding that
-       separates a Gram value from the squared exact distance (the Gram
-       sums, the centring, the exact sum of squares and the square root
-       mapping nearby sums to one value) stays below 8 (d + 2) eps times
-       that scale. Two such errors lie between g_k and the Gram value of
-       any row that ties with or beats the k-th neighbour in exact
-       distance, so 16 would do; 64 is a fourfold margin. With a radius r
-       the block skips the partition: the threshold is r^2 + tol, with
-       r^2 in place of |g_k| in the scale. r is itself an exact computed
-       distance, so it stands where the k-th neighbour's distance stood,
-       and squaring it adds one more rounding inside the same
-       8 (d + 2) eps scale. A query whose scale overflows keeps every row
-       as a candidate.
+    1. Screen. The training rows, centred on their mean, are the columns of
+       one (d + 1) x n table whose last row holds their squared norms |x|^2.
+       The block's queries, centred the same way, are the rows (-2q, 1), so
+       one matrix product gives f = |x|^2 - 2 q.x for every pair: the
+       squared distance less |q|^2, which is the same for all of a query's
+       rows. Column j joins group j mod g of g = min(16 k, n) groups, and
+       ``np.partition`` finds u, the k-th smallest of the groups' minima,
+       over g values in place of n. These k minima are the values of k
+       different rows, so u is at least f_k, the k-th smallest f, and it
+       exceeds f_k only where two of the k nearest rows share a group,
+       which 16 k groups make rare. Every row whose f is within
+       tol = 64 (d + 3) (eps s + tiny) of u is a candidate, where
+       s = |q|^2 + max|x|^2 and tiny is the smallest subnormal. Doubling is
+       exact, so f is a sum of d + 1 products whose absolute values add up
+       to at most |q|^2 + 2 |x|^2, below 2s. A length-m sum of products errs by at most m eps / 2 times
+       the sum of its absolute products, plus m tiny / 2 for products that
+       round to subnormals. So the rounding that separates f + |q|^2 from a
+       row's squared exact distance (the product, |x|^2, the centring, the
+       exact sum of squares, at most 2s, and the square root mapping nearby
+       sums to one value) stays below 8 (d + 3) (eps s + tiny). Two such
+       errors lie between f_k <= u and the f of any row that ties with or
+       beats the k-th neighbour in exact distance, so 16 would do; 64 is a
+       fourfold margin. With a radius r the block skips the partition: the
+       threshold is r^2 - |q|^2 + tol, with r^2 added to s. r is itself an
+       exact computed distance, so it stands where the k-th neighbour's
+       distance stood, and squaring it, |q|^2 and the shift add roundings
+       inside the same bound. A query whose 4 s overflows keeps every row
+       as a candidate; below that no sum in the product overflows.
     2. Exact recompute. The candidates' distances are computed with the
        expression above, from the original rows in the same floating-point
        order as a loop over single queries, so only these reach the result.
        A query keeps about min(k, n) candidates unless distances tie or
-       overflow. With a radius, a far radius keeps all n rows as well, so
-       a bounded block's recompute can hold up to block x n candidate
-       rows of d values, d times ``_BLOCK_BYTES``.
+       overflow or its radius is far, which can keep all n rows. The rows
+       are recomputed in slices of ``_BLOCK_BYTES // (8 d)`` candidates,
+       and a row's sum does not depend on its slice, so the recompute
+       holds at most ``_BLOCK_BYTES`` of rows at a time.
     3. Select. One stable lexsort by (query, distance) over the candidates
        in column order picks each query's k nearest.
     """
@@ -98,31 +113,47 @@ def k_nearest(train_X, queries, k, radius=None):
     out_dist = np.empty((len(queries), k))
     out_cols = np.empty((len(queries), k), dtype=np.intp)
     mean = train_X.mean(axis=0)
-    centred = train_X - mean
-    sq_train = np.einsum("ij,ij->i", centred, centred)
-    rel_tol = 64 * (d + 2) * np.finfo(float).eps
-    block = max(1, _BLOCK_BYTES // (8 * max(n, k * d)))
+    block = max(16, _BLOCK_BYTES // (8 * max(n, k * d)))
+    step = _BLOCK_BYTES // (8 * max(d, 1))
+    eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    # the screen's column groups: column j joins group j mod g
+    g = min(16 * k, n)
+    full, left = divmod(n, g)
+    # the centred rows as columns, their squared norms as a last row, and
+    # each block's (-2q, 1) rows; overflow here or below only widens the
+    # screen: such queries keep every column
+    table = np.empty((d + 1, n))
+    lhs = np.ones((min(block, len(queries)), d + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(train_X.T, mean[:, None], out=table[:d])
+        np.einsum("ij,ij->j", table[:d], table[:d], out=table[d])
+        sq_max = table[d].max()
     for start in range(0, len(queries), block):
         block_q = queries[start:start + block]
-        q = block_q - mean
-        # overflow here only widens the screen: such rows keep every column
+        q = lhs[:len(block_q), :d]
         with np.errstate(over="ignore", invalid="ignore"):
+            np.subtract(block_q, mean, out=q)
             sq_q = np.einsum("ij,ij->i", q, q)
-            gram = q @ centred.T
-            gram *= -2.0
-            gram += sq_q[:, None]
-            gram += sq_train
+            q *= -2.0
+            fused = lhs[:len(block_q)] @ table
             if radius is None:
-                kth = np.partition(gram, k - 1, axis=1)[:, k - 1]
+                mins = fused[:, :g * full].reshape(len(block_q), full, g).min(axis=1)
+                np.minimum(mins[:, :left], fused[:, g * full:], out=mins[:, :left])
+                kth = np.partition(mins, k - 1, axis=1)[:, k - 1]
+                scale = sq_q + sq_max
             else:
-                kth = np.square(radius[start:start + block])
-            scale = sq_q + sq_train.max() + np.abs(kth)
-            candidate = gram <= (kth + rel_tol * scale)[:, None]
+                r2 = np.square(radius[start:start + block])
+                kth = r2 - sq_q
+                scale = sq_q + sq_max + r2
+            candidate = fused <= (kth + 64 * (d + 3) * (eps * scale + tiny))[:, None]
             candidate[~(4.0 * scale < np.inf)] = True
         # a flat nonzero is several times faster than a 2-d one
         rows, cols = np.divmod(np.flatnonzero(candidate), n)
-        diff = train_X[cols] - block_q[rows]
-        dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
+        dist = np.empty(len(rows))
+        for lo in range(0, len(rows), step):
+            diff = train_X[cols[lo:lo + step]] - block_q[rows[lo:lo + step]]
+            diff *= diff
+            dist[lo:lo + step] = np.sqrt(np.add.reduce(diff, axis=-1))
         # rows lists each row's columns in ascending order and lexsort is
         # stable, so equal distances keep the lower column; a query with
         # fewer than k candidates takes the pad after the last one

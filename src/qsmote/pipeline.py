@@ -17,6 +17,10 @@ import numpy as np
 from . import aol, keyed, qdist, synth
 from .errors import DataError, ParameterError
 
+# The most outlier bins per table: the angle histogram draws four times as
+# many, and its edges are allocated before any value is binned.
+MAX_BINS = 10_000
+
 
 @dataclass
 class SmoteConfig:
@@ -36,6 +40,8 @@ class SmoteConfig:
             raise ParameterError(f"shots must be >= 0, got {self.shots}")
         if self.shots >= 2**63:
             raise ParameterError(f"shots must be < 2**63, got {self.shots}")
+        if not 1 <= self.num_bins <= MAX_BINS:
+            raise ParameterError(f"bins must be between 1 and {MAX_BINS}, got {self.num_bins}")
         keyed.check_seed(self.seed)
 
 

@@ -167,6 +167,24 @@ def test_smote_negative_shots_exits_2_before_reading_input(tmp_path, capsys):
         assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("bins", ["100000000000", "10001", "0"])
+def test_smote_bins_out_of_range_exits_2_before_reading_input(encoded, tmp_path, capsys, bins):
+    # 1e11 bins used to end in a MemoryError from the histogram edges
+    out = tmp_path / "aug.csv"
+    argv = ["smote", str(encoded), str(out), "--target-percent", "40", "--aol", "--bins", bins]
+    before = sorted(tmp_path.iterdir())
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"bins must be between 1 and 10000, got {bins}" in err
+    assert sorted(tmp_path.iterdir()) == before
+    # the count is checked before the input is read
+    ghost = tmp_path / "ghost.csv"
+    assert cli.main(["smote", str(ghost)] + argv[2:]) == 2
+    assert f"got {bins}" in capsys.readouterr().err
+    # the ceiling itself is a valid bin count
+    assert cli.main(argv[:-1] + ["10000"]) == 0
+
+
 @pytest.mark.parametrize("command", [["smote", "--target-percent", "40"], ["evaluate"]], ids=["smote", "evaluate"])
 def test_negative_seed_exits_2_before_reading_input(tmp_path, capsys, command):
     argv = command + [str(tmp_path / "ghost.csv"), str(tmp_path / "out.csv"), "--seed", "-1"]

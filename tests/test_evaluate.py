@@ -65,9 +65,27 @@ def _knn_reference(train_X, train_y, test_X, k=5):
     return scores
 
 
+def _k_nearest_reference(train_X, test_X, k):
+    """The per-query loop k_nearest must reproduce bit for bit: each query's
+    first k rows by a stable sort of its distances."""
+    dist = np.array([np.linalg.norm(train_X - x, axis=1) for x in test_X])
+    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    return np.take_along_axis(dist, order, axis=1), order
+
+
+_KNN_KINDS = ["gaussian", "codes", "offset", "near-duplicate", "huge", "tiny", "equal-norm"]
+
+
 def _knn_features(kind, rng, shape):
     if kind == "gaussian":
         return rng.normal(size=shape)
+    if kind == "huge":  # squared norms near 1e300, so the screen's sums round widest
+        return rng.normal(size=shape) * 1e150
+    if kind == "tiny":  # tied codes whose squares are subnormal, where rounding is absolute
+        return rng.integers(0, 3, size=shape) * 1e-160
+    if kind == "equal-norm":  # unit rows: |x|^2 is the same for every row
+        X = rng.normal(size=shape)
+        return X / np.linalg.norm(X, axis=1, keepdims=True)
     if kind == "codes":  # small integer codes: many exact distance ties
         return rng.integers(0, 3, size=shape).astype(float)
     if kind == "offset":  # an id-like column far from the origin
@@ -85,7 +103,7 @@ def _knn_cases(draw):
     n = draw(st.integers(1, 40))
     d = draw(st.integers(1, 10))
     m = draw(st.integers(0, 25))
-    kind = draw(st.sampled_from(["gaussian", "codes", "offset", "near-duplicate"]))
+    kind = draw(st.sampled_from(_KNN_KINDS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     train_X = _knn_features(kind, rng, (n, d))
     test_X = _knn_features(kind, rng, (m, d))
@@ -115,6 +133,42 @@ def test_knn_many_blocks_with_ties_equals_reference_loop():
     for k in (1, 5, 699):
         got = evaluate.knn_predict(train_X, train_y, test_X, k=k)
         assert (got == _knn_reference(train_X, train_y, test_X, k=k)).all()
+
+
+@pytest.mark.parametrize("kind", ["codes", "gaussian", "huge", "equal-norm"])
+def test_knn_blocks_of_sixteen_queries_equal_reference_loop(kind):
+    # at 3000 rows the byte budget alone gives 10 queries per block, so the
+    # floor of 16 sets it: 70 queries run in five blocks, the last one short
+    n, m, older = 3000, 70, 300
+    assert evaluate._BLOCK_BYTES // (8 * (n - older)) < 16
+    rng = np.random.default_rng(23)
+    train_X, queries = np.split(_knn_features(kind, rng, (n + m, 21)), [n])
+    queries[::2] = train_X[rng.integers(0, n, size=m // 2)]
+    for k in (1, 5, 40):
+        want = _k_nearest_reference(train_X, queries, k)
+        got = evaluate.k_nearest(train_X, queries, k)
+        assert got[0].tobytes() == want[0].tobytes() and (got[1] == want[1]).all()
+        # the same table as older rows plus a newer part screened by radius
+        near = evaluate.k_nearest(train_X[:older], queries, k)
+        got = evaluate._extend(near, train_X[older:], queries, older, k)
+        assert got[0].tobytes() == want[0].tobytes() and (got[1] == want[1]).all()
+
+
+def test_knn_recompute_of_tied_rows_keeps_to_its_slices():
+    # 5000 equal rows all tie, so every row of a 16-query block is a
+    # candidate; recomputed in one piece, 16 x 5000 rows of 21 values
+    # peaked at 16.7 MiB
+    rng = np.random.default_rng(3)
+    train_X = np.repeat(rng.normal(size=(1, 21)), 5000, axis=0)
+    queries = rng.normal(size=(64, 21))
+    tracemalloc.start()
+    try:
+        _, cols = evaluate.k_nearest(train_X, queries, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+    assert (cols == np.arange(5)).all()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -153,7 +207,7 @@ def _extend_cases(draw):
     n_part = draw(st.integers(1, 12))
     d = draw(st.integers(1, 8))
     m = draw(st.integers(1, 20))
-    kind = draw(st.sampled_from(["gaussian", "codes", "offset", "near-duplicate"]))
+    kind = draw(st.sampled_from(_KNN_KINDS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X = _knn_features(kind, rng, (n_older + n_part + m, d))
     if draw(st.booleans()):  # rows whose squared distances overflow
