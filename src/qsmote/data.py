@@ -378,20 +378,6 @@ def write_augmented(dataset, synthetic, path, minority_distances):
         _write_lines(fh, len(synthetic), generated)
 
 
-def read_augmented(path):
-    """Round-trip loader for files produced by write_augmented."""
-    header, columns = read_table(path)
-    if len(header) < 6 or header[-5:] != META_COLUMNS:
-        raise DataError(f"{path} lacks a target column followed by the augmented metadata columns")
-    names = header[: -5 - 1]
-    target_name = header[-6]
-    parsed = [parse_floats(col, name) for col, name in zip(columns, header[: len(names) + 1])]
-    X = np.column_stack(parsed[:-1]) if names else np.empty((len(parsed[-1]), 0))
-    y = parsed[-1].astype(int)
-    meta = {name: list(col) for name, col in zip(META_COLUMNS, columns[-5:])}
-    return names, target_name, X, y, meta
-
-
 def minority_label(y):
     values, counts = np.unique(y, return_counts=True)
     return int(values[np.argmin(counts)])

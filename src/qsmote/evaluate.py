@@ -3,8 +3,9 @@
 Everything is self-contained: exact nearest neighbours from a blocked
 screen, one matrix product per block of queries against the centred
 training rows with their squared norms appended, and an exact distance
-repair (``k_nearest``), a trapezoidal ROC-AUC (with a pairwise
-cross-check), and step-interpolated average precision.
+repair (``k_nearest``), a trapezoidal ROC-AUC, and step-interpolated
+average precision. The tests hold the ROC-AUC to a pairwise
+Mann-Whitney count, ``roc_auc_pairwise`` in ``tests/oracles.py``.
 
 ``knn_predict`` scores queries against one training set. The grid,
 ``run_experiment``, scores shared records once per grid instead of once
@@ -216,8 +217,9 @@ def roc_auc_trapezoidal(scores, labels):
 
     The trapezoid rule is computed in place over the tie-collapsed ROC
     points, so a tied block of scores contributes a diagonal segment. The
-    result must equal ``roc_auc_pairwise``, the Mann-Whitney oracle with
-    ties counted 1/2. The AUC is None when either class is absent.
+    result must equal the Mann-Whitney probability that a random positive
+    outranks a random negative, ties counted 1/2. The AUC is None when
+    either class is absent.
     """
     tps, fps = _ranked(np.asarray(scores, float), np.asarray(labels))
     pos, neg = tps[-1], fps[-1]
@@ -225,18 +227,6 @@ def roc_auc_trapezoidal(scores, labels):
         return None
     x, y = np.r_[0.0, fps / neg], np.r_[0.0, tps / pos]
     return float(np.add.reduce(np.diff(x) * (y[1:] + y[:-1]) / 2.0))
-
-
-def roc_auc_pairwise(scores, labels):
-    """P(random positive outranks random negative), ties counted 1/2."""
-    scores = np.asarray(scores, float)
-    labels = np.asarray(labels)
-    p = scores[labels == 1]
-    n = scores[labels == 0]
-    if p.size == 0 or n.size == 0:
-        return None
-    diff = p[:, None] - n[None, :]
-    return float(((diff > 0).sum() + 0.5 * (diff == 0).sum()) / (p.size * n.size))
 
 
 def average_precision(scores, labels):

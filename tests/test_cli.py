@@ -1,7 +1,9 @@
 """End-to-end tests for the command-line interface."""
 
 import argparse
+import contextlib
 import csv
+import io
 import itertools
 import json
 import os
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qsmote
@@ -726,3 +728,93 @@ def test_load_encoded_equals_the_whole_table_reference(tmp_path_factory, text):
     assert (got.feature_names, got.target_name) == (want.feature_names, want.target_name)
     assert (got.X.shape, got.X.dtype, got.X.tobytes()) == (want.X.shape, want.X.dtype, want.X.tobytes())
     assert (got.y.dtype, got.y.tolist()) == (want.y.dtype, want.y.tolist())
+
+
+_EXTREMES = st.sampled_from([0.0, 1e-320, -1e-320, 1e308, -1.7e308])
+
+
+@st.composite
+def _edge_tables(draw):
+    """An encoded CSV's text of cells from 1e-320 to 1.7e308, maybe a zero row and a constant column, 1-3 labels.
+
+    Each table draws one scale for its cells, so most tables are usable at
+    that scale; one cell in eight is an extreme on its own.
+    """
+    width, n = draw(st.integers(1, 3)), draw(st.integers(2, 12))
+    n_labels = draw(st.sampled_from([1, 2, 2, 3]))
+    scale = draw(st.one_of(st.just(1.0), st.floats(1e-320, 1.7e307)))
+
+    def cell():
+        return draw(st.floats(-10, 10)) * scale if draw(st.integers(0, 7)) else draw(_EXTREMES)
+
+    X = np.array([[cell() for _ in range(width)] for _ in range(n)])
+    if draw(st.booleans()):
+        X[draw(st.integers(0, n - 1))] = 0.0
+    if draw(st.booleans()):
+        X[:, draw(st.integers(0, width - 1))] = cell()
+    labels = draw(st.lists(st.integers(0, n_labels - 1), min_size=n, max_size=n))
+    header = [f"f{j}" for j in range(width)] + ["label"]
+    rows = [[*map(repr, row.tolist()), str(label)] for row, label in zip(X, labels)]
+    return "\n".join(map(",".join, [header] + rows)) + "\n"
+
+
+_SEED = st.integers(0, 2**64).map(str)
+
+
+@st.composite
+def _smote_flags(draw):
+    # the rarest label's share is at most 50%, so most targets are above it
+    flags = ["--target-percent", repr(draw(st.floats(20, 99))), "--seed", draw(_SEED)]
+    flags += ["--sf", repr(draw(st.floats(0.5, 20))), "--shots", str(draw(st.sampled_from([0, 1, 100])))]
+    if draw(st.booleans()):
+        flags += ["--aol", "--bins", str(draw(st.integers(1, 10)))]
+        flags += ["--boost-multiplier", repr(draw(st.floats(0, 3)))]
+    return flags
+
+
+@st.composite
+def _evaluate_flags(draw):
+    grid = ",".join(draw(st.lists(st.floats(1, 99).map(repr), max_size=3)))
+    flags = ["--grid", grid, "--aol-mode", draw(st.sampled_from(["both", "on", "off"])), "--seed", draw(_SEED)]
+    return flags + ["--k", str(draw(st.integers(1, 5))), "--split", repr(draw(st.floats(0.1, 0.9)))]
+
+
+def _run_in(directory, argv):
+    """Exit code and stderr of one in-process run; asserts a failed run left no new file."""
+    before = sorted(os.listdir(directory))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    if code != 0:
+        assert sorted(os.listdir(directory)) == before, argv
+    return code, err.getvalue()
+
+
+_PROBES = {
+    "1e308": "a,b,label\n1e308,1e308,1\n1e308,1e308,0\n1e308,1e308,0\n1e308,1e308,0\n",
+    "1e-320": "a,b,label\n1,2,0\n3,4,0\n1e-320,0,1\n5,6,0\n2,2,1\n7,8,0\n",
+    "zero-row": "a,b,label\n1,2,0\n3,4,0\n5,6,0\n0,0,1\n7,8,1\n2,9,0\n",
+}
+_PROBE_SMOTE = ["--target-percent", "45", "--aol", "--shots", "100"]
+_PROBE_EVALUATE = ["--grid", "30,45", "--seed", "0"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_edge_tables(), smote_flags=_smote_flags(), evaluate_flags=_evaluate_flags())
+@example(text=_PROBES["1e308"], smote_flags=_PROBE_SMOTE, evaluate_flags=_PROBE_EVALUATE)
+@example(text=_PROBES["1e-320"], smote_flags=_PROBE_SMOTE, evaluate_flags=_PROBE_EVALUATE)
+@example(text=_PROBES["zero-row"], smote_flags=_PROBE_SMOTE, evaluate_flags=_PROBE_EVALUATE)
+def test_edge_tables_exit_0_or_2_and_write_only_finite_cells(tmp_path_factory, text, smote_flags, evaluate_flags):
+    directory = tmp_path_factory.mktemp("edge")
+    src = directory / "in.csv"
+    src.write_text(text)
+    out = directory / "aug.csv"
+    code, err = _run_in(directory, ["smote", str(src), str(out), *smote_flags])
+    assert code in (0, 2) and "Traceback" not in err, err
+    if code == 0:
+        for path in (out, out.with_suffix(".angles.csv")):
+            with open(path, newline="", encoding="utf-8") as fh:
+                cells = [c for row in list(csv.reader(fh))[1:] for c in row if c != ""]
+            assert np.isfinite(np.array(cells, dtype=float)).all(), path
+    code, err = _run_in(directory, ["evaluate", str(src), str(directory / "report.csv"), *evaluate_flags])
+    assert code in (0, 2) and "Traceback" not in err, err

