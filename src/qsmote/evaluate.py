@@ -3,22 +3,21 @@
 Everything is self-contained: exact nearest neighbours from a blocked
 screen, one matrix product per block of queries against the centred
 training rows with their squared norms appended, and an exact distance
-repair (``k_nearest``), a trapezoidal ROC-AUC, and step-interpolated
-average precision. The tests hold the ROC-AUC to a pairwise
-Mann-Whitney count, ``roc_auc_pairwise`` in ``tests/oracles.py``.
+repair (``_screen``, shared by ``k_nearest`` and the grid), a
+trapezoidal ROC-AUC, and step-interpolated average precision. The tests
+hold the ROC-AUC to a pairwise Mann-Whitney count, ``roc_auc_pairwise``
+in ``tests/oracles.py``.
 
 ``knn_predict`` scores queries against one training set. The grid,
-``run_experiment``, scores shared records once per grid instead of once
-per grid row: the targets' generated records share leading rows, so each
-part of a row's training set (the originals, the segments of the shared
-records, the row's own generated and boosted records) gives every query
-its k nearest (distance, id) pairs once, and a row's neighbours are the
-first k of the merge of its parts' lists by (distance, id). Each part
-added to a running list is screened against the list's k-th distance,
-so only rows that can enter it are recomputed and sorted. The scores
-equal those of ``knn_predict`` on each row's whole training set, bit for
-bit, and queries are scored in chunks, so no list is held for every
-query at once.
+``run_experiment``, counts records instead of ranking them. Every record
+is labelled 1 and has a higher id than every original, so it matters to
+a query only through its distance and its copies. With o_1 <= ... <= o_k
+the distances of a query's k nearest originals, original i stays among
+its k nearest in a grid row if and only if i plus the row's copies of
+records strictly nearer than o_i is at most k, and records, all voting
+1, fill the places left. Each bitwise-distinct record is scored once per
+grid, and the scores equal ``knn_predict``'s on each row's whole
+training set, bit for bit.
 """
 
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import keyed, pipeline
-from .errors import ParameterError
+from .errors import DataError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -40,97 +39,75 @@ class MetricsReport:
 # A block of queries is sized so its screen (n values per query) and its
 # min(k, n) candidate rows per query (d values each) take at most this
 # many bytes, but holds at least 16 queries, so that the screen stays a
-# matrix product on large training sets. The exact recompute works through
-# its candidate rows in slices of this many bytes, and the grid sizes its
-# chunks of neighbour lists from it too.
+# matrix product on large training sets. The exact recompute takes its
+# candidates in slices of this many bytes, and the grid its queries in
+# chunks whose counts, one per grid row, query and original neighbour, do.
 _BLOCK_BYTES = 256 * 1024
 
 
-def k_nearest(train_X, queries, k, radius=None):
-    """Each query's k nearest training rows as (distances, columns).
-
-    Both arrays have shape ``(len(queries), min(k, len(train_X)))``, and each
-    row lists its neighbours by (distance, column): of equal distances the
-    lower column comes first. The distance is
-    ``sqrt(add.reduce((x - q)**2, axis=-1))``, so a pair gets the same bits
-    whichever call scores it. The inputs must be finite float tables, k at
-    least 1 and ``train_X`` nonempty; the callers check them (``_check_knn``)
-    or skip empty parts (``_extend``).
-
-    With ``radius``, one distance per query, each query gets only its first
-    ``min(k, len(train_X))`` candidates within the screen below, padded with
-    distance inf and column ``len(train_X)``. Every row whose distance is at
-    most the query's radius is a candidate, so a caller whose radius is an
-    exact distance from this expression, such as a running list's k-th
-    distance, misses no row that beats it.
-
-    Queries run in blocks of at least 16, and of more while a block's screen
-    (n values per query) and min(k, n) candidate rows (d values each) per
-    query fit in ``_BLOCK_BYTES``; with fewer, the screen's matrix product
-    degrades to a matrix-vector product on large training sets. Each block
-    takes three steps:
+def _screen(train_X, queries, k, radius=None):
+    """Yields ``(lo, hi, rows, cols, dist)`` for each block ``queries[lo:hi]``:
+    its candidate (block row, training column) pairs in row-major order and
+    their distances ``sqrt(add.reduce((x - q)**2, axis=-1))``, the same bits
+    whichever call scores a pair. Without ``radius`` a query's candidates
+    hold every row that beats or ties its k-th nearest; with ``radius``, one
+    distance per query, every row at most that far. The inputs must be
+    finite float tables, k at least 1 and ``train_X`` nonempty. Blocks are
+    sized as ``_BLOCK_BYTES`` says, and each takes two steps:
 
     1. Screen. The training rows, centred on their mean, are the columns of
        one (d + 1) x n table whose last row holds their squared norms |x|^2.
        The block's queries, centred the same way, are the rows (-2q, 1), so
        one matrix product gives f = |x|^2 - 2 q.x for every pair: the
        squared distance less |q|^2, which is the same for all of a query's
-       rows. Column j joins group j mod g of g = min(16 k, n) groups, and
-       ``np.partition`` finds u, the k-th smallest of the groups' minima,
-       over g values in place of n. These k minima are the values of k
-       different rows, so u is at least f_k, the k-th smallest f, and it
-       exceeds f_k only where two of the k nearest rows share a group,
-       which 16 k groups make rare. Every row whose f is within
-       tol = 64 (d + 3) (eps s + tiny) of u is a candidate, where
+       rows. Without a radius, column j joins group j mod g of
+       g = min(16 k, n) groups, and ``np.partition`` finds u, the k-th
+       smallest of the groups' minima, over g values in place of n. These k
+       minima are the values of k different rows, so u is at least f_k, the
+       k-th smallest f, and it exceeds f_k only where two of the k nearest
+       rows share a group, which 16 k groups make rare. Every row whose f
+       is within tol = 64 (d + 3) (eps s + tiny) of u is a candidate, where
        s = |q|^2 + max|x|^2 and tiny is the smallest subnormal. Doubling is
        exact, so f is a sum of d + 1 products whose absolute values add up
-       to at most |q|^2 + 2 |x|^2, below 2s. A length-m sum of products errs by at most m eps / 2 times
-       the sum of its absolute products, plus m tiny / 2 for products that
-       round to subnormals. So the rounding that separates f + |q|^2 from a
-       row's squared exact distance (the product, |x|^2, the centring, the
-       exact sum of squares, at most 2s, and the square root mapping nearby
-       sums to one value) stays below 8 (d + 3) (eps s + tiny). Two such
+       to at most |q|^2 + 2 |x|^2, below 2s. A length-m sum of products
+       errs by at most m eps / 2 times the sum of its absolute products,
+       plus m tiny / 2 for products that round to subnormals. So the
+       rounding that separates f + |q|^2 from a row's squared exact
+       distance (the product, |x|^2, the centring, the exact sum of
+       squares, at most 2s, and the square root mapping nearby sums to one
+       value) stays below 8 (d + 3) (eps s + tiny). Two such
        errors lie between f_k <= u and the f of any row that ties with or
        beats the k-th neighbour in exact distance, so 16 would do; 64 is a
-       fourfold margin. With a radius r the block skips the partition: the
-       threshold is r^2 - |q|^2 + tol, with r^2 added to s. r is itself an
-       exact computed distance, so it stands where the k-th neighbour's
-       distance stood, and squaring it, |q|^2 and the shift add roundings
-       inside the same bound. A query whose 4 s overflows keeps every row
-       as a candidate; below that no sum in the product overflows.
+       fourfold margin. With a radius r the threshold is r^2 - |q|^2 + tol,
+       with r^2 added to s. r is itself an exact computed distance, so it
+       stands where the k-th neighbour's distance stood, and squaring it,
+       |q|^2 and the shift add roundings inside the same bound. A query
+       whose 4 s overflows keeps every row as a candidate; below that no
+       sum in the product overflows.
     2. Exact recompute. The candidates' distances are computed with the
-       expression above, from the original rows in the same floating-point
-       order as a loop over single queries, so only these reach the result.
-       A query keeps about min(k, n) candidates unless distances tie or
-       overflow or its radius is far, which can keep all n rows. The rows
-       are recomputed in slices of ``_BLOCK_BYTES // (8 d)`` candidates,
-       and a row's sum does not depend on its slice, so the recompute
-       holds at most ``_BLOCK_BYTES`` of rows at a time.
-    3. Select. One stable lexsort by (query, distance) over the candidates
-       in column order picks each query's k nearest.
+       expression above from the original rows, in slices of
+       ``_BLOCK_BYTES // (8 d)`` candidates; a row's sum does not depend on
+       its slice. Ties, overflow or a far radius can keep all n rows. An
+       overflow gives a distance of inf, which the callers rank or reject,
+       so it raises no warning.
     """
     n, d = train_X.shape
     k = min(k, n)
-    out_dist = np.empty((len(queries), k))
-    out_cols = np.empty((len(queries), k), dtype=np.intp)
-    mean = train_X.mean(axis=0)
     block = max(16, _BLOCK_BYTES // (8 * max(n, k * d)))
     step = _BLOCK_BYTES // (8 * max(d, 1))
     eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
-    # the screen's column groups: column j joins group j mod g
-    g = min(16 * k, n)
-    full, left = divmod(n, g)
     # the centred rows as columns, their squared norms as a last row, and
     # each block's (-2q, 1) rows; overflow here or below only widens the
     # screen: such queries keep every column
     table = np.empty((d + 1, n))
     lhs = np.ones((min(block, len(queries)), d + 1))
     with np.errstate(over="ignore", invalid="ignore"):
+        mean = train_X.mean(axis=0)
         np.subtract(train_X.T, mean[:, None], out=table[:d])
         np.einsum("ij,ij->j", table[:d], table[:d], out=table[d])
         sq_max = table[d].max()
-    for start in range(0, len(queries), block):
-        block_q = queries[start:start + block]
+    for lo in range(0, len(queries), block):
+        block_q = queries[lo:lo + block]
         q = lhs[:len(block_q), :d]
         with np.errstate(over="ignore", invalid="ignore"):
             np.subtract(block_q, mean, out=q)
@@ -138,12 +115,15 @@ def k_nearest(train_X, queries, k, radius=None):
             q *= -2.0
             fused = lhs[:len(block_q)] @ table
             if radius is None:
+                # the screen's column groups: column j joins group j mod g
+                g = min(16 * k, n)
+                full, left = divmod(n, g)
                 mins = fused[:, :g * full].reshape(len(block_q), full, g).min(axis=1)
                 np.minimum(mins[:, :left], fused[:, g * full:], out=mins[:, :left])
                 kth = np.partition(mins, k - 1, axis=1)[:, k - 1]
                 scale = sq_q + sq_max
             else:
-                r2 = np.square(radius[start:start + block])
+                r2 = np.square(radius[lo:lo + block])
                 kth = r2 - sq_q
                 scale = sq_q + sq_max + r2
             candidate = fused <= (kth + 64 * (d + 3) * (eps * scale + tiny))[:, None]
@@ -151,20 +131,35 @@ def k_nearest(train_X, queries, k, radius=None):
         # a flat nonzero is several times faster than a 2-d one
         rows, cols = np.divmod(np.flatnonzero(candidate), n)
         dist = np.empty(len(rows))
-        for lo in range(0, len(rows), step):
-            diff = train_X[cols[lo:lo + step]] - block_q[rows[lo:lo + step]]
-            diff *= diff
-            dist[lo:lo + step] = np.sqrt(np.add.reduce(diff, axis=-1))
-        # rows lists each row's columns in ascending order and lexsort is
-        # stable, so equal distances keep the lower column; a query with
-        # fewer than k candidates takes the pad after the last one
-        order = np.append(np.lexsort((dist, rows)), len(rows))
-        first = np.searchsorted(rows, np.arange(len(block_q) + 1))
-        take = first[:-1, None] + np.arange(k)
-        take[take >= first[1:, None]] = len(rows)
-        nearest = order[take]
-        out_dist[start:start + block] = np.append(dist, np.inf)[nearest]
-        out_cols[start:start + block] = np.append(cols, n)[nearest]
+        with np.errstate(over="ignore"):
+            for s in range(0, len(rows), step):
+                diff = train_X[cols[s:s + step]] - block_q[rows[s:s + step]]
+                diff *= diff
+                dist[s:s + step] = np.sqrt(np.add.reduce(diff, axis=-1))
+        yield lo, lo + len(block_q), rows, cols, dist
+
+
+def k_nearest(train_X, queries, k):
+    """Each query's k nearest training rows as (distances, columns).
+
+    Both arrays have shape ``(len(queries), min(k, len(train_X)))``, and each
+    row lists its neighbours by (distance, column): of equal distances the
+    lower column comes first. One stable lexsort by (query, distance) of
+    each ``_screen`` block's candidates picks them. The inputs are as
+    ``_screen`` needs them; the callers check them (``_check_knn``).
+    """
+    k = min(k, len(train_X))
+    out_dist = np.empty((len(queries), k))
+    out_cols = np.empty((len(queries), k), dtype=np.intp)
+    for lo, hi, rows, cols, dist in _screen(train_X, queries, k):
+        # rows lists each query's columns in ascending order and lexsort is
+        # stable, so equal distances keep the lower column; every query has
+        # at least k candidates
+        order = np.lexsort((dist, rows))
+        first = np.searchsorted(rows, np.arange(hi - lo))
+        nearest = order[first[:, None] + np.arange(k)]
+        out_dist[lo:hi] = dist[nearest]
+        out_cols[lo:hi] = cols[nearest]
     return out_dist, out_cols
 
 
@@ -298,41 +293,66 @@ class ExperimentRow:
     roc_auc: float
 
 
-def _merge(a, b, k):
-    """The first k of two (distances, ids) neighbour lists, by (distance, id).
+def _votes(near, labels, records, copies, queries):
+    """Each grid row r's label-1 count among each query's k nearest in the
+    originals (``labels``; ``near = k_nearest(originals, queries, k)``, with
+    finite k-th distances) and ``copies[r, u]`` copies of each ``records[u]``.
 
-    Each list is ordered by (distance, id) and every id of ``b`` exceeds
-    every id of ``a``, so a stable sort by distance alone keeps ties in id
-    order.
+    By the counting rule a record at distance d falls in bin
+    a = #{i : o_i <= d}, one at o_k or beyond never enters, and if j
+    originals stay the vote is their label-1 count plus k - j. Each screen
+    block's records go through one bincount over (grid row, query, bin).
     """
-    dist = np.concatenate([a[0], b[0]], axis=1)
-    ids = np.concatenate([a[1], b[1]], axis=1)
-    # flat positions of each row's first k
-    first = np.argsort(dist, axis=1, kind="stable")[:, :k]
-    first += np.arange(0, dist.size, dist.shape[1])[:, None]
-    return dist.ravel()[first], ids.ravel()[first]
+    dist, cols = near
+    k = dist.shape[1]
+    hits = np.zeros((len(queries), k + 1), dtype=np.intp)
+    np.cumsum(labels[cols] == 1, axis=1, out=hits[:, 1:])
+    counts = np.zeros((len(copies), len(queries), k))
+    screened = _screen(records, queries, k, radius=dist[:, -1]) if len(records) else ()
+    for lo, hi, rows, u, d in screened:
+        o = dist[lo:hi]
+        inside = d < o[rows, -1]
+        rows, u, d = rows[inside], u[inside], d[inside]
+        # complex numbers order by (real, imaginary), so one searchsorted of
+        # the (row, distance) pairs into the block's sorted (row, o) pairs
+        # gives each record's flat (row, bin) index
+        flat = np.searchsorted((np.arange(hi - lo)[:, None] + 1j * o).ravel(), rows + 1j * d, side="right")
+        size = (hi - lo) * k
+        flat = (np.arange(len(copies))[:, None] * size + flat).ravel()
+        binned = np.bincount(flat, copies[:, u].ravel(), len(copies) * size)
+        counts[:, lo:hi] += binned.reshape(len(copies), hi - lo, k)
+    # counts[r, q, i - 1] becomes row r's copies strictly nearer q than o_i
+    np.cumsum(counts, axis=2, out=counts)
+    stay = (counts + np.arange(1, k + 1) <= k).sum(axis=2)
+    return hits[np.arange(len(queries)), stay] + k - stay
 
 
-def _extend(near, train_X, queries, first_id, k):
-    """``near`` merged with the queries' k nearest rows of ``train_X``, whose
-    ids run up from ``first_id``.
+def _grid_records(X_tr, y_tr, train_idx, grid, aol_flags, seed):
+    """The grid's (target, aol) rows, the bitwise-distinct records U of all
+    targets, and each row's copies of each of them.
 
-    Every id of ``train_X`` exceeds every id in ``near``, so a row enters
-    only when it is strictly nearer than the query's k-th distance in
-    ``near``: that distance is the screen's radius. ``near`` holds k
-    entries per query, so the merge never reaches the radius screen's
-    padding.
+    ``pipeline.augment`` runs once per target, in grid order, boosting when
+    any flag is set. A plain row holds the target's generated records G, an
+    AOL row G and its boosted records B, and the baseline none.
     """
-    if len(train_X) == 0:
-        return near
-    dist, cols = k_nearest(train_X, queries, k, radius=near[0][:, -1])
-    return _merge(near, (dist, cols + first_id), k)
-
-
-def _shared_length(block, pool):
-    """The number of leading rows of ``block`` bitwise equal to ``pool``'s."""
-    same = (block.view(np.int64) == pool[:len(block)].view(np.int64)).all(axis=1)
-    return int(np.argmin(np.r_[same, False]))
+    grid_rows, spans, blocks, at = [(None, False)], [slice(0, 0)], [X_tr[:0]], 0
+    for target in grid if aol_flags else ():
+        cfg = pipeline.SmoteConfig(target_minority_percent=target, seed=seed)
+        result, records, _, _ = pipeline.augment(
+            X_tr, y_tr, cfg, True in aol_flags, row_ids=train_idx
+        )
+        if not np.isfinite(records.features).all():
+            raise ParameterError("features must be finite")
+        for use_aol in aol_flags:
+            grid_rows.append((target, use_aol))
+            spans.append(slice(at, at + len(records if use_aol else result.synthetic)))
+        blocks.append(records.features)
+        at += len(records)
+    stacked = np.vstack(blocks)
+    rows = stacked.view(np.dtype((np.void, stacked.itemsize * stacked.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    copies = np.array([np.bincount(inverse[span], minlength=len(first)) for span in spans])
+    return grid_rows, stacked[first], copies
 
 
 def run_experiment(X, y, grid, aol_flags=(False, True), test_fraction=0.2, seed=0, k=5):
@@ -344,31 +364,15 @@ def run_experiment(X, y, grid, aol_flags=(False, True), test_fraction=0.2, seed=
     set against that training set, exactly as ``knn_predict`` on the
     original training rows followed by the row's new records.
 
-    Shared records are scored once per grid. ``pipeline.augment`` runs
-    once per target, in grid order, boosting when any flag is set; a
-    target's plain row adds its generated records G, and its AOL row adds
-    the boosted records B after them. Originals have lower ids than G and
-    G lower than B, as in the augmented table, so ties go to the lower id.
-    Records are keyed on (seed, row id, pass), so the targets' G share
-    leading rows: the longest G is the pool P, and a target's shared
-    length l is the number of its leading rows bitwise equal to P's. A
-    KNN vote depends only on a row's features, id and label, and every
-    record is labelled 1, so G[:l] may be scored as P[:l].
-
-    The shared queries (test rows, original training rows and P) get
-    their k nearest originals once, and their k nearest of each segment
-    of P between consecutive distinct shared lengths once. Walking the
-    targets by l, each query keeps one running list, the first k of its
-    originals and segments so far merged by (distance, id); a target's
-    lists add only its tail G[l:] and B. The tail and B rows as queries
-    get their originals, G and B lists per target. The baseline is the
-    target with no records. Only the originals are ranked in full; every
-    part merged into a running list (a segment, a tail, B) is screened
-    against the list's k-th distance, since its rows have higher ids and
-    enter only when strictly nearer. Queries run in chunks of
-    ``_BLOCK_BYTES // (64 k)`` rows, so a chunk's lists and merge
-    temporaries, about sixteen arrays of k values per row, take at most
-    twice ``_BLOCK_BYTES``.
+    Those records follow the originals and are all labelled 1, so the
+    counting rule gives the votes (``_votes``): original i of a query's k
+    nearest stays if i plus the row's records strictly nearer than o_i is
+    at most k. The queries are the test rows, the original training rows
+    and the targets' bitwise-distinct records U, each scored once; a row's
+    training scores repeat each U row's vote by its copies in the row. A
+    query whose k-th nearest original is infinitely far is a DataError
+    naming its file row, since its list is then not exact. Queries run in
+    chunks whose counts fit ``_BLOCK_BYTES``.
     """
     keyed.check_seed(seed)
     X = np.asarray(X, dtype=float)
@@ -376,69 +380,33 @@ def run_experiment(X, y, grid, aol_flags=(False, True), test_fraction=0.2, seed=
     if not np.isin(y, (0, 1)).all():
         raise ParameterError("labels must be 0/1 with 1 the minority class")
     train_idx, test_idx = stratified_split(y, test_fraction, seed)
-    n_tr, n_te = len(train_idx), len(test_idx)
+    n_te = len(test_idx)
     # the queries: test rows, then training rows
-    queries = X[np.r_[test_idx, train_idx]]
+    ids = np.r_[test_idx, train_idx]
+    queries = X[ids]
     X_te, X_tr = queries[:n_te], queries[n_te:]
     y_te, y_tr = y[test_idx], y[train_idx]
     _check_knn(X_tr, y_tr, X_te, k)
     m = len(queries)
 
-    # G and B of the baseline (none), then of each target in grid order
-    targets = list(grid) if aol_flags else []
-    gen, boost = [X_tr[:0]], [X_tr[:0]]
-    for target in targets:
-        cfg = pipeline.SmoteConfig(target_minority_percent=target, seed=seed)
-        result, records, _, _ = pipeline.augment(
-            X_tr, y_tr, cfg, True in aol_flags, row_ids=train_idx
-        )
-        new = records.features
-        if not np.isfinite(new).all():
-            raise ParameterError("features must be finite")
-        gen.append(new[:len(result.synthetic)])
-        boost.append(new[len(result.synthetic):])
-    pool = max(gen, key=len)
-    shared = [_shared_length(g, pool) for g in gen]
-    positive = np.r_[y_tr == 1, np.ones(max(map(len, gen)) + max(map(len, boost)), dtype=bool)]
+    grid_rows, unique, copies = _grid_records(X_tr, y_tr, train_idx, grid, aol_flags, seed)
+    scored = np.vstack([queries, unique])
+    votes = np.empty((len(copies), len(scored)), dtype=np.intp)
+    chunk = max(1, _BLOCK_BYTES // (8 * k * len(copies)))
+    for start in range(0, len(scored), chunk):
+        part = scored[start:start + chunk]
+        near = k_nearest(X_tr, part, k)
+        far = start + np.flatnonzero(near[0][:, -1] == np.inf)
+        if len(far):
+            row = int(ids[far[0]]) + 1 if far[0] < m else None
+            raise DataError("the distance to a k-th nearest training row overflows", row=row)
+        votes[:, start:start + len(part)] = _votes(near, y_tr, unique, copies, part)
 
-    def vote(near):
-        return positive[near[1]].sum(axis=1)
-
-    plain, aol = [[] for _ in gen], [[] for _ in gen]
-    walk = sorted(range(len(gen)), key=shared.__getitem__)
-    chunk = max(1, _BLOCK_BYTES // (64 * k))
-    shared_queries = np.vstack([queries, pool])
-    for start in range(0, len(shared_queries), chunk):
-        part = shared_queries[start:start + chunk]
-        near, done = k_nearest(X_tr, part, k), 0
-        for t in walk:
-            length = shared[t]
-            near = _extend(near, pool[done:length], part, n_tr + done, k)
-            done = length
-            # this target's shared queries are Q and P[:length]
-            stop = min(len(part), m + length - start)
-            if stop <= 0:
-                continue
-            g, b, mine = gen[t], boost[t], part[:stop]
-            near_t = _extend((near[0][:stop], near[1][:stop]), g[length:], mine, n_tr + length, k)
-            plain[t].append(vote(near_t))
-            aol[t].append(vote(_extend(near_t, b, mine, n_tr + len(g), k)))
-    for t, (g, b) in enumerate(zip(gen, boost)):
-        own = np.vstack([g[shared[t]:], b])
-        for start in range(0, len(own), chunk):
-            part = own[start:start + chunk]
-            near = _extend(k_nearest(X_tr, part, k), g, part, n_tr, k)
-            plain[t].append(vote(near))
-            aol[t].append(vote(_extend(near, b, part, n_tr + len(g), k)))
-
-    def score_row(target, use_aol, t):
-        g, b = gen[t], boost[t]
-        n_new = len(g) + (len(b) if use_aol else 0)
-        # the plain row's training set ends before B
-        scores = np.concatenate((aol if use_aol else plain)[t])[:m + n_new] / k
-        train_y = np.r_[y_tr, np.ones(n_new, dtype=y_tr.dtype)]
-        m_test = compute_metrics(scores[:n_te], y_te)
-        m_train = compute_metrics(scores[n_te:], train_y)
+    def score_row(r, target, use_aol):
+        train_votes = np.r_[votes[r, n_te:m], np.repeat(votes[r, m:], copies[r])]
+        train_y = np.r_[y_tr, np.ones(len(train_votes) - len(y_tr), dtype=y_tr.dtype)]
+        m_test = compute_metrics(votes[r, :n_te] / k, y_te)
+        m_train = compute_metrics(train_votes / k, train_y)
         return ExperimentRow(
             target_percent=target,
             aol=use_aol,
@@ -449,7 +417,4 @@ def run_experiment(X, y, grid, aol_flags=(False, True), test_fraction=0.2, seed=
             roc_auc=m_test.roc_auc,
         )
 
-    rows = [score_row(None, False, 0)]
-    for t, target in enumerate(targets, start=1):
-        rows.extend(score_row(target, f, t) for f in aol_flags)
-    return rows
+    return [score_row(r, target, use_aol) for r, (target, use_aol) in enumerate(grid_rows)]

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -618,6 +619,41 @@ def test_evaluate_assert_trend_fails_on_baseline_only_run(encoded, tmp_path):
         ["evaluate", str(encoded), str(report), "--assert-trend", "--seed", "0"]
     )
     assert code == 1
+
+
+def _scaled_table(path, factor):
+    """40 normal rows of 3 columns (seed 1) times ``factor``, every fourth row labelled 1."""
+    X = np.random.default_rng(1).normal(size=(40, 3)) * factor
+    rows = [[*map(repr, row.tolist()), str(int(i % 4 == 0))] for i, row in enumerate(X)]
+    path.write_text("\n".join(map(",".join, [["a", "b", "c", "label"], *rows])) + "\n")
+    return path
+
+
+def _evaluate_without_warnings(src, out):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return cli.main(["evaluate", str(src), str(out), "--k", "3"])
+
+
+def test_evaluate_report_does_not_change_under_a_power_of_two_scale(tmp_path):
+    # at 2**500 every squared distance still fits a float
+    reports = []
+    for name, factor in [("plain", 1.0), ("scaled", 2.0**500)]:
+        out = tmp_path / f"{name}-report.csv"
+        assert _evaluate_without_warnings(_scaled_table(tmp_path / f"{name}.csv", factor), out) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_evaluate_overflowing_neighbour_distance_exits_2(tmp_path, capsys):
+    # at 2**520 the squared distance between any two distinct rows
+    # overflows, so no neighbour list can be ranked; the run used to exit 0
+    # with roc_auc 0.5 where the unscaled table gives 0.666667
+    out = tmp_path / "report.csv"
+    assert _evaluate_without_warnings(_scaled_table(tmp_path / "in.csv", 2.0**520), out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "overflows (row " in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
 
 
 def test_unknown_flag_is_an_error():

@@ -136,6 +136,24 @@ def test_knn_many_blocks_with_ties_equals_reference_loop():
         assert (got == _knn_reference(train_X, train_y, test_X, k=k)).all()
 
 
+def _screened(train_X, queries, k, radius):
+    """The radius screen's candidates as {(query, column): distance}."""
+    found = {}
+    for lo, _, rows, cols, dist in evaluate._screen(train_X, queries, k, radius=radius):
+        found.update(zip(zip((lo + rows).tolist(), cols.tolist()), dist))
+    return found
+
+
+def _assert_screen_keeps_every_row_within(train_X, queries, k, radius):
+    """Every candidate has the reference loop's distance bits, and every row
+    whose reference distance is at most its query's radius is a candidate."""
+    want = np.array([np.linalg.norm(train_X - x, axis=1) for x in queries]).reshape(len(queries), -1)
+    found = _screened(train_X, queries, k, radius)
+    got = np.array(list(found.values()))
+    assert got.tobytes() == np.array([want[pair] for pair in found]).tobytes()
+    assert set(zip(*np.nonzero(want <= radius[:, None]))) <= found.keys()
+
+
 @pytest.mark.parametrize("kind", ["codes", "gaussian", "huge", "equal-norm"])
 def test_knn_blocks_of_sixteen_queries_equal_reference_loop(kind):
     # at 3000 rows the byte budget alone gives 10 queries per block, so the
@@ -149,10 +167,9 @@ def test_knn_blocks_of_sixteen_queries_equal_reference_loop(kind):
         want = _k_nearest_reference(train_X, queries, k)
         got = evaluate.k_nearest(train_X, queries, k)
         assert got[0].tobytes() == want[0].tobytes() and (got[1] == want[1]).all()
-        # the same table as older rows plus a newer part screened by radius
-        near = evaluate.k_nearest(train_X[:older], queries, k)
-        got = evaluate._extend(near, train_X[older:], queries, older, k)
-        assert got[0].tobytes() == want[0].tobytes() and (got[1] == want[1]).all()
+        # the newer rows screened at the older rows' k-th distance
+        radius = evaluate.k_nearest(train_X[:older], queries, k)[0][:, -1]
+        _assert_screen_keeps_every_row_within(train_X[older:], queries, k, radius)
 
 
 def test_knn_recompute_of_tied_rows_keeps_to_its_slices():
@@ -201,9 +218,9 @@ def test_knn_against_a_small_part_keeps_to_its_block_budget():
 
 
 @st.composite
-def _extend_cases(draw):
-    """A running list of k neighbours among older rows, a part of newer rows
-    and the queries, drawn from the kinds of ``_knn_cases``."""
+def _radius_cases(draw):
+    """Older rows, whose k-th distances give the queries' radii, a part of
+    newer rows and the queries, drawn from the kinds of ``_knn_cases``."""
     n_older = draw(st.integers(1, 30))
     n_part = draw(st.integers(1, 12))
     d = draw(st.integers(1, 8))
@@ -223,43 +240,41 @@ def _extend_cases(draw):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @settings(max_examples=300, deadline=None)
-@given(_extend_cases())
-def test_extend_equals_the_merge_of_the_unbounded_lists(case):
+@given(_radius_cases())
+def test_radius_screen_keeps_every_row_within_the_radius(case):
+    # each query's radius is its k-th distance among the older rows, inf
+    # where their squared distances overflow
     older, part, queries, k = case
-    near = evaluate.k_nearest(older, queries, k)
-    got = evaluate._extend(near, part, queries, len(older), k)
-    dist, cols = evaluate.k_nearest(part, queries, k)
-    want = evaluate._merge(near, (dist, cols + len(older)), k)
-    assert got[0].shape == want[0].shape == (len(queries), k)
-    assert got[0].tobytes() == want[0].tobytes()
-    assert (got[1] == want[1]).all()
+    radius = evaluate.k_nearest(older, queries, k)[0][:, -1]
+    _assert_screen_keeps_every_row_within(part, queries, k, radius)
 
 
-def test_extend_admits_only_rows_nearer_than_the_running_kth():
-    # the running 2nd distance is 2: a newer row at exactly 2 loses the tie
-    # to the older, lower id, and a newer row one ulp nearer enters
-    older = np.array([[1.0], [2.0], [3.0]])
+def test_a_record_enters_only_strictly_inside_the_kth_original():
+    # the 2nd original distance is 2: a record at exactly 2 loses the tie
+    # to the original's lower id, and a record one ulp nearer enters
+    originals = np.array([[1.0], [2.0], [3.0]])
     queries = np.array([[0.0]])
-    near = evaluate.k_nearest(older, queries, 2)
+    near = evaluate.k_nearest(originals, queries, 2)
     assert near[0].tolist() == [[1.0, 2.0]]
     nearer = np.nextafter(2.0, 0.0)
-    tied = evaluate._extend(near, np.array([[-2.0]]), queries, 3, 2)
-    assert tied[0].tolist() == [[1.0, 2.0]] and tied[1].tolist() == [[0, 1]]
-    both = evaluate._extend(near, np.array([[-2.0], [-nearer]]), queries, 3, 2)
-    assert both[0].tolist() == [[1.0, nearer]] and both[1].tolist() == [[0, 4]]
-    # a part with no row within the radius gives only padding
-    pad = evaluate.k_nearest(np.array([[5.0], [-6.0]]), queries, 2, radius=near[0][:, -1])
-    assert pad[0].tolist() == [[np.inf, np.inf]] and pad[1].tolist() == [[2, 2]]
-    # the same where the Gram value of the nearer row rounds above the
-    # squared radius: the 2nd distance is 2**-30, and a newer row one ulp
-    # of the query nearer must still enter
+    records = np.array([[-2.0], [-nearer], [5.0]])
+    # grid rows: no record, the tied record and two copies of a far one,
+    # all three records
+    copies = np.array([[0, 0, 0], [1, 0, 2], [1, 1, 2]])
+    votes = evaluate._votes(near, np.zeros(3, dtype=int), records, copies, queries)
+    assert votes.tolist() == [[0], [0], [1]]
+    # the same where the Gram value of the nearer record rounds above the
+    # squared radius: the 2nd distance is 2**-30, and a record one ulp of
+    # the query nearer must still enter
     q, a = 0.7, 2.0**-30
     queries = np.array([[q]])
     near = evaluate.k_nearest(np.array([[q - a / 2], [q + a]]), queries, 2)
     assert near[0].tolist() == [[a / 2, a]]
     nearer = a - np.spacing(q)
-    got = evaluate._extend(near, np.array([[q + 10.0], [q + nearer]]), queries, 2, 2)
-    assert got[0].tolist() == [[a / 2, nearer]] and got[1].tolist() == [[0, 3]]
+    records = np.array([[q + 10.0], [q + nearer]])
+    assert _screened(records, queries, 2, near[0][:, -1]) == {(0, 1): nearer}
+    votes = evaluate._votes(near, np.zeros(2, dtype=int), records, np.array([[1, 0], [1, 1]]), queries)
+    assert votes.tolist() == [[0], [1]]
 
 
 def test_knn_rejects_label_count_mismatch():
@@ -533,41 +548,40 @@ def test_run_experiment_equals_the_per_row_reference(data, aol_flags, k):
     assert got == want
 
 
-def _shared_lengths(X, y, grid):
-    """Each target's generated records and its count of leading records
-    shared with the longest target's, as run_experiment sees them."""
+def _target_records(X, y, grid):
+    """Each target's new records, as run_experiment stacks them, and the
+    number of their bitwise-distinct rows."""
     train_idx, _ = evaluate.stratified_split(y, 0.2, 0)
     blocks = []
     for target in grid:
         cfg = pipeline.SmoteConfig(target_minority_percent=target, seed=0)
-        result, _, _, _ = pipeline.augment(X[train_idx], y[train_idx], cfg, True, row_ids=train_idx)
-        blocks.append(result.synthetic.features)
-    pool = max(blocks, key=len)
-    return blocks, [evaluate._shared_length(g, pool) for g in blocks]
+        _, records, _, _ = pipeline.augment(X[train_idx], y[train_idx], cfg, True, row_ids=train_idx)
+        blocks.append(records.features)
+    return blocks, len({row.tobytes() for row in np.vstack(blocks)})
 
 
 @pytest.mark.parametrize("k", [1, 5])
 @pytest.mark.parametrize("data", sorted(_EXPERIMENT_DATA))
 def test_run_experiment_does_not_depend_on_grid_order(data, k):
-    # targets are scored in order of their shared length, not of the grid,
-    # and a repeated target shares all of its records
+    # the grid is not in order of record count, its targets share records,
+    # and a repeated target has the same records bit for bit
     grid = (40, 10.5, 20, 40, 10)
     X, y = _EXPERIMENT_DATA[data]()
-    _, lengths = _shared_lengths(X, y, grid)
-    assert lengths != sorted(lengths) and lengths[0] == lengths[3]
+    blocks, distinct = _target_records(X, y, grid)
+    sizes = [len(b) for b in blocks]
+    assert sizes != sorted(sizes) and blocks[0].tobytes() == blocks[3].tobytes()
+    assert distinct < sum(sizes) - sizes[3]
     got = evaluate.run_experiment(X, y, grid, seed=0, k=k)
     assert got == _run_experiment_reference(X, y, grid, seed=0, k=k)
 
 
 def test_run_experiment_in_many_chunks_equals_the_per_row_reference(monkeypatch):
-    # at k = 100 no chunk holds all 500 test and training queries, and some
-    # pool segment or target's tail holds fewer than k records
+    # at k = 100 no chunk holds all 500 test and training queries, and
+    # some grid row holds records but fewer than k of them
     k = 100
     X, y = _EXPERIMENT_DATA["demo"]()
-    blocks, lengths = _shared_lengths(X, y, _EXPERIMENT_GRID)
-    tails = [len(g) - n for g, n in zip(blocks, lengths)]
-    segments = np.diff(np.unique([0, *lengths])).tolist()
-    assert any(0 < n < k for n in tails + segments)
+    blocks, _ = _target_records(X, y, _EXPERIMENT_GRID)
+    assert any(0 < len(b) < k for b in blocks)
     want = _run_experiment_reference(X, y, _EXPERIMENT_GRID, seed=0, k=k)
     sizes = []
     k_nearest = evaluate.k_nearest
@@ -582,20 +596,41 @@ def test_run_experiment_in_many_chunks_equals_the_per_row_reference(monkeypatch)
 
 
 def test_run_experiment_scores_shared_records_once(monkeypatch):
-    # neighbour pairs of the criterion-09 grid on the demo data at seed 0:
-    # 39,510,100 when each target scores all of its records, 12,160,939 when
-    # the records the targets share are scored once
+    # pairs screened for the criterion-09 grid on the demo data at seed 0:
+    # 39,510,100 when each target scores all of its records, 12,160,939
+    # when only the leading records the targets share are scored once, and
+    # 9,446,400 when the 2000 test and training rows and the 1280 distinct
+    # records are each screened once against the 1600 originals and the
+    # records
     pairs = []
-    k_nearest = evaluate.k_nearest
+    screen = evaluate._screen
 
     def counting(train_X, queries, *args, **kwargs):
         pairs.append(len(train_X) * len(queries))
-        return k_nearest(train_X, queries, *args, **kwargs)
+        return screen(train_X, queries, *args, **kwargs)
 
-    monkeypatch.setattr(evaluate, "k_nearest", counting)
+    monkeypatch.setattr(evaluate, "_screen", counting)
     X, y = demo.make_imbalanced_dataset()
     evaluate.run_experiment(X, y, grid=(30, 32, 34, 36, 38, 40, 42, 45, 48, 50), seed=0)
-    assert sum(pairs) <= 13_000_000
+    assert sum(pairs) <= 9_500_000
+
+
+def test_run_experiment_counting_keeps_to_its_block_budget():
+    # the minority rows sit in one tight cluster, inside most queries' 100th
+    # original distance, so most screened (query, record) pairs are
+    # candidates; a candidates x k temporary peaked at 29.4 MiB here
+    rng = np.random.default_rng(0)
+    sphere = rng.normal(size=(3000, 40))
+    sphere *= 10 / np.linalg.norm(sphere, axis=1, keepdims=True)
+    X = np.vstack([sphere, 0.5 + rng.normal(scale=0.01, size=(300, 40))])
+    y = np.r_[np.zeros(3000, dtype=int), np.ones(300, dtype=int)]
+    tracemalloc.start()
+    try:
+        evaluate.run_experiment(X, y, grid=(30, 40, 50), seed=0, k=100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 _augment = pipeline.augment

@@ -11,8 +11,11 @@ may move by 1e-12 absolute, so a closed-form kernel can change the last
 bit. Original rows repeat the input file (as numbers), so a golden
 augmented CSV keeps only their metadata cells.
 
-After a deliberate output change, re-record with
-`PYTHONPATH=src python tests/test_golden.py` and say why in CHANGES.md.
+`PYTHONPATH=src python tests/test_golden.py` records each case whose
+golden output CSV is missing, with its manifest and histogram, and
+leaves the other cases alone, so their synthetic cells keep their
+recorded bits. Re-recording a case after a deliberate output change
+means deleting its files first; say why in CHANGES.md.
 """
 
 import csv
@@ -210,6 +213,8 @@ def _record(directory):
     runs = [(None, _run_evaluate(directory)), (None, _run_preprocess(directory))]
     runs += [_run_smote(directory, case) for case in SMOTE_CASES]
     for src, out in runs:
+        if (GOLDEN / out.name).exists():
+            continue
         if src is None:
             (GOLDEN / out.name).write_bytes(out.read_bytes())
         else:
