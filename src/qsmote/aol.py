@@ -92,7 +92,7 @@ def boost_outliers(table, features, distances, row_ids, config):
     default_rng([seed, source row id, j, 0xB005]), via `keyed.uniform`.
     The rows, passes and itr of every thin bin go to one
     `synth.create_syn_data` call, in bin, then member, then pass order;
-    with no thin bin the table it returns is empty, of the features' width.
+    with no thin bin it returns an empty table of the features' width early.
     """
     threshold = int(np.floor(table.total() / table.num_bins + 0.5))
     half_threshold = int(np.floor(threshold / 2 + 0.5))
@@ -111,6 +111,8 @@ def boost_outliers(table, features, distances, row_ids, config):
         rows.append(np.repeat(members, itr))
         passes.append(np.tile(np.arange(itr), len(members)))
         itrs.append(np.full(len(members) * itr, itr))
+    if len(rows) == 1:  # no thin bin
+        return synth.Records(features[:0], np.empty(0, dtype=int), np.empty(0), np.empty(0), np.empty(0, dtype=bool))
     rows, passes, itrs = map(np.concatenate, (rows, passes, itrs))
     ids = row_ids[rows]
     return synth.create_syn_data(

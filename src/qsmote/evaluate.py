@@ -9,15 +9,16 @@ hold the ROC-AUC to a pairwise Mann-Whitney count, ``roc_auc_pairwise``
 in ``tests/oracles.py``.
 
 ``knn_predict`` scores queries against one training set. The grid,
-``run_experiment``, counts records instead of ranking them. Every record
-is labelled 1 and has a higher id than every original, so it matters to
-a query only through its distance and its copies. With o_1 <= ... <= o_k
-the distances of a query's k nearest originals, original i stays among
-its k nearest in a grid row if and only if i plus the row's copies of
-records strictly nearer than o_i is at most k, and records, all voting
-1, fill the places left. Each bitwise-distinct record is scored once per
-grid, and the scores equal ``knn_predict``'s on each row's whole
-training set, bit for bit.
+``run_experiment``, augments once, by ``pipeline.augment_grid`` (whose
+one-target case, ``augment``, is the CLI's), and counts records instead
+of ranking them. Every record is labelled 1 and has a higher id than
+every original, so it matters to a query only through its distance and
+its copies. With o_1 <= ... <= o_k the distances of a query's k nearest
+originals, original i stays among its k nearest in a grid row if and
+only if i plus the row's copies of records strictly nearer than o_i is
+at most k, and records, all voting 1, fill the places left. Each
+bitwise-distinct record is scored once per grid, and the scores equal
+``knn_predict``'s on each row's whole training set, bit for bit.
 """
 
 from dataclasses import dataclass
@@ -216,7 +217,10 @@ def roc_auc_trapezoidal(scores, labels):
     outranks a random negative, ties counted 1/2. The AUC is None when
     either class is absent.
     """
-    tps, fps = _ranked(np.asarray(scores, float), np.asarray(labels))
+    return _roc_auc(*_ranked(np.asarray(scores, float), np.asarray(labels)))
+
+
+def _roc_auc(tps, fps):
     pos, neg = tps[-1], fps[-1]
     if pos == 0 or neg == 0:
         return None
@@ -227,11 +231,13 @@ def roc_auc_trapezoidal(scores, labels):
 def average_precision(scores, labels):
     """Step-interpolated PR-AUC, summed left to right over the tied blocks; None without positives."""
     labels = np.asarray(labels)
-    pos = int((labels == 1).sum())
-    if pos == 0:
+    return _average_precision(*_ranked(np.asarray(scores, float), labels)) if (labels == 1).any() else None
+
+
+def _average_precision(tps, fps):
+    if tps[-1] == 0:
         return None
-    tps, fps = _ranked(np.asarray(scores, float), labels)
-    terms = np.diff(tps, prepend=0) / pos * (tps / (tps + fps))
+    terms = np.diff(tps, prepend=0) / tps[-1] * (tps / (tps + fps))
     return float(np.cumsum(terms)[-1])
 
 
@@ -258,12 +264,8 @@ def compute_metrics(scores, labels):
         f1 = None
     else:
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return MetricsReport(
-        accuracy=accuracy,
-        f1=f1,
-        roc_auc=roc_auc_trapezoidal(scores, labels),
-        pr_auc=average_precision(scores, labels),
-    )
+    ranked = _ranked(scores, labels)  # one ranking for both areas
+    return MetricsReport(accuracy=accuracy, f1=f1, roc_auc=_roc_auc(*ranked), pr_auc=_average_precision(*ranked))
 
 
 def stratified_split(y, test_fraction, seed):
@@ -331,16 +333,17 @@ def _grid_records(X_tr, y_tr, train_idx, grid, aol_flags, seed):
     """The grid's (target, aol) rows, the bitwise-distinct records U of all
     targets, and each row's copies of each of them.
 
-    ``pipeline.augment`` runs once per target, in grid order, boosting when
-    any flag is set. A plain row holds the target's generated records G, an
-    AOL row G and its boosted records B, and the baseline none.
+    One ``pipeline.augment_grid`` call augments the targets in grid order,
+    boosting when any flag is set; it is run to its end, which frees its
+    tables. A plain row holds the target's generated records G, an AOL row
+    G and its boosted records B, and the baseline none.
     """
     grid_rows, spans, blocks, at = [(None, False)], [slice(0, 0)], [X_tr[:0]], 0
-    for target in grid if aol_flags else ():
-        cfg = pipeline.SmoteConfig(target_minority_percent=target, seed=seed)
-        result, records, _, _ = pipeline.augment(
-            X_tr, y_tr, cfg, True in aol_flags, row_ids=train_idx
-        )
+    targets = list(grid) if aol_flags else []
+    augmented = pipeline.augment_grid(
+        X_tr, y_tr, pipeline.SmoteConfig(targets[0], seed=seed), targets, True in aol_flags, row_ids=train_idx
+    ) if targets else ()
+    for (result, records, _, _), target in zip(augmented, targets):
         if not np.isfinite(records.features).all():
             raise ParameterError("features must be finite")
         for use_aol in aol_flags:

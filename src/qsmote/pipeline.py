@@ -4,10 +4,10 @@ Labels are 0/1 with 1 the minority class: the CLI maps a file's rarest
 label to 1 before it calls in. Computes the data centroid, the
 synthetic-record budget needed to hit a target minority percentage, and
 runs the per-loop generation with a one degree angle increment per
-pass. `augment` adds the angular-outlier stage: it is the one
-augmentation path of both the CLI and the grid. Its records travel as
-one `synth.Records` column table: the generated rows, then the boosted
-rows.
+pass. `augment_grid` adds the angular-outlier stage for targets that
+share one synthesis; the grid calls it once and the CLI its one-target
+case, `augment`: one augmentation path. Records travel as one
+`synth.Records` column table: the generated rows, then the boosted rows.
 """
 
 from dataclasses import dataclass
@@ -105,22 +105,27 @@ def run_smote(features, labels, config, row_ids=None):
     norm is 0 or not finite; and a minority row whose squared norm plus
     the centroid's is not finite, named the same way.
     """
+    return next(_smote_grid(features, labels, config, [config.target_minority_percent], row_ids))
+
+
+def _smote_grid(features, labels, config, targets, row_ids):
+    """Yields `run_smote`'s result per target, in order, checking the first
+    target's budget and rows first and the other budgets last. A record
+    depends only on its key, pass * m + row: the targets' distinct keys go
+    to one `synth.create_syn_data` call, and each target gathers its rows.
+    """
     X = np.asarray(features, dtype=float)
     y = np.asarray(labels)
     if X.shape[0] != y.shape[0]:
         raise ParameterError("features and labels disagree on row count")
     if not np.isin(y, (0, 1)).all():
         raise ParameterError("labels must be 0/1 with 1 the minority class")
-    if row_ids is None:
-        row_ids = np.arange(X.shape[0])
-    row_ids = np.asarray(row_ids)
+    row_ids = np.arange(X.shape[0]) if row_ids is None else np.asarray(row_ids)
 
-    minority_mask = y == 1
-    minority_X = X[minority_mask]
-    minority_ids = row_ids[minority_mask]
+    minority_X, minority_ids = X[y == 1], row_ids[y == 1]
     m = len(minority_X)
     n_total = X.shape[0]
-    _, s, full_loops, remainder = target_counts(n_total, m, config.target_minority_percent)
+    counts = [target_counts(n_total, m, targets[0])]
 
     zero = np.flatnonzero(~minority_X.any(axis=1))
     if zero.size:
@@ -140,13 +145,17 @@ def run_smote(features, labels, config, row_ids=None):
             "or with the centroid's is not finite",
             row=int(minority_ids[bad].min()) + 1,
         )
+    counts += [target_counts(n_total, m, t) for t in targets[1:]]
 
     distances = qdist.angular_distance_table(minority_X, c, shots=config.shots, seed=config.seed)
 
-    pick_rng = np.random.default_rng([config.seed, 0x5E1EC7])
-    picked = np.sort(pick_rng.choice(m, size=remainder, replace=False))
-    rows = np.r_[np.tile(np.arange(m), full_loops), picked]
-    passes = np.r_[np.repeat(np.arange(1, full_loops + 1), m), np.full(remainder, full_loops + 1)]
+    keys = []
+    for _, _, full_loops, remainder in counts:
+        pick_rng = np.random.default_rng([config.seed, 0x5E1EC7])
+        picked = np.sort(pick_rng.choice(m, size=remainder, replace=False))
+        keys.append(np.r_[np.arange(m, (full_loops + 1) * m), (full_loops + 1) * m + picked])
+    union = keys[0] if len(keys) == 1 else np.unique(np.concatenate(keys))
+    passes, rows = np.divmod(union, m)
     ids = minority_ids[rows]
     synthetic = synth.create_syn_data(
         minority_X[rows],
@@ -157,18 +166,31 @@ def run_smote(features, labels, config, row_ids=None):
         ids,
     )
 
-    achieved = 100.0 * (m + s) / (n_total + s)
-    report = AugmentationReport(achieved_percent=achieved, full_loops=full_loops, remainder=remainder)
-    return SmoteResult(
-        synthetic=synthetic,
-        report=report,
-        minority_row_ids=minority_ids,
-        angular_distances=distances,
-    )
+    for (_, s, full_loops, remainder), key in zip(counts, keys):
+        records = synthetic if len(keys) == 1 else synthetic.take(np.searchsorted(union, key))
+        report = AugmentationReport(100.0 * (m + s) / (n_total + s), full_loops, remainder)
+        yield SmoteResult(records, report, minority_ids, distances)
+
+
+def augment_grid(features, labels, config, targets, boost, row_ids=None):
+    """Yields `augment`'s result for each of `targets`, which replace the
+    config's own, bit for bit: one synthesis serves them all (`_smote_grid`).
+    """
+    X = np.asarray(features, dtype=float)
+    for result in _smote_grid(X, labels, config, targets, row_ids):
+        records = result.synthetic
+        distances = np.r_[result.angular_distances, records.angular_distance]
+        bounds, low, high = aol.detect_outliers(distances, config.num_bins)
+        if boost:
+            feats = np.vstack([X[np.asarray(labels) == 1], records.features])
+            ids = np.r_[result.minority_row_ids, records.source_row_id]
+            boosted = [aol.boost_outliers(table, feats, distances, ids, config) for table in (low, high)]
+            records = synth.Records.concat([records, *boosted])
+        yield result, records, distances, bounds
 
 
 def augment(features, labels, config, boost, row_ids=None):
-    """Synthesis plus the angular-outlier stage.
+    """Synthesis plus the angular-outlier stage: the one-target case of `augment_grid`.
 
     Pools the minority rows' distances with those of the generated
     records, takes the IQR bounds of the pool and, when `boost` is set,
@@ -176,14 +198,4 @@ def augment(features, labels, config, boost, row_ids=None):
     high table. Returns (run_smote result, new records: generated first,
     then boosted; pooled distances; bounds).
     """
-    X = np.asarray(features, dtype=float)
-    result = run_smote(X, labels, config, row_ids=row_ids)
-    records = result.synthetic
-    distances = np.r_[result.angular_distances, records.angular_distance]
-    bounds, low, high = aol.detect_outliers(distances, config.num_bins)
-    if boost:
-        feats = np.vstack([X[np.asarray(labels) == 1], records.features])
-        ids = np.r_[result.minority_row_ids, records.source_row_id]
-        boosted = [aol.boost_outliers(table, feats, distances, ids, config) for table in (low, high)]
-        records = synth.Records.concat([records, *boosted])
-    return result, records, distances, bounds
+    return next(augment_grid(features, labels, config, [config.target_minority_percent], boost, row_ids))

@@ -40,6 +40,9 @@ class Records:
         """The rows of one or more tables of one width, in order."""
         return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
 
+    def take(self, index):
+        return type(self)(*(getattr(self, f.name)[index] for f in fields(self)))
+
 
 def rotation_angle(angular_distance, sf, u):
     """Rotation angles well below the angular distances, one per row.

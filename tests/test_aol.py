@@ -189,3 +189,6 @@ def test_boost_with_no_thin_bin_is_empty_of_the_features_width():
     boosted = aol.boost_outliers(table, features, distances, row_ids, config)
     assert boosted.features.shape == (0, 3)
     assert len(boosted.source_row_id) == len(boosted.boosted) == 0
+    # the columns keep the dtypes of a table that create_syn_data makes
+    assert boosted.features.dtype == boosted.rotation_angle.dtype == boosted.angular_distance.dtype == float
+    assert boosted.source_row_id.dtype == int and boosted.boosted.dtype == bool

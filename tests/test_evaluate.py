@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from qsmote import demo, evaluate, pipeline, synth
-from qsmote.errors import ParameterError
+from qsmote import demo, evaluate, keyed, pipeline, synth
+from qsmote.errors import DataError, ParameterError
 
 
 def test_knn_zero_distance_wins_at_k_one():
@@ -538,6 +538,64 @@ def test_experiment_data_cover_boosting_and_small_targets():
             assert all(counts[t][1] > 0 for t in (10.5, 20, 40)), counts
 
 
+@pytest.mark.parametrize("boost", [False, True])
+@pytest.mark.parametrize("data", sorted(_EXPERIMENT_DATA))
+def test_augment_grid_equals_augment_of_each_target(data, boost):
+    # an unsorted grid with a repeated target and one that adds no records
+    grid = (40, 10.5, 20, 40, 10)
+    X, y = _EXPERIMENT_DATA[data]()
+    train_idx, _ = evaluate.stratified_split(y, 0.2, 0)
+    X_tr, y_tr = X[train_idx], y[train_idx]
+    config = pipeline.SmoteConfig(target_minority_percent=grid[0], seed=0)
+    got = list(pipeline.augment_grid(X_tr, y_tr, config, grid, boost, row_ids=train_idx))
+    assert len(got) == len(grid)
+    for target, (result, records, distances, bounds) in zip(grid, got):
+        cfg = dataclasses.replace(config, target_minority_percent=target)
+        want, want_records, want_distances, want_bounds = pipeline.augment(X_tr, y_tr, cfg, boost, row_ids=train_idx)
+        for name in ("minority_row_ids", "angular_distances"):
+            assert np.array_equal(getattr(result, name), getattr(want, name))
+        assert result.report == want.report and bounds == want_bounds
+        assert np.array_equal(distances, want_distances)
+        for table, want_table in ((result.synthetic, want.synthetic), (records, want_records)):
+            for field in dataclasses.fields(synth.Records):
+                a, b = getattr(table, field.name), getattr(want_table, field.name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (target, field.name)
+
+
+def test_run_experiment_synthesises_once(monkeypatch):
+    # the criterion-09 grid on the demo data at seed 0: its ten targets
+    # share 1280 distinct (row, pass) keys, and no outlier bin is thin
+    calls, drawn = [], []
+    create, uniform = synth.create_syn_data, keyed.uniform
+
+    def counting_create(*args, **kwargs):
+        calls.append(len(args[0]))
+        return create(*args, **kwargs)
+
+    def counting_uniform(seed, *columns):
+        drawn.append(len(columns[0]))
+        return uniform(seed, *columns)
+
+    monkeypatch.setattr(synth, "create_syn_data", counting_create)
+    monkeypatch.setattr(keyed, "uniform", counting_uniform)
+    X, y = demo.make_imbalanced_dataset()
+    evaluate.run_experiment(X, y, grid=(30, 32, 34, 36, 38, 40, 42, 45, 48, 50), seed=0)
+    assert calls == [1280] and sum(drawn) == 1280
+
+
+def test_grid_checks_keep_the_per_target_order():
+    # the first target's budget, then the rows, then the other budgets
+    X, y = _EXPERIMENT_DATA["demo"]()
+    train_idx, _ = evaluate.stratified_split(y, 0.2, 0)
+    zero = train_idx[y[train_idx] == 1][3]
+    X[zero] = 0.0
+    with pytest.raises(DataError, match="all-zero minority row") as info:
+        evaluate.run_experiment(X, y, grid=(30, 5), seed=0)
+    assert info.value.row == zero + 1
+    with pytest.raises(ParameterError, match=r"^target 5% is below the current minority share"):
+        evaluate.run_experiment(X, y, grid=(5, 30), seed=0)
+
+
 @pytest.mark.parametrize("k", [1, 5])
 @pytest.mark.parametrize("aol_flags", [(False, True), (True,), (False,)])
 @pytest.mark.parametrize("data", sorted(_EXPERIMENT_DATA))
@@ -633,7 +691,12 @@ def test_run_experiment_counting_keeps_to_its_block_budget():
     assert peak <= 16 * 2**20
 
 
-_augment = pipeline.augment
+_augment_grid = pipeline.augment_grid
+
+
+def _augment(features, labels, config, boost, row_ids=None):
+    """pipeline.augment through augment_grid as it is before any patch."""
+    return next(_augment_grid(features, labels, config, [config.target_minority_percent], boost, row_ids))
 
 
 def _copying_augment(features, labels, config, boost, row_ids=None):
@@ -659,9 +722,16 @@ def _copying_augment(features, labels, config, boost, row_ids=None):
     return result, records, distances, bounds
 
 
+def _copying_augment_grid(features, labels, config, targets, boost, row_ids=None):
+    """pipeline.augment_grid as _copying_augment, one target at a time."""
+    for target in targets:
+        cfg = dataclasses.replace(config, target_minority_percent=target)
+        yield _copying_augment(features, labels, cfg, boost, row_ids=row_ids)
+
+
 @pytest.mark.parametrize("k", [1, 5])
 def test_run_experiment_ties_across_parts_go_to_the_lower_id(monkeypatch, k):
-    monkeypatch.setattr(pipeline, "augment", _copying_augment)
+    monkeypatch.setattr(pipeline, "augment_grid", _copying_augment_grid)
     X, y = _tied_codes()
     got = evaluate.run_experiment(X, y, (20, 40), seed=0, k=k)
     assert got == _run_experiment_reference(X, y, (20, 40), seed=0, k=k)
@@ -669,18 +739,19 @@ def test_run_experiment_ties_across_parts_go_to_the_lower_id(monkeypatch, k):
 
 @pytest.mark.parametrize("aol_flags", [(False, True), (True,), (False,), ()])
 def test_run_experiment_augments_once_per_target(monkeypatch, aol_flags):
+    # one augment_grid call takes every target, in grid order
     calls = []
-    augment = pipeline.augment
+    augment_grid = pipeline.augment_grid
 
-    def counting(features, labels, config, boost, **kwargs):
-        calls.append((config.target_minority_percent, boost))
-        return augment(features, labels, config, boost, **kwargs)
+    def counting(features, labels, config, targets, boost, **kwargs):
+        calls.append((list(targets), boost))
+        return augment_grid(features, labels, config, targets, boost, **kwargs)
 
-    monkeypatch.setattr(pipeline, "augment", counting)
+    monkeypatch.setattr(pipeline, "augment_grid", counting)
     X, y = _toy()
-    rows = evaluate.run_experiment(X, y, grid=(30, 36), aol_flags=aol_flags)
+    rows = evaluate.run_experiment(X, y, grid=(36, 30), aol_flags=aol_flags)
     assert len(rows) == 1 + 2 * len(aol_flags)
-    assert calls == ([(30, True in aol_flags), (36, True in aol_flags)] if aol_flags else [])
+    assert calls == ([([36, 30], True in aol_flags)] if aol_flags else [])
 
 
 def test_run_experiment_keeps_the_knn_errors():
