@@ -17,8 +17,9 @@ its copies. With o_1 <= ... <= o_k the distances of a query's k nearest
 originals, original i stays among its k nearest in a grid row if and
 only if i plus the row's copies of records strictly nearer than o_i is
 at most k, and records, all voting 1, fill the places left. Each
-bitwise-distinct record is scored once per grid, and the scores equal
-``knn_predict``'s on each row's whole training set, bit for bit.
+bitwise-distinct record is scored once per grid, as is each distinct
+grid row (equal copies, as where AOL boosts nothing), and the scores
+equal ``knn_predict``'s on each row's whole training set, bit for bit.
 """
 
 from dataclasses import dataclass
@@ -40,25 +41,31 @@ class MetricsReport:
 # A block of queries is sized so its screen (n values per query) and its
 # min(k, n) candidate rows per query (d values each) take at most this
 # many bytes, but holds at least 16 queries, so that the screen stays a
-# matrix product on large training sets. The exact recompute takes its
-# candidates in slices of this many bytes, and the grid its queries in
-# chunks whose counts, one per grid row, query and original neighbour, do.
+# matrix product on large training sets. A group of blocks holds the
+# queries whose d + 4 prepared values fill a quarter of it, and a run of
+# a group's blocks ends once its candidates, some 64 bytes each in the
+# recompute and the consumers, fill it; a recompute slice takes a quarter.
+# The grid takes its queries in chunks whose counts, one per distinct
+# grid row, query and original neighbour, fit it.
 _BLOCK_BYTES = 256 * 1024
 
 
 def _screen(train_X, queries, k, radius=None):
-    """Yields ``(lo, hi, rows, cols, dist)`` for each block ``queries[lo:hi]``:
-    its candidate (block row, training column) pairs in row-major order and
+    """Yields ``(lo, hi, rows, cols, dist)`` for each run ``queries[lo:hi]``:
+    its candidate (run row, training column) pairs in row-major order and
     their distances ``sqrt(add.reduce((x - q)**2, axis=-1))``, the same bits
     whichever call scores a pair. Without ``radius`` a query's candidates
     hold every row that beats or ties its k-th nearest; with ``radius``, one
     distance per query, every row at most that far. The inputs must be
-    finite float tables, k at least 1 and ``train_X`` nonempty. Blocks are
-    sized as ``_BLOCK_BYTES`` says, and each takes two steps:
+    finite float tables, k at least 1 and ``train_X`` nonempty. Each block
+    of queries runs only step 1's product, threshold, compare and nonzero.
+    Each group of blocks prepares its queries once (centring, |q|^2, the
+    tolerance and the overflow mask), and step 2 runs once per run of its
+    blocks, all of a group or a part; ``_BLOCK_BYTES`` sizes all three:
 
     1. Screen. The training rows, centred on their mean, are the columns of
        one (d + 1) x n table whose last row holds their squared norms |x|^2.
-       The block's queries, centred the same way, are the rows (-2q, 1), so
+       The queries, centred the same way, are the rows (-2q, 1), so
        one matrix product gives f = |x|^2 - 2 q.x for every pair: the
        squared distance less |q|^2, which is the same for all of a query's
        rows. Without a radius, column j joins group j mod g of
@@ -87,57 +94,74 @@ def _screen(train_X, queries, k, radius=None):
        sum in the product overflows.
     2. Exact recompute. The candidates' distances are computed with the
        expression above from the original rows, in slices of
-       ``_BLOCK_BYTES // (8 d)`` candidates; a row's sum does not depend on
-       its slice. Ties, overflow or a far radius can keep all n rows. An
-       overflow gives a distance of inf, which the callers rank or reject,
-       so it raises no warning.
+       ``_BLOCK_BYTES // (32 d)`` candidates; a row's sum does not depend on
+       its slice or run. Ties, overflow or a far radius can keep all n
+       rows. An overflow gives a distance of inf, which the callers rank or
+       reject, so it raises no warning.
     """
     n, d = train_X.shape
     k = min(k, n)
     block = max(16, _BLOCK_BYTES // (8 * max(n, k * d)))
-    step = _BLOCK_BYTES // (8 * max(d, 1))
+    group = block * max(1, _BLOCK_BYTES // (32 * (d + 4) * block))
+    step = _BLOCK_BYTES // (32 * max(d, 1))
     eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
-    # the centred rows as columns, their squared norms as a last row, and
-    # each block's (-2q, 1) rows; overflow here or below only widens the
-    # screen: such queries keep every column
+    g = min(16 * k, n)  # the screen's column groups: column j joins group j mod g
+    full, left = divmod(n, g)
+    # the centred rows as columns, their squared norms as a last row, each
+    # group's (-2q, 1) rows and one block's product; overflow here or below
+    # only widens the screen: such queries keep every column
     table = np.empty((d + 1, n))
-    lhs = np.ones((min(block, len(queries)), d + 1))
+    lhs = np.ones((min(group, len(queries)), d + 1))
+    fused = np.empty((min(block, len(queries)), n))
     with np.errstate(over="ignore", invalid="ignore"):
         mean = train_X.mean(axis=0)
         np.subtract(train_X.T, mean[:, None], out=table[:d])
         np.einsum("ij,ij->j", table[:d], table[:d], out=table[d])
         sq_max = table[d].max()
-    for lo in range(0, len(queries), block):
-        block_q = queries[lo:lo + block]
-        q = lhs[:len(block_q), :d]
+    for start in range(0, len(queries), group):
+        group_q = queries[start:start + group]
+        q = lhs[:len(group_q), :d]
         with np.errstate(over="ignore", invalid="ignore"):
-            np.subtract(block_q, mean, out=q)
+            np.subtract(group_q, mean, out=q)
             sq_q = np.einsum("ij,ij->i", q, q)
             q *= -2.0
-            fused = lhs[:len(block_q)] @ table
-            if radius is None:
-                # the screen's column groups: column j joins group j mod g
-                g = min(16 * k, n)
-                full, left = divmod(n, g)
-                mins = fused[:, :g * full].reshape(len(block_q), full, g).min(axis=1)
-                np.minimum(mins[:, :left], fused[:, g * full:], out=mins[:, :left])
-                kth = np.partition(mins, k - 1, axis=1)[:, k - 1]
-                scale = sq_q + sq_max
-            else:
-                r2 = np.square(radius[lo:lo + block])
-                kth = r2 - sq_q
-                scale = sq_q + sq_max + r2
-            candidate = fused <= (kth + 64 * (d + 3) * (eps * scale + tiny))[:, None]
-            candidate[~(4.0 * scale < np.inf)] = True
-        # a flat nonzero is several times faster than a 2-d one
-        rows, cols = np.divmod(np.flatnonzero(candidate), n)
-        dist = np.empty(len(rows))
-        with np.errstate(over="ignore"):
-            for s in range(0, len(rows), step):
-                diff = train_X[cols[s:s + step]] - block_q[rows[s:s + step]]
-                diff *= diff
-                dist[s:s + step] = np.sqrt(np.add.reduce(diff, axis=-1))
-        yield lo, lo + len(block_q), rows, cols, dist
+            r2 = 0.0 if radius is None else np.square(radius[start:start + group])
+            scale = sq_q + sq_max + r2
+            tol = 64 * (d + 3) * (eps * scale + tiny)
+            limit = (r2 - sq_q) + tol  # the radius screen's threshold
+            over = ~(4.0 * scale < np.inf)
+        wide = over.any()
+        found, size, first = [], 0, 0
+        for lo in range(0, len(group_q), block):
+            hi = min(lo + block, len(group_q))
+            with np.errstate(over="ignore", invalid="ignore"):
+                f = np.matmul(lhs[lo:hi], table, out=fused[:hi - lo])
+                if radius is None:
+                    mins = f[:, :g * full].reshape(hi - lo, full, g).min(axis=1)
+                    np.minimum(mins[:, :left], f[:, g * full:], out=mins[:, :left])
+                    bound = np.partition(mins, k - 1, axis=1)[:, k - 1] + tol[lo:hi]
+                else:
+                    bound = limit[lo:hi]
+                candidate = f <= bound[:, None]
+            if wide:
+                candidate[over[lo:hi]] = True
+            # a flat nonzero is several times faster than a 2-d one
+            found.append(np.flatnonzero(candidate))
+            found[-1] += (lo - first) * n
+            size += len(found[-1])
+            if size < _BLOCK_BYTES // 64 and hi < len(group_q):
+                continue
+            rows, cols = np.divmod(found[0] if len(found) == 1 else np.concatenate(found), n)
+            found, size = [], 0
+            dist = np.empty(len(rows))
+            with np.errstate(over="ignore"):
+                for s in range(0, len(rows), step):
+                    diff = train_X[cols[s:s + step]]
+                    diff -= group_q[first:hi][rows[s:s + step]]
+                    diff *= diff
+                    dist[s:s + step] = np.sqrt(np.add.reduce(diff, axis=-1))
+            yield start + first, start + hi, rows, cols, dist
+            first = hi
 
 
 def k_nearest(train_X, queries, k):
@@ -146,7 +170,7 @@ def k_nearest(train_X, queries, k):
     Both arrays have shape ``(len(queries), min(k, len(train_X)))``, and each
     row lists its neighbours by (distance, column): of equal distances the
     lower column comes first. One stable lexsort by (query, distance) of
-    each ``_screen`` block's candidates picks them. The inputs are as
+    each ``_screen`` run's candidates picks them. The inputs are as
     ``_screen`` needs them; the callers check them (``_check_knn``).
     """
     k = min(k, len(train_X))
@@ -303,7 +327,8 @@ def _votes(near, labels, records, copies, queries):
     By the counting rule a record at distance d falls in bin
     a = #{i : o_i <= d}, one at o_k or beyond never enters, and if j
     originals stay the vote is their label-1 count plus k - j. Each screen
-    block's records go through one bincount over (grid row, query, bin).
+    run's records go through one bincount over (grid row, query, bin) per
+    slice of grid rows.
     """
     dist, cols = near
     k = dist.shape[1]
@@ -316,13 +341,18 @@ def _votes(near, labels, records, copies, queries):
         inside = d < o[rows, -1]
         rows, u, d = rows[inside], u[inside], d[inside]
         # complex numbers order by (real, imaginary), so one searchsorted of
-        # the (row, distance) pairs into the block's sorted (row, o) pairs
+        # the (row, distance) pairs into the run's sorted (row, o) pairs
         # gives each record's flat (row, bin) index
         flat = np.searchsorted((np.arange(hi - lo)[:, None] + 1j * o).ravel(), rows + 1j * d, side="right")
         size = (hi - lo) * k
-        flat = (np.arange(len(copies))[:, None] * size + flat).ravel()
-        binned = np.bincount(flat, copies[:, u].ravel(), len(copies) * size)
-        counts[:, lo:hi] += binned.reshape(len(copies), hi - lo, k)
+        # grid rows in slices whose (grid row, record) and (grid row, query,
+        # bin) arrays take at most a quarter of the budget each
+        step = max(1, _BLOCK_BYTES // (32 * max(len(flat), size)))
+        for r in range(0, len(copies), step):
+            part = copies[r:r + step]
+            index = (np.arange(len(part))[:, None] * size + flat).ravel()
+            binned = np.bincount(index, part[:, u].ravel(), len(part) * size)
+            counts[r:r + step, lo:hi] += binned.reshape(len(part), hi - lo, k)
     # counts[r, q, i - 1] becomes row r's copies strictly nearer q than o_i
     np.cumsum(counts, axis=2, out=counts)
     stay = (counts + np.arange(1, k + 1) <= k).sum(axis=2)
@@ -371,11 +401,12 @@ def run_experiment(X, y, grid, aol_flags=(False, True), test_fraction=0.2, seed=
     counting rule gives the votes (``_votes``): original i of a query's k
     nearest stays if i plus the row's records strictly nearer than o_i is
     at most k. The queries are the test rows, the original training rows
-    and the targets' bitwise-distinct records U, each scored once; a row's
-    training scores repeat each U row's vote by its copies in the row. A
-    query whose k-th nearest original is infinitely far is a DataError
-    naming its file row, since its list is then not exact. Queries run in
-    chunks whose counts fit ``_BLOCK_BYTES``.
+    and the targets' bitwise-distinct records U, each scored once, and grid
+    rows with equal copies share their scores; a row's training accuracy
+    counts each U row's vote by its copies in the row. A query whose k-th
+    nearest original is infinitely far is a DataError naming its file row,
+    since its list is then not exact. Queries run in chunks whose counts
+    fit ``_BLOCK_BYTES``.
     """
     keyed.check_seed(seed)
     X = np.asarray(X, dtype=float)
@@ -390,9 +421,13 @@ def run_experiment(X, y, grid, aol_flags=(False, True), test_fraction=0.2, seed=
     X_te, X_tr = queries[:n_te], queries[n_te:]
     y_te, y_tr = y[test_idx], y[train_idx]
     _check_knn(X_tr, y_tr, X_te, k)
-    m = len(queries)
+    m, n_tr = len(queries), len(y_tr)
 
     grid_rows, unique, copies = _grid_records(X_tr, y_tr, train_idx, grid, aol_flags, seed)
+    # grid rows with equal copies share their votes and metrics
+    index = {}
+    distinct = [index.setdefault(row.tobytes(), len(index)) for row in copies]
+    copies = copies[[distinct.index(i) for i in range(len(index))]]
     scored = np.vstack([queries, unique])
     votes = np.empty((len(copies), len(scored)), dtype=np.intp)
     chunk = max(1, _BLOCK_BYTES // (8 * k * len(copies)))
@@ -405,19 +440,14 @@ def run_experiment(X, y, grid, aol_flags=(False, True), test_fraction=0.2, seed=
             raise DataError("the distance to a k-th nearest training row overflows", row=row)
         votes[:, start:start + len(part)] = _votes(near, y_tr, unique, copies, part)
 
-    def score_row(r, target, use_aol):
-        train_votes = np.r_[votes[r, n_te:m], np.repeat(votes[r, m:], copies[r])]
-        train_y = np.r_[y_tr, np.ones(len(train_votes) - len(y_tr), dtype=y_tr.dtype)]
-        m_test = compute_metrics(votes[r, :n_te] / k, y_te)
-        m_train = compute_metrics(train_votes / k, train_y)
-        return ExperimentRow(
-            target_percent=target,
-            aol=use_aol,
-            accuracy_train=m_train.accuracy,
-            accuracy_test=m_test.accuracy,
-            f1=m_test.f1,
-            pr_auc=m_test.pr_auc,
-            roc_auc=m_test.roc_auc,
-        )
+    def score(r):
+        # the training accuracy counts the originals by label and each
+        # record, labelled 1, by its copies
+        hit = votes[r, n_te:] / k >= 0.5
+        right = np.count_nonzero(hit[:n_tr] == (y_tr == 1)) + copies[r] @ hit[n_tr:]
+        test = compute_metrics(votes[r, :n_te] / k, y_te)
+        return dict(accuracy_train=int(right) / (n_tr + int(copies[r].sum())), accuracy_test=test.accuracy,
+                    f1=test.f1, pr_auc=test.pr_auc, roc_auc=test.roc_auc)
 
-    return [score_row(r, target, use_aol) for r, (target, use_aol) in enumerate(grid_rows)]
+    scores = [score(r) for r in range(len(copies))]
+    return [ExperimentRow(target, use_aol, **scores[r]) for r, (target, use_aol) in zip(distinct, grid_rows)]

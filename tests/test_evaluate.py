@@ -125,12 +125,18 @@ def test_knn_equals_reference_loop_exactly(case):
     assert (got == want).all()
 
 
-def test_knn_many_blocks_with_ties_equals_reference_loop():
-    # enough queries for several blocks, on tied integer codes
+def _tied_table():
+    """Tied integer codes: 700 training rows and 300 queries, half of them
+    training rows, of 6 columns."""
     rng = np.random.default_rng(11)
     train_X = rng.integers(0, 3, size=(700, 6)).astype(float)
     train_y = rng.integers(0, 2, size=700)
-    test_X = np.vstack([train_X[:150], rng.integers(0, 3, size=(150, 6))])
+    return train_X, train_y, np.vstack([train_X[:150], rng.integers(0, 3, size=(150, 6))])
+
+
+def test_knn_many_blocks_with_ties_equals_reference_loop():
+    # enough queries for several blocks, on tied integer codes
+    train_X, train_y, test_X = _tied_table()
     for k in (1, 5, 699):
         got = evaluate.knn_predict(train_X, train_y, test_X, k=k)
         assert (got == _knn_reference(train_X, train_y, test_X, k=k)).all()
@@ -215,6 +221,34 @@ def test_knn_against_a_small_part_keeps_to_its_block_budget():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2**20
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_knn_runs_of_blocks_equal_reference_loop(monkeypatch):
+    # at 16 KiB the 700-row table gives 16-query blocks, groups of 48
+    # queries (d + 4 = 10 values each in a quarter of the budget) and runs
+    # that end at 256 candidates: at k = 5 runs span several blocks, and
+    # groups end in more than one run
+    monkeypatch.setattr(evaluate, "_BLOCK_BYTES", 16 * 1024)
+    train_X, train_y, test_X = _tied_table()
+    runs = [(lo, hi) for lo, hi, *_ in evaluate._screen(train_X, test_X, 5)]
+    assert [lo for lo, _ in runs] == [0] + [hi for _, hi in runs[:-1]] and runs[-1][1] == 300
+    assert any(hi - lo > 16 for lo, hi in runs)
+    assert any(hi % 48 and hi != 300 for _, hi in runs)
+    # row 0's squared norm stays finite, but five queries' |q|^2 overflow,
+    # and so do their distances to every row, which then all tie; a screen
+    # product with row 0 can read inf - inf = nan, and only the queries'
+    # overflow masks, most of them in later blocks of a group, keep row 0
+    huge_X, huge_q = train_X.copy(), test_X.copy()
+    huge_X[0, :2] = 9.4e153, -9.4e153
+    huge_q[[20, 37, 70, 150, 299], :2] = 1e154
+    for table, queries in ((train_X, test_X), (huge_X, huge_q)):
+        for k in (1, 5, 699):
+            got = evaluate.knn_predict(table, train_y, queries, k=k)
+            assert (got == _knn_reference(table, train_y, queries, k=k)).all()
+            dist, cols = evaluate.k_nearest(table, queries, k)
+            want = _k_nearest_reference(table, queries, k)
+            assert dist.tobytes() == want[0].tobytes() and (cols == want[1]).all()
 
 
 @st.composite
@@ -500,7 +534,7 @@ def _tied_codes():
 def _planted_outliers():
     # thirteen near-axis minority rows of the training split sit below the
     # IQR fence, twelve of them on one point, so AOL boosts at every target
-    # of _EXPERIMENT_GRID except 10; ten majority rows around that point
+    # of _EXPERIMENT_GRID, even 10; ten majority rows around that point
     # let the boosted records change neighbour votes
     X, y = demo.make_imbalanced_dataset(n_rows=700)
     train_idx, _ = evaluate.stratified_split(y, 0.2, 0)
@@ -689,6 +723,102 @@ def test_run_experiment_counting_keeps_to_its_block_budget():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2**20
+
+
+_CRITERION_09_GRID = (30, 32, 34, 36, 38, 40, 42, 45, 48, 50)
+
+
+def test_run_experiment_screens_in_runs_of_many_blocks(monkeypatch):
+    # the criterion-09 grid on the demo data at seed 0 screens 299 blocks
+    # of queries in 12 _screen calls, and recomputes and yields 14 runs
+    blocks, runs = [], []
+    screen = evaluate._screen
+
+    def counting(train_X, queries, k, radius=None):
+        n, d = train_X.shape
+        block = max(16, evaluate._BLOCK_BYTES // (8 * max(n, min(k, n) * d)))
+        blocks.append(-(-len(queries) // block))
+        for run in screen(train_X, queries, k, radius):
+            runs.append(run[:2])
+            yield run
+
+    monkeypatch.setattr(evaluate, "_screen", counting)
+    X, y = demo.make_imbalanced_dataset()
+    evaluate.run_experiment(X, y, grid=_CRITERION_09_GRID, seed=0)
+    assert sum(blocks) >= 250 and 10 * len(runs) <= sum(blocks)
+
+
+@pytest.mark.parametrize("data", ["tied-codes", "planted-outliers"])
+def test_run_experiment_in_runs_of_blocks_equals_the_per_row_reference(monkeypatch, data):
+    # 16 KiB gives runs that span blocks and end inside groups (see
+    # test_knn_runs_of_blocks_equal_reference_loop), in both screens
+    X, y = _EXPERIMENT_DATA[data]()
+    want = _run_experiment_reference(X, y, _EXPERIMENT_GRID, seed=0)
+    monkeypatch.setattr(evaluate, "_BLOCK_BYTES", 16 * 1024)
+    assert evaluate.run_experiment(X, y, _EXPERIMENT_GRID, seed=0) == want
+
+
+def _counting_metrics(monkeypatch):
+    """The number of test rows of each compute_metrics call from here on."""
+    calls = []
+    compute = evaluate.compute_metrics
+
+    def counting(scores, labels):
+        calls.append(len(scores))
+        return compute(scores, labels)
+
+    monkeypatch.setattr(evaluate, "compute_metrics", counting)
+    return calls
+
+
+def test_run_experiment_scores_each_distinct_grid_row_once(monkeypatch):
+    # the criterion-09 grid on the demo data at seed 0: AOL boosts nothing,
+    # so its 21 rows hold 11 distinct copy vectors; scoring each row's test
+    # and training scores took 42 compute_metrics calls, and the training
+    # accuracy now comes from counts
+    X, y = demo.make_imbalanced_dataset()
+    want = _run_experiment_reference(X, y, _CRITERION_09_GRID, seed=0)
+    calls = _counting_metrics(monkeypatch)
+    assert evaluate.run_experiment(X, y, _CRITERION_09_GRID, seed=0) == want
+    assert calls == [400] * 11
+
+
+def test_run_experiment_keeps_unequal_grid_rows_apart(monkeypatch):
+    # on planted-outliers every AOL row holds boosted records and differs
+    # from its plain row, and targets 10 and 10.5 differ from each other:
+    # 9 rows, of which only the plain target-10 row, with no records,
+    # equals the baseline
+    X, y = _EXPERIMENT_DATA["planted-outliers"]()
+    want = _run_experiment_reference(X, y, _EXPERIMENT_GRID, seed=0)
+    assert all(plain != aol for plain, aol in zip(want[1::2], want[2::2]))
+    calls = _counting_metrics(monkeypatch)
+    assert evaluate.run_experiment(X, y, _EXPERIMENT_GRID, seed=0) == want
+    assert len(calls) == 8
+
+
+def test_votes_for_many_grid_rows_keep_to_their_budget(monkeypatch):
+    # the criterion-09 grid, AOL both, at k = 100: 11 distinct grid rows
+    # over 29-query chunks whose radius screens keep many records; one
+    # bincount over every grid row peaked at 1.42 MB per _votes call, and
+    # slices of grid rows at 0.99 MB
+    peaks = []
+    votes = evaluate._votes
+
+    def traced(*args):
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = votes(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        return out
+
+    monkeypatch.setattr(evaluate, "_votes", traced)
+    X, y = demo.make_imbalanced_dataset()
+    tracemalloc.start()
+    try:
+        evaluate.run_experiment(X, y, grid=_CRITERION_09_GRID, seed=0, k=100)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) > 100 and max(peaks) <= 1.25 * 2**20
 
 
 _augment_grid = pipeline.augment_grid
