@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import keyed, synth
-from .errors import ParameterError
 
 
 @dataclass(frozen=True)
@@ -53,13 +52,11 @@ def detect_outliers(angular_distances, num_bins):
     """IQR bounds plus equal-width bin tables of the low/high outliers.
 
     Quantiles use linear interpolation at 0.25*(n-1) and 0.75*(n-1) on
-    the sorted sample.
+    the sorted sample. Assumes a nonempty pool, as `pipeline.augment_grid`'s
+    holds at least one minority row, and num_bins >= 1, which
+    `pipeline.SmoteConfig` checks.
     """
     d = np.asarray(angular_distances, dtype=float).ravel()
-    if d.size == 0:
-        raise ParameterError("need a nonempty distance vector")
-    if num_bins < 1:
-        raise ParameterError(f"num_bins must be >= 1, got {num_bins}")
     q1, q3 = np.percentile(d, [25, 75], method="linear")
     iqr = q3 - q1
     bounds = OutlierBounds(

@@ -228,7 +228,7 @@ def _ranked(scores, labels):
     """
     order = np.argsort(-scores, kind="stable")
     s, hit = scores[order], labels[order] == 1
-    last = np.r_[np.nonzero(np.diff(s))[0], len(s) - 1]
+    last = np.flatnonzero(np.diff(s, append=np.nan))  # the trailing nan closes the last block
     return np.cumsum(hit)[last], np.cumsum(~hit)[last]
 
 
@@ -245,21 +245,19 @@ def roc_auc_trapezoidal(scores, labels):
 
 
 def _roc_auc(tps, fps):
-    pos, neg = tps[-1], fps[-1]
-    if pos == 0 or neg == 0:
+    if len(tps) == 0 or tps[-1] == 0 or fps[-1] == 0:
         return None
-    x, y = np.r_[0.0, fps / neg], np.r_[0.0, tps / pos]
+    x, y = np.r_[0.0, fps / fps[-1]], np.r_[0.0, tps / tps[-1]]
     return float(np.add.reduce(np.diff(x) * (y[1:] + y[:-1]) / 2.0))
 
 
 def average_precision(scores, labels):
     """Step-interpolated PR-AUC, summed left to right over the tied blocks; None without positives."""
-    labels = np.asarray(labels)
-    return _average_precision(*_ranked(np.asarray(scores, float), labels)) if (labels == 1).any() else None
+    return _average_precision(*_ranked(np.asarray(scores, float), np.asarray(labels)))
 
 
 def _average_precision(tps, fps):
-    if tps[-1] == 0:
+    if len(tps) == 0 or tps[-1] == 0:
         return None
     terms = np.diff(tps, prepend=0) / tps[-1] * (tps / (tps + fps))
     return float(np.cumsum(terms)[-1])
@@ -366,7 +364,9 @@ def _grid_records(X_tr, y_tr, train_idx, grid, aol_flags, seed):
     One ``pipeline.augment_grid`` call augments the targets in grid order,
     boosting when any flag is set; it is run to its end, which frees its
     tables. A plain row holds the target's generated records G, an AOL row
-    G and its boosted records B, and the baseline none.
+    G and its boosted records B, and the baseline none. Assumes finite
+    records: `pipeline.augment_grid` passes only finite sources of finite
+    norm, and a rotation keeps every cell within its source's norm.
     """
     grid_rows, spans, blocks, at = [(None, False)], [slice(0, 0)], [X_tr[:0]], 0
     targets = list(grid) if aol_flags else []
@@ -374,8 +374,6 @@ def _grid_records(X_tr, y_tr, train_idx, grid, aol_flags, seed):
         X_tr, y_tr, pipeline.SmoteConfig(targets[0], seed=seed), targets, True in aol_flags, row_ids=train_idx
     ) if targets else ()
     for (result, records, _, _), target in zip(augmented, targets):
-        if not np.isfinite(records.features).all():
-            raise ParameterError("features must be finite")
         for use_aol in aol_flags:
             grid_rows.append((target, use_aol))
             spans.append(slice(at, at + len(records if use_aol else result.synthetic)))

@@ -4,9 +4,11 @@ Labels are 0/1 with 1 the minority class: the CLI maps a file's rarest
 label to 1 before it calls in. Computes the data centroid, the
 synthetic-record budget needed to hit a target minority percentage, and
 runs the per-loop generation with a one degree angle increment per
-pass. `augment_grid` adds the angular-outlier stage for targets that
-share one synthesis; the grid calls it once and the CLI its one-target
-case, `augment`: one augmentation path. Records travel as one
+pass, then the angular-outlier stage. There are two gates and one
+generator: `SmoteConfig` checks the parameters, and `augment_grid`
+checks the rows and makes every target's records from one synthesis.
+The grid calls it once, the CLI its one-target case `augment`, and the
+modules below trust what the two gates passed. Records travel as one
 `synth.Records` column table: the generated rows, then the boosted rows.
 """
 
@@ -91,28 +93,27 @@ def target_counts(total, minority, target_percent):
 
 
 def run_smote(features, labels, config, row_ids=None):
-    """Generate synthetic minority records up to the configured share.
-
-    Labels are 0/1 with 1 the minority class. Angular distances are
-    computed once per minority row, in row order, and reused across
-    loops; loop k applies an angle increment of k degrees, and a final
-    partial loop samples the remainder without replacement. Every
-    record's uniform draw is the first of default_rng([seed, row id, k]),
-    computed for all records in one `keyed.uniform` pass. An all-zero
-    minority row is a DataError naming the lowest such row id + 1. After
-    it come, in this order: a minority row whose squared norm underflows
-    to 0 or is not finite, named the same way; a centroid whose squared
-    norm is 0 or not finite; and a minority row whose squared norm plus
-    the centroid's is not finite, named the same way.
-    """
-    return next(_smote_grid(features, labels, config, [config.target_minority_percent], row_ids))
+    """The generated records up to the configured share: `augment`'s result without boosting."""
+    return augment(features, labels, config, False, row_ids)[0]
 
 
-def _smote_grid(features, labels, config, targets, row_ids):
-    """Yields `run_smote`'s result per target, in order, checking the first
-    target's budget and rows first and the other budgets last. A record
-    depends only on its key, pass * m + row: the targets' distinct keys go
-    to one `synth.create_syn_data` call, and each target gathers its rows.
+def augment_grid(features, labels, config, targets, boost, row_ids=None):
+    """Yields `augment`'s result for each of `targets`, which replace the
+    config's own, bit for bit: the pipeline's one generator and gate on rows.
+
+    The labels, the first target's budget and the rows are checked first,
+    the other budgets last. An all-zero minority row is a DataError naming
+    the lowest such row id + 1. After it come, in this order: a minority
+    row whose squared norm underflows to 0 or is not finite, named the same
+    way; a centroid whose squared norm is 0 or not finite; and a minority
+    row whose squared norm plus the centroid's is not finite, likewise.
+
+    Angular distances are computed once per minority row, in row order.
+    Loop k >= 1 adds an angle increment of k degrees, and a final partial
+    loop samples the remainder without replacement. Record k * m + row
+    draws the first uniform of default_rng([seed, row id, k]); the targets'
+    distinct records come from one `synth.create_syn_data` call, and each
+    target gathers its own before its angular-outlier stage.
     """
     X = np.asarray(features, dtype=float)
     y = np.asarray(labels)
@@ -123,8 +124,7 @@ def _smote_grid(features, labels, config, targets, row_ids):
     row_ids = np.arange(X.shape[0]) if row_ids is None else np.asarray(row_ids)
 
     minority_X, minority_ids = X[y == 1], row_ids[y == 1]
-    m = len(minority_X)
-    n_total = X.shape[0]
+    m, n_total = len(minority_X), X.shape[0]
     counts = [target_counts(n_total, m, targets[0])]
 
     zero = np.flatnonzero(~minority_X.any(axis=1))
@@ -154,7 +154,7 @@ def _smote_grid(features, labels, config, targets, row_ids):
         pick_rng = np.random.default_rng([config.seed, 0x5E1EC7])
         picked = np.sort(pick_rng.choice(m, size=remainder, replace=False))
         keys.append(np.r_[np.arange(m, (full_loops + 1) * m), (full_loops + 1) * m + picked])
-    union = keys[0] if len(keys) == 1 else np.unique(np.concatenate(keys))
+    union = np.unique(np.concatenate(keys))
     passes, rows = np.divmod(union, m)
     ids = minority_ids[rows]
     synthetic = synth.create_syn_data(
@@ -167,26 +167,17 @@ def _smote_grid(features, labels, config, targets, row_ids):
     )
 
     for (_, s, full_loops, remainder), key in zip(counts, keys):
-        records = synthetic if len(keys) == 1 else synthetic.take(np.searchsorted(union, key))
+        records = synthetic.take(np.searchsorted(union, key))
         report = AugmentationReport(100.0 * (m + s) / (n_total + s), full_loops, remainder)
-        yield SmoteResult(records, report, minority_ids, distances)
-
-
-def augment_grid(features, labels, config, targets, boost, row_ids=None):
-    """Yields `augment`'s result for each of `targets`, which replace the
-    config's own, bit for bit: one synthesis serves them all (`_smote_grid`).
-    """
-    X = np.asarray(features, dtype=float)
-    for result in _smote_grid(X, labels, config, targets, row_ids):
-        records = result.synthetic
-        distances = np.r_[result.angular_distances, records.angular_distance]
-        bounds, low, high = aol.detect_outliers(distances, config.num_bins)
+        result = SmoteResult(records, report, minority_ids, distances)
+        pooled = np.r_[distances, records.angular_distance]
+        bounds, low, high = aol.detect_outliers(pooled, config.num_bins)
         if boost:
-            feats = np.vstack([X[np.asarray(labels) == 1], records.features])
-            ids = np.r_[result.minority_row_ids, records.source_row_id]
-            boosted = [aol.boost_outliers(table, feats, distances, ids, config) for table in (low, high)]
+            feats = np.vstack([minority_X, records.features])
+            pooled_ids = np.r_[minority_ids, records.source_row_id]
+            boosted = [aol.boost_outliers(table, feats, pooled, pooled_ids, config) for table in (low, high)]
             records = synth.Records.concat([records, *boosted])
-        yield result, records, distances, bounds
+        yield result, records, pooled, bounds
 
 
 def augment(features, labels, config, boost, row_ids=None):

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import keyed, statevec
-from .errors import DegenerateInputError, DimensionError
 
 SQRT2 = np.sqrt(2.0)
 
@@ -33,25 +32,15 @@ def prep_swap_test(point_a, point_b):
     """Build the norm state phi and interleaved state psi for two vectors.
 
     `point_b` may also be a (rows, n) table, each row prepared against
-    `point_a`: phi and psi then gain a leading row axis, and a zero row
-    is named by its index. Inputs must already be zero-padded to a
-    power-of-two length.
+    `point_a`: phi and psi then gain a leading row axis. Assumes nonzero
+    inputs zero-padded alike to one power-of-two length: `pipeline.augment_grid`
+    gates the rows and centroid, and `angular_distance_table` pads them.
     """
     a = np.asarray(point_a, dtype=float).ravel()
     b = np.asarray(point_b, dtype=float)
     b = b if b.ndim == 2 else b.ravel()
-    if a.size != b.shape[-1]:
-        raise DimensionError(f"length mismatch: {a.size} vs {b.shape[-1]}")
-    if a.size == 0 or (a.size & (a.size - 1)) != 0:
-        raise DimensionError(f"length must be a power of two, got {a.size}")
     dc_norm = np.sqrt((a * a).sum())
     md_norm = np.sqrt((b * b).sum(axis=-1))
-    if dc_norm == 0.0:
-        raise DegenerateInputError("swap test inputs must be nonzero")
-    zero = np.flatnonzero(md_norm == 0.0)
-    if zero.size:
-        row = f"row {zero[0]}: " if b.ndim == 2 else ""
-        raise DegenerateInputError(f"{row}swap test inputs must be nonzero")
     z = dc_norm**2 + md_norm**2
     phi = np.stack([dc_norm / np.sqrt(z), -md_norm / np.sqrt(z)], axis=-1)
     psi = np.empty(b.shape[:-1] + (2 * a.size,))
@@ -70,11 +59,12 @@ def angular_distance_from_probability(p):
 
 
 def pad_to_power_of_two(vec):
-    """Zero-pad a vector, or each row of a table, to the next power-of-two length (minimum 2)."""
+    """Zero-pad a vector, or each row of a table, to the next power-of-two length (minimum 2).
+
+    Assumes width >= 1: `pipeline.augment_grid` rejects a table without columns.
+    """
     v = np.asarray(vec, dtype=float)
     v = v if v.ndim == 2 else v.ravel()
-    if v.shape[-1] == 0:
-        raise DimensionError("empty vector")
     out = np.zeros(v.shape[:-1] + (max(2, 1 << (v.shape[-1] - 1).bit_length()),))
     out[..., : v.shape[-1]] = v
     return out
@@ -91,12 +81,12 @@ def angular_distance_table(points, centroid, shots=0, seed=0):
     so a row's value does not depend on the rows batched with it. With
     shots > 0 row i draws binomial(shots, p1) from default_rng([seed, i])
     through `keyed.binomial`, with p1 rounded by
-    `statevec.sampling_probability` as the circuit rounds it.
+    `statevec.sampling_probability` as the circuit rounds it. Assumes a
+    (rows, d) table and a nonzero centroid of width d, which
+    `pipeline.augment_grid` checks.
     """
     centroid = np.asarray(centroid, dtype=float).ravel()
     points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != centroid.size:
-        raise DimensionError(f"points must be a (rows, {centroid.size}) table, got shape {points.shape}")
     states = prep_swap_test(pad_to_power_of_two(centroid), pad_to_power_of_two(points))
     phi0, phi1 = states.phi[:, 0], states.phi[:, 1]
     # psi and phi are unit vectors by construction, so the oracle's two

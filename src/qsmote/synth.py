@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DegenerateInputError, ParameterError
+from .errors import DegenerateInputError
 from .qdist import pad_to_power_of_two
 
 TWO_PI = 2.0 * np.pi
@@ -47,14 +47,13 @@ class Records:
 def rotation_angle(angular_distance, sf, u):
     """Rotation angles well below the angular distances, one per row.
 
-    `u` holds each row's uniform draw in [0, 1), and a branch that draws
-    scales it as numpy's `uniform(low, high)` does, low + (high - low)·u:
+    `u` holds each row's uniform draw in [0, 1) and sf > 0, as
+    `pipeline.SmoteConfig` checks; a branch that draws scales u as numpy's
+    `uniform(low, high)` does, low + (high - low)·u:
     - d > pi/2: the fixed fraction |pi/2 - d| / sf;
-    - d < 0 (only possible with defensive inputs): |(pi/2 - d)(0.5 + 0.5u)| / sf;
+    - d < 0 (the paper's rule; no swap-test distance is negative): |(pi/2 - d)(0.5 + 0.5u)| / sf;
     - otherwise: (0.0 + d·u) / sf, which is +0 at d = ±0.
     """
-    if not sf > 0:
-        raise ParameterError(f"split factor must be positive, got {sf}")
     d = np.asarray(angular_distance, dtype=float)
     u = np.asarray(u, dtype=float)
     angle = np.where(
@@ -105,11 +104,10 @@ def create_syn_data(features, distances, increments, sf, u, source_row_ids, boos
     Row i is features[i] rotated by rotation_angle(distances[i], sf, u[i])
     + increments[i], mod 2*pi. The callers key each row's uniform draw
     u[i] on the record alone (`keyed.uniform`), so no record depends on
-    the rows batched with it.
+    the rows batched with it. Assumes increments >= 0: the callers build
+    them from passes >= 0 and the multiplier `pipeline.SmoteConfig` checks.
     """
     increments = np.asarray(increments, dtype=float)
-    if (increments < 0).any():
-        raise ParameterError(f"angle increment must be >= 0, got {increments.min()}")
     distances = np.asarray(distances, dtype=float)
     theta = (rotation_angle(distances, sf, u) + increments) % TWO_PI
     features = rotate_point(np.atleast_2d(features), theta)

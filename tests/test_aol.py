@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qsmote import aol, keyed, pipeline, synth
-from qsmote.errors import ParameterError
 
 
 def test_worked_iqr_example():
@@ -63,13 +62,6 @@ def test_bin_tables_are_contiguous_and_conserve_counts():
             continue
         assert np.allclose(table.bin_starts[1:], table.bin_ends[:-1])
         assert (table.bin_ends > table.bin_starts).all()
-
-
-def test_detect_outliers_rejects_bad_inputs():
-    with pytest.raises(ParameterError):
-        aol.detect_outliers([], 3)
-    with pytest.raises(ParameterError):
-        aol.detect_outliers([1.0, 2.0], 0)
 
 
 def _boost_setup(counts_per_bin, seed=0):

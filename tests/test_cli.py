@@ -156,10 +156,14 @@ def test_smote_negative_shots_exits_2_before_reading_input(tmp_path, capsys):
     assert cli.main(argv + ["--shots", "-1"]) == 2
     assert "shots must be >= 0, got -1" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
-    # a non-finite split factor or multiplier would write NaN records, and
-    # shots past int64 overflow the binomial draw
+    # a non-finite or nonpositive split factor, or a non-finite or negative
+    # multiplier, would write NaN or wrong records: nothing below this gate
+    # checks them again. Shots past int64 overflow the binomial draw
     for flag, value, message in [
         ("--sf", "nan", "split factor must be positive, got nan"),
+        ("--sf", "0", "split factor must be positive, got 0.0"),
+        ("--sf", "-2", "split factor must be positive, got -2.0"),
+        ("--boost-multiplier", "-1", "boost multiplier must be finite and >= 0, got -1.0"),
         ("--boost-multiplier", "nan", "boost multiplier must be finite and >= 0, got nan"),
         ("--boost-multiplier", "inf", "boost multiplier must be finite and >= 0, got inf"),
         ("--shots", str(2**63), f"shots must be < 2**63, got {2**63}"),

@@ -402,6 +402,11 @@ def test_undefined_metrics_are_none_not_zero():
     assert report.f1 is None
     assert report.pr_auc is None
     assert report.roc_auc is None
+    # no labels at all
+    empty = evaluate.compute_metrics([], [])
+    assert (empty.accuracy, empty.f1, empty.roc_auc, empty.pr_auc) == (None, None, None, None)
+    assert evaluate.roc_auc_trapezoidal([], []) is None
+    assert evaluate.average_precision([], []) is None
 
 
 def test_average_precision_step_rule():

@@ -1,10 +1,15 @@
 """Unit tests for centroid/budget arithmetic and the oversampling run."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qsmote import aol, demo, evaluate, pipeline
-from qsmote.errors import ParameterError
+from qsmote import aol, data, demo, evaluate, pipeline
+from qsmote.errors import DataError, ParameterError
+from test_cli import _PROBES, _edge_tables
 
 
 def test_centroid_mean_of_rows():
@@ -189,3 +194,52 @@ def test_negative_seed_is_a_parameter_error():
     X, y = _toy_dataset()
     with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
         evaluate.run_experiment(X, y, [30], seed=-1)
+
+
+def _parse(text):
+    """Features and 0/1 labels of an encoded CSV's text, its rarest label as 1, as the CLI maps them."""
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    X = np.array([[float(c) for c in row[:-1]] for row in rows])
+    y = np.array([int(row[-1]) for row in rows])
+    return X, (y == data.minority_label(y)).astype(int)
+
+
+@st.composite
+def _configs(draw):
+    return pipeline.SmoteConfig(
+        target_minority_percent=draw(st.floats(20, 99)),
+        split_factor=draw(st.floats(0.5, 20)),
+        shots=draw(st.sampled_from([0, 1, 100])),
+        seed=draw(st.integers(0, 2**64)),
+        num_bins=draw(st.integers(1, 10)),
+        boost_angle_multiplier=draw(st.floats(0, 3)),
+    )
+
+
+_PROBE_CONFIG = pipeline.SmoteConfig(target_minority_percent=45.0, shots=100)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_edge_tables(), config=_configs(), second=st.floats(20, 99))
+@example(text=_PROBES["1e308"], config=_PROBE_CONFIG, second=30.0)
+@example(text=_PROBES["1e-320"], config=_PROBE_CONFIG, second=30.0)
+@example(text=_PROBES["zero-row"], config=_PROBE_CONFIG, second=30.0)
+# every column mean is exactly 0
+@example(text="a,b,label\n1,1,1\n-1,-1,0\n2,-2,0\n-2,2,0\n3,3,0\n-3,-3,0\n", config=_PROBE_CONFIG, second=30.0)
+def test_augment_grid_rejects_a_table_or_yields_only_finite_records(text, config, second):
+    # the modules below the gate do not check what it passed, so it must
+    # promise them this: an edge table fails with a DataError or
+    # ParameterError, or every target's records are finite, and no step
+    # warns on the way
+    X, y = _parse(text)
+    targets = [config.target_minority_percent, second]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            results = list(pipeline.augment_grid(X, y, config, targets, True))
+        except (DataError, ParameterError):
+            return
+    assert len(results) == 2
+    for _, records, distances, _ in results:
+        assert np.isfinite(records.features).all()
+        assert np.isfinite(distances).all() and np.isfinite(records.rotation_angle).all()
