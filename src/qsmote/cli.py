@@ -125,7 +125,6 @@ def cmd_smote(args):
     svg = out.with_suffix(".angles.svg")
     outputs = [out, svg, svg.with_suffix(".csv")]
     config = pipeline.SmoteConfig(
-        target_minority_percent=args.target_percent,
         split_factor=args.sf,
         shots=args.shots,
         seed=args.seed,
@@ -134,15 +133,14 @@ def cmd_smote(args):
     )
     dataset = _load_encoded(args.input, args.target_column)
     labels = (dataset.y == data.minority_label(dataset.y)).astype(int)
-    result, records, dists, bounds = pipeline.augment(dataset.X, labels, config, args.aol)
-    achieved = result.report.achieved_percent
+    result = next(pipeline.augment_grid(dataset.X, labels, config, [args.target_percent], args.aol))
+    achieved = result.achieved_percent
     staged = _staged(args, outputs, [args.input], achieved_minority_percent=achieved)
     with staged as (staged_out, staged_svg, _):
-        data.write_augmented(dataset, records, staged_out, result.angular_distances)
-        data.emit_histogram(dists, config.num_bins * 4, bounds, staged_svg)
-    generated = len(result.synthetic)
-    boosted = len(records) - generated
-    print(f"generated {generated} synthetic records ({boosted} boosted), achieved {achieved:.2f}% minority")
+        data.write_augmented(dataset, result.records, staged_out, result.angular_distances)
+        data.emit_histogram(result.pooled, config.num_bins * 4, result.bounds, staged_svg)
+    boosted = len(result.records) - result.generated
+    print(f"generated {result.generated} synthetic records ({boosted} boosted), achieved {achieved:.2f}% minority")
     return EXIT_OK
 
 

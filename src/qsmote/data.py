@@ -353,8 +353,8 @@ def write_augmented(dataset, synthetic, path, minority_distances):
     """Original rows then the `synth.Records` rows, with five metadata columns.
 
     `minority_distances` holds one angular distance per original row of
-    the minority label, in row order, as `pipeline.SmoteResult` keeps
-    them; the majority rows' distance cells are blank.
+    the minority label, in row order, as `pipeline.SmoteResult.angular_distances`
+    holds them; the majority rows' distance cells are blank.
     """
     header = dataset.feature_names + [dataset.target_name] + META_COLUMNS
     label = minority_label(dataset.y)

@@ -8,10 +8,9 @@ trapezoidal ROC-AUC, and step-interpolated average precision. The tests
 hold the ROC-AUC to a pairwise Mann-Whitney count, ``roc_auc_pairwise``
 in ``tests/oracles.py``.
 
-``knn_predict`` scores queries against one training set. The grid,
-``run_experiment``, augments once, by ``pipeline.augment_grid`` (whose
-one-target case, ``augment``, is the CLI's), and counts records instead
-of ranking them. Every record is labelled 1 and has a higher id than
+The grid, ``run_experiment``, augments once, by ``pipeline.augment_grid``
+(the CLI's one augmentation call too), and counts records instead of
+ranking them. Every record is labelled 1 and has a higher id than
 every original, so it matters to a query only through its distance and
 its copies. With o_1 <= ... <= o_k the distances of a query's k nearest
 originals, original i stays among its k nearest in a grid row if and
@@ -19,7 +18,8 @@ only if i plus the row's copies of records strictly nearer than o_i is
 at most k, and records, all voting 1, fill the places left. Each
 bitwise-distinct record is scored once per grid, as is each distinct
 grid row (equal copies, as where AOL boosts nothing), and the scores
-equal ``knn_predict``'s on each row's whole training set, bit for bit.
+equal those of the tests' per-query reference, ``knn_predict`` in
+``tests/oracles.py``, on each row's whole training set, bit for bit.
 """
 
 from dataclasses import dataclass
@@ -186,22 +186,6 @@ def k_nearest(train_X, queries, k):
         out_dist[lo:hi] = dist[nearest]
         out_cols[lo:hi] = cols[nearest]
     return out_dist, out_cols
-
-
-def knn_predict(train_X, train_y, test_X, k=5):
-    """Fraction of the k nearest training rows that are positive.
-
-    The distance is ``sqrt(add.reduce((x - q)**2, axis=-1))`` on the given
-    rows, and distance ties break toward the lower row index, as in
-    ``k_nearest``, so the scores are exactly those of sorting every
-    training row by (distance, index) for each query.
-    """
-    train_X = np.asarray(train_X, dtype=float)
-    train_y = np.asarray(train_y)
-    test_X = np.atleast_2d(np.asarray(test_X, dtype=float))
-    _check_knn(train_X, train_y, test_X, k)
-    _, cols = k_nearest(train_X, test_X, k)
-    return (train_y == 1)[cols].sum(axis=1) / k
 
 
 def _check_knn(train_X, train_y, test_X, k):
@@ -371,14 +355,14 @@ def _grid_records(X_tr, y_tr, train_idx, grid, aol_flags, seed):
     grid_rows, spans, blocks, at = [(None, False)], [slice(0, 0)], [X_tr[:0]], 0
     targets = list(grid) if aol_flags else []
     augmented = pipeline.augment_grid(
-        X_tr, y_tr, pipeline.SmoteConfig(targets[0], seed=seed), targets, True in aol_flags, row_ids=train_idx
+        X_tr, y_tr, pipeline.SmoteConfig(seed=seed), targets, True in aol_flags, row_ids=train_idx
     ) if targets else ()
-    for (result, records, _, _), target in zip(augmented, targets):
+    for result, target in zip(augmented, targets):
         for use_aol in aol_flags:
             grid_rows.append((target, use_aol))
-            spans.append(slice(at, at + len(records if use_aol else result.synthetic)))
-        blocks.append(records.features)
-        at += len(records)
+            spans.append(slice(at, at + (len(result.records) if use_aol else result.generated)))
+        blocks.append(result.records.features)
+        at += len(result.records)
     stacked = np.vstack(blocks)
     rows = stacked.view(np.dtype((np.void, stacked.itemsize * stacked.shape[1]))).ravel()
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
@@ -392,8 +376,9 @@ def run_experiment(X, y, grid, aol_flags=(False, True), test_fraction=0.2, seed=
     Labels are 0/1 with 1 the minority class; the KNN counts label 1 as
     positive. Emits one baseline row plus one row per (target percent,
     aol flag). Each row scores the test rows and every row of its training
-    set against that training set, exactly as ``knn_predict`` on the
-    original training rows followed by the row's new records.
+    set against that training set, exactly as the tests' ``knn_predict``
+    (``tests/oracles.py``) on the original training rows followed by the
+    row's new records.
 
     Those records follow the originals and are all labelled 1, so the
     counting rule gives the votes (``_votes``): original i of a query's k

@@ -7,9 +7,10 @@ runs the per-loop generation with a one degree angle increment per
 pass, then the angular-outlier stage. There are two gates and one
 generator: `SmoteConfig` checks the parameters, and `augment_grid`
 checks the rows and makes every target's records from one synthesis.
-The grid calls it once, the CLI its one-target case `augment`, and the
-modules below trust what the two gates passed. Records travel as one
-`synth.Records` column table: the generated rows, then the boosted rows.
+It is the one augmentation call: the grid passes all its targets, the
+CLI one, and both read one `SmoteResult` per target. The modules below
+trust what the two gates passed. Records travel as one `synth.Records`
+column table: the generated rows, then the boosted rows.
 """
 
 from dataclasses import dataclass
@@ -26,7 +27,6 @@ MAX_BINS = 10_000
 
 @dataclass
 class SmoteConfig:
-    target_minority_percent: float
     split_factor: float = 10.0
     shots: int = 0
     seed: int = 0
@@ -48,18 +48,15 @@ class SmoteConfig:
 
 
 @dataclass
-class AugmentationReport:
+class SmoteResult:
+    records: synth.Records               # the generated records, then the boosted ones
+    generated: int                       # the count of leading generated rows
     achieved_percent: float
     full_loops: int
     remainder: int
-
-
-@dataclass
-class SmoteResult:
-    synthetic: synth.Records             # generation order
-    report: AugmentationReport
-    minority_row_ids: np.ndarray
-    angular_distances: np.ndarray        # one per minority row, same order
+    angular_distances: np.ndarray        # one per minority row, in row order
+    pooled: np.ndarray                   # angular_distances, then the generated records'
+    bounds: aol.OutlierBounds            # the IQR bounds of the pool
 
 
 def centroid(features):
@@ -92,31 +89,34 @@ def target_counts(total, minority, target_percent):
     return target_minority_count, s, s // minority, s % minority
 
 
-def run_smote(features, labels, config, row_ids=None):
-    """The generated records up to the configured share: `augment`'s result without boosting."""
-    return augment(features, labels, config, False, row_ids)[0]
-
-
 def augment_grid(features, labels, config, targets, boost, row_ids=None):
-    """Yields `augment`'s result for each of `targets`, which replace the
-    config's own, bit for bit: the pipeline's one generator and gate on rows.
+    """Yields one `SmoteResult` for each of `targets`, in order, each equal
+    bit for bit to a call with that target alone: the pipeline's one
+    augmentation call and gate on rows.
 
-    The labels, the first target's budget and the rows are checked first,
-    the other budgets last. An all-zero minority row is a DataError naming
-    the lowest such row id + 1. After it come, in this order: a minority
-    row whose squared norm underflows to 0 or is not finite, named the same
-    way; a centroid whose squared norm is 0 or not finite; and a minority
-    row whose squared norm plus the centroid's is not finite, likewise.
+    A features table that is not 2-D is a ParameterError. The labels, the
+    first target's budget and the rows are checked next, the other budgets
+    last. An all-zero minority row is a DataError naming the lowest such
+    row id + 1. After it come, in this order: a minority row whose squared
+    norm underflows to 0 or is not finite, named the same way; a centroid
+    whose squared norm is 0 or not finite; and a minority row whose squared
+    norm plus the centroid's is not finite, likewise.
 
     Angular distances are computed once per minority row, in row order.
     Loop k >= 1 adds an angle increment of k degrees, and a final partial
     loop samples the remainder without replacement. Record k * m + row
     draws the first uniform of default_rng([seed, row id, k]); the targets'
     distinct records come from one `synth.create_syn_data` call, and each
-    target gathers its own before its angular-outlier stage.
+    target gathers its own before its angular-outlier stage. That stage
+    pools the minority rows' distances with those of the generated records,
+    takes the IQR bounds of the pool and, when `boost` is set, appends
+    boosted records for the thin bins of the low table, then of the high
+    table.
     """
     X = np.asarray(features, dtype=float)
     y = np.asarray(labels)
+    if X.ndim != 2:
+        raise ParameterError(f"features must be a 2-D table, got {X.ndim} dimension(s)")
     if X.shape[0] != y.shape[0]:
         raise ParameterError("features and labels disagree on row count")
     if not np.isin(y, (0, 1)).all():
@@ -168,8 +168,6 @@ def augment_grid(features, labels, config, targets, boost, row_ids=None):
 
     for (_, s, full_loops, remainder), key in zip(counts, keys):
         records = synthetic.take(np.searchsorted(union, key))
-        report = AugmentationReport(100.0 * (m + s) / (n_total + s), full_loops, remainder)
-        result = SmoteResult(records, report, minority_ids, distances)
         pooled = np.r_[distances, records.angular_distance]
         bounds, low, high = aol.detect_outliers(pooled, config.num_bins)
         if boost:
@@ -177,16 +175,6 @@ def augment_grid(features, labels, config, targets, boost, row_ids=None):
             pooled_ids = np.r_[minority_ids, records.source_row_id]
             boosted = [aol.boost_outliers(table, feats, pooled, pooled_ids, config) for table in (low, high)]
             records = synth.Records.concat([records, *boosted])
-        yield result, records, pooled, bounds
+        achieved = 100.0 * (m + s) / (n_total + s)
+        yield SmoteResult(records, len(key), achieved, full_loops, remainder, distances, pooled, bounds)
 
-
-def augment(features, labels, config, boost, row_ids=None):
-    """Synthesis plus the angular-outlier stage: the one-target case of `augment_grid`.
-
-    Pools the minority rows' distances with those of the generated
-    records, takes the IQR bounds of the pool and, when `boost` is set,
-    adds boosted records for the thin bins of the low table, then of the
-    high table. Returns (run_smote result, new records: generated first,
-    then boosted; pooled distances; bounds).
-    """
-    return next(augment_grid(features, labels, config, [config.target_minority_percent], boost, row_ids))

@@ -8,6 +8,8 @@
 - `swap_test`, the compact swap-test circuit run on that simulator, and
   `overlap_probability_exact`, its ancilla marginal from a reduced
   density matrix: the oracles of `qdist.angular_distance_table`.
+- `knn_predict`, the k-nearest-neighbour vote of one training set, the
+  per-query reference for `evaluate.k_nearest` and `run_experiment`.
 - `roc_auc_pairwise`, the Mann-Whitney oracle of
   `evaluate.roc_auc_trapezoidal`.
 - `read_augmented`, the round-trip reader of `data.write_augmented`.
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qsmote import data
+from qsmote import data, evaluate
 from qsmote.errors import DataError, DegenerateInputError, DimensionError
 from qsmote.qdist import angular_distance_from_probability
 from qsmote.statevec import sampling_probability
@@ -216,6 +218,22 @@ def overlap_probability_exact(states):
     rho = half @ half.T
     p0 = 0.5 * (1.0 + float(states.phi @ rho @ states.phi) / float(states.phi @ states.phi))
     return float(np.clip(2.0 * p0 - 1.0, 0.0, 1.0))
+
+
+def knn_predict(train_X, train_y, test_X, k=5):
+    """Fraction of the k nearest training rows that are positive.
+
+    The distance is ``sqrt(add.reduce((x - q)**2, axis=-1))`` on the given
+    rows, and distance ties break toward the lower row index, as in
+    ``evaluate.k_nearest``, so the scores are exactly those of sorting every
+    training row by (distance, index) for each query.
+    """
+    train_X = np.asarray(train_X, dtype=float)
+    train_y = np.asarray(train_y)
+    test_X = np.atleast_2d(np.asarray(test_X, dtype=float))
+    evaluate._check_knn(train_X, train_y, test_X, k)
+    _, cols = evaluate.k_nearest(train_X, test_X, k)
+    return (train_y == 1)[cols].sum(axis=1) / k
 
 
 def roc_auc_pairwise(scores, labels):

@@ -110,9 +110,8 @@ def test_criterion_05_ratio_targeting():
     X, y = demo.make_imbalanced_dataset(n_rows=2000, minority_fraction=0.10)
     ok = True
     for target in GRID:
-        config = pipeline.SmoteConfig(target_minority_percent=target, seed=0)
-        result = pipeline.run_smote(X, y, config)
-        ok = ok and abs(result.report.achieved_percent - target) <= 0.2
+        result = next(pipeline.augment_grid(X, y, pipeline.SmoteConfig(seed=0), [target], False))
+        ok = ok and abs(result.achieved_percent - target) <= 0.2
     elapsed = time.time() - start
     _report(5, "achieved minority percent within 0.2 points across the grid", ok and elapsed < 120)
 
@@ -158,7 +157,7 @@ def test_criterion_07_boost_arithmetic():
         bin_starts=starts, bin_ends=ends,
         counts=np.array(counts_per_bin), num_bins=5,
     )
-    config = pipeline.SmoteConfig(target_minority_percent=30.0, seed=7)
+    config = pipeline.SmoteConfig(seed=7)
     boosted = aol.boost_outliers(table, features, distances, np.arange(len(distances)), config)
     ok = True
     for i, c in enumerate(counts_per_bin):

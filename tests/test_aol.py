@@ -89,7 +89,7 @@ def test_boost_arithmetic_worked_example():
     # total 20 over 5 bins: threshold 4, half-threshold 2; a bin holding a
     # single record gets floor(4/1) = 4 boosted copies
     table, features, distances, row_ids = _boost_setup([1, 5, 6, 5, 3])
-    config = pipeline.SmoteConfig(target_minority_percent=30.0, seed=2)
+    config = pipeline.SmoteConfig(seed=2)
     boosted = aol.boost_outliers(table, features, distances, row_ids, config)
     assert len(boosted) == 4
     assert all(boosted.boosted)
@@ -100,13 +100,13 @@ def test_boost_arithmetic_worked_example():
 
 def test_boost_skips_bins_at_or_above_half_threshold():
     table, features, distances, row_ids = _boost_setup([3, 5, 6, 3, 3])
-    config = pipeline.SmoteConfig(target_minority_percent=30.0, seed=3)
+    config = pipeline.SmoteConfig(seed=3)
     assert len(aol.boost_outliers(table, features, distances, row_ids, config)) == 0
 
 
 def test_boost_skips_empty_bins():
     table, features, distances, row_ids = _boost_setup([0, 5, 6, 5, 4])
-    config = pipeline.SmoteConfig(target_minority_percent=30.0, seed=4)
+    config = pipeline.SmoteConfig(seed=4)
     boosted = aol.boost_outliers(table, features, distances, row_ids, config)
     assert len(boosted) == 0
 
@@ -116,13 +116,13 @@ def test_boost_empty_table_is_empty():
         bin_starts=np.empty(0), bin_ends=np.empty(0),
         counts=np.empty(0, dtype=int), num_bins=5,
     )
-    config = pipeline.SmoteConfig(target_minority_percent=30.0)
+    config = pipeline.SmoteConfig()
     assert len(aol.boost_outliers(table, np.empty((0, 2)), np.empty(0), np.empty(0, int), config)) == 0
 
 
 def test_boosted_records_are_distinct_from_sources_and_each_other():
     table, features, distances, row_ids = _boost_setup([1, 5, 6, 5, 3], seed=5)
-    config = pipeline.SmoteConfig(target_minority_percent=30.0, seed=6)
+    config = pipeline.SmoteConfig(seed=6)
     boosted = aol.boost_outliers(table, features, distances, row_ids, config)
     vectors = list(boosted.features)
     source = features[0]
@@ -149,7 +149,7 @@ def test_two_thin_bins_boost_in_bin_member_pass_order():
     table, features, distances, _ = _boost_setup([2, 20, 3, 15, 10], seed=8)
     order = np.random.default_rng(8).permutation(len(distances))
     features, distances, row_ids = features[order], distances[order], 100 + order
-    config = pipeline.SmoteConfig(target_minority_percent=30.0, seed=9, boost_angle_multiplier=2.5)
+    config = pipeline.SmoteConfig(seed=9, boost_angle_multiplier=2.5)
     boosted = aol.boost_outliers(table, features, distances, row_ids, config)
     expected = [
         (m, itr, j)
@@ -177,7 +177,7 @@ def test_two_thin_bins_boost_in_bin_member_pass_order():
 
 def test_boost_with_no_thin_bin_is_empty_of_the_features_width():
     table, features, distances, row_ids = _boost_setup([3, 5, 6, 3, 3])
-    config = pipeline.SmoteConfig(target_minority_percent=30.0, seed=3)
+    config = pipeline.SmoteConfig(seed=3)
     boosted = aol.boost_outliers(table, features, distances, row_ids, config)
     assert boosted.features.shape == (0, 3)
     assert len(boosted.source_row_id) == len(boosted.boosted) == 0

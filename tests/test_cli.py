@@ -773,13 +773,23 @@ def test_load_encoded_equals_the_whole_table_reference(tmp_path_factory, text):
 _EXTREMES = st.sampled_from([0.0, 1e-320, -1e-320, 1e308, -1.7e308])
 
 
+def _table_text(X, labels):
+    """An encoded CSV's text: columns f0, f1, ... and a last label column."""
+    header = [f"f{j}" for j in range(X.shape[1])] + ["label"]
+    rows = [[*map(repr, row.tolist()), str(label)] for row, label in zip(X, labels)]
+    return "\n".join(map(",".join, [header] + rows)) + "\n"
+
+
 @st.composite
 def _edge_tables(draw):
     """An encoded CSV's text of cells from 1e-320 to 1.7e308, maybe a zero row and a constant column, 1-3 labels.
 
     Each table draws one scale for its cells, so most tables are usable at
-    that scale; one cell in eight is an extreme on its own.
+    that scale; one cell in eight is an extreme on its own. Half the tables
+    are built to pass the augmentation gate instead (`_gate_passing_tables`).
     """
+    if draw(st.booleans()):
+        return draw(_gate_passing_tables())
     width, n = draw(st.integers(1, 3)), draw(st.integers(2, 12))
     n_labels = draw(st.sampled_from([1, 2, 2, 3]))
     scale = draw(st.one_of(st.just(1.0), st.floats(1e-320, 1.7e307)))
@@ -793,9 +803,28 @@ def _edge_tables(draw):
     if draw(st.booleans()):
         X[:, draw(st.integers(0, width - 1))] = cell()
     labels = draw(st.lists(st.integers(0, n_labels - 1), min_size=n, max_size=n))
-    header = [f"f{j}" for j in range(width)] + ["label"]
-    rows = [[*map(repr, row.tolist()), str(label)] for row, label in zip(X, labels)]
-    return "\n".join(map(",".join, [header] + rows)) + "\n"
+    return _table_text(X, labels)
+
+
+@st.composite
+def _gate_passing_tables(draw):
+    """An encoded CSV's text that `pipeline.augment_grid` takes, and adds
+    records to, at any target of 20% or more.
+
+    Two labels, the minority (0 or 1) at most (n - 3) / 5 of n = 8-16 rows,
+    so a 20% target's budget rounds to at least one record, and every cell
+    0.5-10 times one scale from 1e-100 to 1e100, the first column positive:
+    no zero row, and neither a row's squared norm nor the centroid's
+    underflows or overflows.
+    """
+    width, n = draw(st.integers(1, 3)), draw(st.integers(8, 16))
+    scale = draw(st.floats(1e-100, 1e100))
+    X = np.array([[draw(st.floats(0.5, 10)) * scale for _ in range(width)] for _ in range(n)])
+    X[:, 1:] *= np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=width - 1, max_size=width - 1)))
+    minority = draw(st.integers(0, 1))
+    labels = np.full(n, 1 - minority)
+    labels[draw(st.permutations(range(n)))[:draw(st.integers(1, (n - 3) // 5))]] = minority
+    return _table_text(X, labels)
 
 
 _SEED = st.integers(0, 2**64).map(str)

@@ -415,9 +415,9 @@ def test_write_augmented_format_and_round_trip(tmp_path):
         feature_names=["f0", "f1", "f2"],
         X=X, y=y, target_name="label",
     )
-    result = pipeline.run_smote(X, y, pipeline.SmoteConfig(target_minority_percent=30.0))
+    result = next(pipeline.augment_grid(X, y, pipeline.SmoteConfig(), [30.0], False))
     path = tmp_path / "aug.csv"
-    data.write_augmented(ds, result.synthetic, path, result.angular_distances)
+    data.write_augmented(ds, result.records, path, result.angular_distances)
     header = path.read_text().splitlines()[0].split(",")
     assert header[-5:] == data.META_COLUMNS
     names, target, X2, y2, meta = oracles.read_augmented(path)
@@ -426,8 +426,8 @@ def test_write_augmented_format_and_round_trip(tmp_path):
     assert np.allclose(X2[:20], X)
     assert (np.array(meta["synthetic"][:20]) == "0").all()
     assert (np.array(meta["synthetic"][20:]) == "1").all()
-    assert len(X2) == 20 + len(result.synthetic)
-    for features, row in zip(result.synthetic.features, X2[20:]):
+    assert len(X2) == 20 + len(result.records)
+    for features, row in zip(result.records.features, X2[20:]):
         assert np.allclose(row, features)
 
 

@@ -16,14 +16,14 @@ from qsmote.errors import DataError, ParameterError
 def test_knn_zero_distance_wins_at_k_one():
     train_X = np.array([[0.0, 0.0], [5.0, 5.0]])
     train_y = np.array([1, 0])
-    assert evaluate.knn_predict(train_X, train_y, [[0.0, 0.0]], k=1)[0] == 1.0
-    assert evaluate.knn_predict(train_X, train_y, [[5.0, 5.0]], k=1)[0] == 0.0
+    assert oracles.knn_predict(train_X, train_y, [[0.0, 0.0]], k=1)[0] == 1.0
+    assert oracles.knn_predict(train_X, train_y, [[5.0, 5.0]], k=1)[0] == 0.0
 
 
 def test_knn_vote_fraction():
     train_X = np.array([[0.0], [0.1], [0.2], [9.0]])
     train_y = np.array([1, 1, 0, 0])
-    score = evaluate.knn_predict(train_X, train_y, [[0.0]], k=3)[0]
+    score = oracles.knn_predict(train_X, train_y, [[0.0]], k=3)[0]
     assert score == pytest.approx(2 / 3)
 
 
@@ -32,7 +32,7 @@ def test_knn_matches_brute_force_oracle():
     train_X = rng.normal(size=(60, 3))
     train_y = rng.integers(0, 2, size=60)
     test_X = rng.normal(size=(100, 3))
-    got = evaluate.knn_predict(train_X, train_y, test_X, k=5)
+    got = oracles.knn_predict(train_X, train_y, test_X, k=5)
     for x, score in zip(test_X, got):
         dist = np.linalg.norm(train_X - x, axis=1)
         order = np.lexsort((np.arange(60), dist))[:5]
@@ -43,14 +43,14 @@ def test_knn_distance_ties_break_to_lower_row_id():
     train_X = np.array([[1.0], [1.0], [1.0]])
     train_y = np.array([0, 1, 1])
     # rows are equidistant; k=1 must pick row 0 regardless of input order
-    assert evaluate.knn_predict(train_X, train_y, [[1.0]], k=1)[0] == 0.0
+    assert oracles.knn_predict(train_X, train_y, [[1.0]], k=1)[0] == 0.0
 
 
 def test_knn_rejects_bad_k_and_empty_train():
     with pytest.raises(ParameterError):
-        evaluate.knn_predict(np.empty((0, 2)), np.empty(0), [[1.0, 2.0]], k=1)
+        oracles.knn_predict(np.empty((0, 2)), np.empty(0), [[1.0, 2.0]], k=1)
     with pytest.raises(ParameterError):
-        evaluate.knn_predict(np.ones((3, 1)), np.ones(3), [[1.0]], k=4)
+        oracles.knn_predict(np.ones((3, 1)), np.ones(3), [[1.0]], k=4)
 
 
 def _knn_reference(train_X, train_y, test_X, k=5):
@@ -119,7 +119,7 @@ def _knn_cases(draw):
 @given(_knn_cases())
 def test_knn_equals_reference_loop_exactly(case):
     train_X, train_y, test_X, k = case
-    got = evaluate.knn_predict(train_X, train_y, test_X, k=k)
+    got = oracles.knn_predict(train_X, train_y, test_X, k=k)
     want = _knn_reference(train_X, train_y, test_X, k=k)
     assert got.shape == want.shape
     assert (got == want).all()
@@ -138,7 +138,7 @@ def test_knn_many_blocks_with_ties_equals_reference_loop():
     # enough queries for several blocks, on tied integer codes
     train_X, train_y, test_X = _tied_table()
     for k in (1, 5, 699):
-        got = evaluate.knn_predict(train_X, train_y, test_X, k=k)
+        got = oracles.knn_predict(train_X, train_y, test_X, k=k)
         assert (got == _knn_reference(train_X, train_y, test_X, k=k)).all()
 
 
@@ -203,7 +203,7 @@ def test_knn_overflowing_distances_equal_reference_loop():
     train_y = np.array([0, 1, 1, 0])
     test_X = np.array([[-1e200, -1e200], [1e200, 1e200], [0.0, 1.0]])
     for k in range(1, 5):
-        got = evaluate.knn_predict(train_X, train_y, test_X, k=k)
+        got = oracles.knn_predict(train_X, train_y, test_X, k=k)
         assert (got == _knn_reference(train_X, train_y, test_X, k=k)).all()
 
 
@@ -244,7 +244,7 @@ def test_knn_runs_of_blocks_equal_reference_loop(monkeypatch):
     huge_q[[20, 37, 70, 150, 299], :2] = 1e154
     for table, queries in ((train_X, test_X), (huge_X, huge_q)):
         for k in (1, 5, 699):
-            got = evaluate.knn_predict(table, train_y, queries, k=k)
+            got = oracles.knn_predict(table, train_y, queries, k=k)
             assert (got == _knn_reference(table, train_y, queries, k=k)).all()
             dist, cols = evaluate.k_nearest(table, queries, k)
             want = _k_nearest_reference(table, queries, k)
@@ -313,19 +313,19 @@ def test_a_record_enters_only_strictly_inside_the_kth_original():
 
 def test_knn_rejects_label_count_mismatch():
     with pytest.raises(ParameterError):
-        evaluate.knn_predict(np.zeros((3, 1)), np.array([1, 0]), [[0.0]], k=1)
+        oracles.knn_predict(np.zeros((3, 1)), np.array([1, 0]), [[0.0]], k=1)
 
 
 def test_knn_rejects_query_width_mismatch():
     with pytest.raises(ParameterError):
-        evaluate.knn_predict(np.zeros((3, 2)), np.zeros(3), [[0.0, 0.0, 0.0]], k=1)
+        oracles.knn_predict(np.zeros((3, 2)), np.zeros(3), [[0.0, 0.0, 0.0]], k=1)
 
 
 def test_knn_rejects_non_finite_features():
     with pytest.raises(ParameterError):
-        evaluate.knn_predict(np.array([[0.0], [np.nan]]), np.zeros(2), [[0.0]], k=1)
+        oracles.knn_predict(np.array([[0.0], [np.nan]]), np.zeros(2), [[0.0]], k=1)
     with pytest.raises(ParameterError):
-        evaluate.knn_predict(np.zeros((2, 1)), np.zeros(2), [[np.inf]], k=1)
+        oracles.knn_predict(np.zeros((2, 1)), np.zeros(2), [[np.inf]], k=1)
 
 
 def _confusion_vectors():
@@ -503,8 +503,8 @@ def _run_experiment_reference(X, y, grid, aol_flags=(False, True), test_fraction
     X_te, y_te = X[test_idx], y[test_idx]
 
     def score_row(target, use_aol, train_X, train_y):
-        test_scores = evaluate.knn_predict(train_X, train_y, X_te, k=k)
-        train_scores = evaluate.knn_predict(train_X, train_y, train_X, k=k)
+        test_scores = oracles.knn_predict(train_X, train_y, X_te, k=k)
+        train_scores = oracles.knn_predict(train_X, train_y, train_X, k=k)
         m_test = evaluate.compute_metrics(test_scores, y_te)
         m_train = evaluate.compute_metrics(train_scores, train_y)
         return evaluate.ExperimentRow(
@@ -520,8 +520,8 @@ def _run_experiment_reference(X, y, grid, aol_flags=(False, True), test_fraction
     rows = [score_row(None, False, X_tr, y_tr)]
     for target in grid:
         for use_aol in aol_flags:
-            cfg = pipeline.SmoteConfig(target_minority_percent=target, seed=seed)
-            _, records, _, _ = pipeline.augment(X_tr, y_tr, cfg, use_aol, row_ids=train_idx)
+            cfg = pipeline.SmoteConfig(seed=seed)
+            records = next(pipeline.augment_grid(X_tr, y_tr, cfg, [target], use_aol, row_ids=train_idx)).records
             aug_X = np.vstack([X_tr, records.features])
             aug_y = np.r_[y_tr, np.ones(len(records), dtype=y_tr.dtype)]
             rows.append(score_row(target, use_aol, aug_X, aug_y))
@@ -569,9 +569,8 @@ def test_experiment_data_cover_boosting_and_small_targets():
         train_idx, _ = evaluate.stratified_split(y, 0.2, 0)
         counts = {}
         for target in _EXPERIMENT_GRID:
-            cfg = pipeline.SmoteConfig(target_minority_percent=target, seed=0)
-            result, records, _, _ = pipeline.augment(X[train_idx], y[train_idx], cfg, True)
-            counts[target] = (len(result.synthetic), len(records) - len(result.synthetic))
+            result = next(pipeline.augment_grid(X[train_idx], y[train_idx], pipeline.SmoteConfig(seed=0), [target], True))
+            counts[target] = (result.generated, len(result.records) - result.generated)
         assert counts[10][0] == 0 and 0 < counts[10.5][0] < 5, name
         if name == "planted-outliers":
             assert all(counts[t][1] > 0 for t in (10.5, 20, 40)), counts
@@ -585,20 +584,21 @@ def test_augment_grid_equals_augment_of_each_target(data, boost):
     X, y = _EXPERIMENT_DATA[data]()
     train_idx, _ = evaluate.stratified_split(y, 0.2, 0)
     X_tr, y_tr = X[train_idx], y[train_idx]
-    config = pipeline.SmoteConfig(target_minority_percent=grid[0], seed=0)
+    config = pipeline.SmoteConfig(seed=0)
     got = list(pipeline.augment_grid(X_tr, y_tr, config, grid, boost, row_ids=train_idx))
     assert len(got) == len(grid)
-    for target, (result, records, distances, bounds) in zip(grid, got):
-        cfg = dataclasses.replace(config, target_minority_percent=target)
-        want, want_records, want_distances, want_bounds = pipeline.augment(X_tr, y_tr, cfg, boost, row_ids=train_idx)
-        for name in ("minority_row_ids", "angular_distances"):
-            assert np.array_equal(getattr(result, name), getattr(want, name))
-        assert result.report == want.report and bounds == want_bounds
-        assert np.array_equal(distances, want_distances)
-        for table, want_table in ((result.synthetic, want.synthetic), (records, want_records)):
-            for field in dataclasses.fields(synth.Records):
-                a, b = getattr(table, field.name), getattr(want_table, field.name)
+    for target, result in zip(grid, got):
+        want = next(pipeline.augment_grid(X_tr, y_tr, config, [target], boost, row_ids=train_idx))
+        for field in dataclasses.fields(pipeline.SmoteResult):
+            a, b = getattr(result, field.name), getattr(want, field.name)
+            if isinstance(a, synth.Records):
+                for column in dataclasses.fields(synth.Records):
+                    x, z = getattr(a, column.name), getattr(b, column.name)
+                    assert x.dtype == z.dtype and np.array_equal(x, z), (target, column.name)
+            elif isinstance(a, np.ndarray):
                 assert a.dtype == b.dtype and np.array_equal(a, b), (target, field.name)
+            else:
+                assert a == b, (target, field.name)
 
 
 def test_run_experiment_synthesises_once(monkeypatch):
@@ -651,9 +651,9 @@ def _target_records(X, y, grid):
     train_idx, _ = evaluate.stratified_split(y, 0.2, 0)
     blocks = []
     for target in grid:
-        cfg = pipeline.SmoteConfig(target_minority_percent=target, seed=0)
-        _, records, _, _ = pipeline.augment(X[train_idx], y[train_idx], cfg, True, row_ids=train_idx)
-        blocks.append(records.features)
+        cfg = pipeline.SmoteConfig(seed=0)
+        result = next(pipeline.augment_grid(X[train_idx], y[train_idx], cfg, [target], True, row_ids=train_idx))
+        blocks.append(result.records.features)
     return blocks, len({row.tobytes() for row in np.vstack(blocks)})
 
 
@@ -829,39 +829,28 @@ def test_votes_for_many_grid_rows_keep_to_their_budget(monkeypatch):
 _augment_grid = pipeline.augment_grid
 
 
-def _augment(features, labels, config, boost, row_ids=None):
-    """pipeline.augment through augment_grid as it is before any patch."""
-    return next(_augment_grid(features, labels, config, [config.target_minority_percent], boost, row_ids))
-
-
-def _copying_augment(features, labels, config, boost, row_ids=None):
-    """pipeline.augment with every new record moved onto a training row or an
-    earlier record, so new records tie in distance with older rows and only
-    the lower-id rule orders them."""
-    X = np.asarray(features, dtype=float)
-    result, records, distances, bounds = _augment(X, labels, config, False, row_ids=row_ids)
-    rng = np.random.default_rng(len(records))
-    rows = rng.integers(0, len(X), len(records))
-    records = dataclasses.replace(records, features=X[rows])
-    if boost:
-        older = np.vstack([X, records.features])
-        picks = rng.integers(0, len(older), len(records) // 2)
-        first = np.zeros(len(picks), dtype=int)
-        records = synth.Records.concat([records, synth.Records(
-            older[picks],
-            records.source_row_id[first],
-            records.rotation_angle[first],
-            records.angular_distance[first],
-            np.ones(len(picks), dtype=bool),
-        )])
-    return result, records, distances, bounds
-
-
 def _copying_augment_grid(features, labels, config, targets, boost, row_ids=None):
-    """pipeline.augment_grid as _copying_augment, one target at a time."""
-    for target in targets:
-        cfg = dataclasses.replace(config, target_minority_percent=target)
-        yield _copying_augment(features, labels, cfg, boost, row_ids=row_ids)
+    """pipeline.augment_grid, as it is before any patch, with every new record
+    moved onto a training row or an earlier record, so new records tie in
+    distance with older rows and only the lower-id rule orders them."""
+    X = np.asarray(features, dtype=float)
+    for result in _augment_grid(X, labels, config, targets, False, row_ids=row_ids):
+        records = result.records
+        rng = np.random.default_rng(len(records))
+        rows = rng.integers(0, len(X), len(records))
+        records = dataclasses.replace(records, features=X[rows])
+        if boost:
+            older = np.vstack([X, records.features])
+            picks = rng.integers(0, len(older), len(records) // 2)
+            first = np.zeros(len(picks), dtype=int)
+            records = synth.Records.concat([records, synth.Records(
+                older[picks],
+                records.source_row_id[first],
+                records.rotation_angle[first],
+                records.angular_distance[first],
+                np.ones(len(picks), dtype=bool),
+            )])
+        yield dataclasses.replace(result, records=records)
 
 
 @pytest.mark.parametrize("k", [1, 5])
@@ -901,10 +890,8 @@ def test_run_experiment_keeps_the_knn_errors():
 def test_synthetic_sources_never_leak_from_test_split():
     X, y = _toy(n=200, minority=20, seed=4)
     train_idx, test_idx = evaluate.stratified_split(y, 0.2, seed=0)
-    config = pipeline.SmoteConfig(target_minority_percent=30.0, seed=0)
-    result = pipeline.run_smote(
-        X[train_idx], y[train_idx], config, row_ids=train_idx
-    )
-    sources = set(result.synthetic.source_row_id.tolist())
+    config = pipeline.SmoteConfig(seed=0)
+    result = next(pipeline.augment_grid(X[train_idx], y[train_idx], config, [30.0], False, row_ids=train_idx))
+    sources = set(result.records.source_row_id.tolist())
     assert sources <= set(train_idx.tolist())
     assert sources.isdisjoint(test_idx.tolist())

@@ -130,7 +130,7 @@ def _manifest(path, root):
     return manifest
 
 
-def _run_smote(directory, case):
+def _smote(directory, case):
     source, extra = SMOTE_CASES[case]
     src = _write_source(directory, source)
     out = directory / f"{case}.csv"
@@ -167,7 +167,7 @@ def _outputs(directory, out):
 
 @pytest.mark.parametrize("case", list(SMOTE_CASES))
 def test_smote_matches_golden(tmp_path, case):
-    src, out = _run_smote(tmp_path, case)
+    src, out = _smote(tmp_path, case)
     got = _rows(out)
     want = _rows(GOLDEN / f"{case}.csv")
     source = _rows(src)
@@ -211,7 +211,7 @@ def test_preprocess_matches_golden(tmp_path):
 def _record(directory):
     GOLDEN.mkdir(exist_ok=True)
     runs = [(None, _run_evaluate(directory)), (None, _run_preprocess(directory))]
-    runs += [_run_smote(directory, case) for case in SMOTE_CASES]
+    runs += [_smote(directory, case) for case in SMOTE_CASES]
     for src, out in runs:
         if (GOLDEN / out.name).exists():
             continue

@@ -68,28 +68,29 @@ def _toy_dataset(n=200, minority=20, seed=0):
     return X, y
 
 
+def _one_target(X, y, target, boost=False, row_ids=None, **config):
+    """The one result of augment_grid for one target."""
+    return next(pipeline.augment_grid(X, y, pipeline.SmoteConfig(**config), [target], boost, row_ids))
+
+
 def test_run_smote_hits_target_share():
     X, y = _toy_dataset()
-    config = pipeline.SmoteConfig(target_minority_percent=30.0, seed=1)
-    result = pipeline.run_smote(X, y, config)
-    assert len(result.synthetic) in (57, 58)
-    assert 29.8 <= result.report.achieved_percent <= 30.2
+    result = _one_target(X, y, 30.0, seed=1)
+    assert result.generated in (57, 58)
+    assert 29.8 <= result.achieved_percent <= 30.2
 
 
 def test_run_smote_zero_budget_gives_empty_output():
     X, y = _toy_dataset(n=100, minority=50)
-    config = pipeline.SmoteConfig(target_minority_percent=50.0, seed=1)
-    result = pipeline.run_smote(X, y, config)
-    assert len(result.synthetic) == 0
+    result = _one_target(X, y, 50.0, seed=1)
+    assert len(result.records) == 0
 
 
 def test_run_smote_deterministic():
     X, y = _toy_dataset(seed=2)
-    config = pipeline.SmoteConfig(target_minority_percent=32.0, seed=9)
-    a = pipeline.run_smote(X, y, config)
-    b = pipeline.run_smote(X, y, config)
-    assert len(a.synthetic) == len(b.synthetic)
-    ra, rb = a.synthetic, b.synthetic
+    ra = _one_target(X, y, 32.0, seed=9).records
+    rb = _one_target(X, y, 32.0, seed=9).records
+    assert len(ra) == len(rb)
     for i in range(len(ra)):
         assert np.array_equal(ra.features[i], rb.features[i])
         assert ra.rotation_angle[i] == rb.rotation_angle[i]
@@ -99,61 +100,62 @@ def test_run_smote_deterministic():
 def test_run_smote_does_not_mutate_originals():
     X, y = _toy_dataset(seed=3)
     before = X.copy()
-    pipeline.run_smote(X, y, pipeline.SmoteConfig(target_minority_percent=30.0))
+    _one_target(X, y, 30.0)
     assert np.array_equal(X, before)
 
 
 def test_run_smote_sources_are_minority_rows():
     X, y = _toy_dataset(seed=4)
-    result = pipeline.run_smote(X, y, pipeline.SmoteConfig(target_minority_percent=35.0))
+    result = _one_target(X, y, 35.0)
     minority_rows = set(np.nonzero(y == 1)[0].tolist())
-    assert set(result.synthetic.source_row_id.tolist()) <= minority_rows
+    assert set(result.records.source_row_id.tolist()) <= minority_rows
 
 
 def test_run_smote_loop_structure_covers_full_and_remainder_passes():
     X, y = _toy_dataset(n=200, minority=20, seed=5)
     # t=40 on 20/200: budget (0.4*200-20)/0.6 = 100 -> 5 full loops, 0 remainder
-    result = pipeline.run_smote(X, y, pipeline.SmoteConfig(target_minority_percent=40.0))
-    assert result.report.full_loops == 5
-    assert result.report.remainder == 0
-    assert len(result.synthetic) == 100
+    result = _one_target(X, y, 40.0)
+    assert result.full_loops == 5
+    assert result.remainder == 0
+    assert len(result.records) == result.generated == 100
     # every full loop visits all minority rows exactly once
     counts = {}
-    for rid in result.synthetic.source_row_id.tolist():
+    for rid in result.records.source_row_id.tolist():
         counts[rid] = counts.get(rid, 0) + 1
     assert set(counts.values()) == {5}
 
 
 def test_run_smote_remainder_samples_without_replacement():
     X, y = _toy_dataset(n=200, minority=20, seed=6)
-    result = pipeline.run_smote(X, y, pipeline.SmoteConfig(target_minority_percent=30.0, seed=4))
-    rem = result.report.remainder
+    result = _one_target(X, y, 30.0, seed=4)
+    rem = result.remainder
     assert rem > 0
-    sources = result.synthetic.source_row_id[-rem:].tolist()
+    sources = result.records.source_row_id[-rem:].tolist()
     assert len(sources) == len(set(sources))
 
 
 def test_run_smote_custom_row_ids_propagate():
     X, y = _toy_dataset(n=100, minority=10, seed=7)
     ids = np.arange(1000, 1100)
-    result = pipeline.run_smote(
-        X, y, pipeline.SmoteConfig(target_minority_percent=20.0), row_ids=ids
-    )
-    assert all(1000 <= rid < 1100 for rid in result.synthetic.source_row_id)
+    result = _one_target(X, y, 20.0, row_ids=ids)
+    assert all(1000 <= rid < 1100 for rid in result.records.source_row_id)
 
 
 @pytest.mark.parametrize("minority, majority", [(0, 7), (2, 0)])
 def test_run_smote_takes_only_0_1_labels(minority, majority):
     X, y = _toy_dataset(n=100, minority=10)
     with pytest.raises(ParameterError, match="labels must be 0/1 with 1 the minority class"):
-        pipeline.run_smote(X, np.where(y == 1, minority, majority), pipeline.SmoteConfig(target_minority_percent=20.0))
+        _one_target(X, np.where(y == 1, minority, majority), 20.0)
+    # a table that is not 2-D fails at the gate, before the row count is compared
+    for features in (X[:5, 0], X[:, :, None]):
+        with pytest.raises(ParameterError, match=f"^features must be a 2-D table, got {features.ndim} dimension"):
+            _one_target(features, y, 20.0)
 
 
 def test_achieved_share_tracks_grid():
     X, y = _toy_dataset(n=400, minority=40, seed=8)
     for target in (30, 36, 42, 50):
-        result = pipeline.run_smote(X, y, pipeline.SmoteConfig(target_minority_percent=target))
-        assert abs(result.report.achieved_percent - target) <= 0.2
+        assert abs(_one_target(X, y, target).achieved_percent - target) <= 0.2
 
 
 def _planted_outliers():
@@ -166,31 +168,33 @@ def _planted_outliers():
 
 
 @pytest.mark.parametrize("boost", [False, True])
-def test_augment_is_run_smote_then_the_outlier_stage(boost):
+def test_boosting_leaves_the_generated_rows_report_and_pooled_distances_unchanged(boost):
     X, y = _planted_outliers()
-    config = pipeline.SmoteConfig(target_minority_percent=20.0, seed=3, num_bins=3)
-    result, records, distances, bounds = pipeline.augment(X, y, config, boost)
-    plain = pipeline.run_smote(X, y, config)
-    n = len(plain.synthetic)
-    assert len(result.synthetic) == n
-    want = plain.synthetic
+    result = _one_target(X, y, 20.0, boost, seed=3, num_bins=3)
+    plain = _one_target(X, y, 20.0, seed=3, num_bins=3)
+    n = plain.generated
+    assert result.generated == len(plain.records) == n
+    want = plain.records
     for i in range(n):
-        assert np.array_equal(records.features[i], want.features[i])
-        assert (records.rotation_angle[i], records.source_row_id[i]) == (
+        assert np.array_equal(result.records.features[i], want.features[i])
+        assert (result.records.rotation_angle[i], result.records.source_row_id[i]) == (
             want.rotation_angle[i], want.source_row_id[i]
         )
-        assert not records.boosted[i]
-    pooled = np.r_[plain.angular_distances, plain.synthetic.angular_distance]
-    assert np.array_equal(distances, pooled)
-    assert bounds == aol.detect_outliers(pooled, config.num_bins)[0]
-    boosted = records.boosted[n:]
+        assert not result.records.boosted[i]
+    report = ("achieved_percent", "full_loops", "remainder", "bounds")
+    assert [getattr(result, name) for name in report] == [getattr(plain, name) for name in report]
+    pooled = np.r_[plain.angular_distances, want.angular_distance]
+    assert np.array_equal(result.angular_distances, plain.angular_distances)
+    assert np.array_equal(result.pooled, pooled) and np.array_equal(plain.pooled, pooled)
+    assert result.bounds == aol.detect_outliers(pooled, 3)[0]
+    boosted = result.records.boosted[n:]
     assert all(boosted)
     assert bool(len(boosted)) == boost
 
 
 def test_negative_seed_is_a_parameter_error():
     with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
-        pipeline.SmoteConfig(target_minority_percent=30, seed=-1)
+        pipeline.SmoteConfig(seed=-1)
     X, y = _toy_dataset()
     with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
         evaluate.run_experiment(X, y, [30], seed=-1)
@@ -207,7 +211,6 @@ def _parse(text):
 @st.composite
 def _configs(draw):
     return pipeline.SmoteConfig(
-        target_minority_percent=draw(st.floats(20, 99)),
         split_factor=draw(st.floats(0.5, 20)),
         shots=draw(st.sampled_from([0, 1, 100])),
         seed=draw(st.integers(0, 2**64)),
@@ -216,23 +219,23 @@ def _configs(draw):
     )
 
 
-_PROBE_CONFIG = pipeline.SmoteConfig(target_minority_percent=45.0, shots=100)
+_PROBE_CONFIG = pipeline.SmoteConfig(shots=100)
 
 
 @settings(max_examples=100, deadline=None)
-@given(text=_edge_tables(), config=_configs(), second=st.floats(20, 99))
-@example(text=_PROBES["1e308"], config=_PROBE_CONFIG, second=30.0)
-@example(text=_PROBES["1e-320"], config=_PROBE_CONFIG, second=30.0)
-@example(text=_PROBES["zero-row"], config=_PROBE_CONFIG, second=30.0)
+@given(text=_edge_tables(), config=_configs(), first=st.floats(20, 99), second=st.floats(20, 99))
+@example(text=_PROBES["1e308"], config=_PROBE_CONFIG, first=45.0, second=30.0)
+@example(text=_PROBES["1e-320"], config=_PROBE_CONFIG, first=45.0, second=30.0)
+@example(text=_PROBES["zero-row"], config=_PROBE_CONFIG, first=45.0, second=30.0)
 # every column mean is exactly 0
-@example(text="a,b,label\n1,1,1\n-1,-1,0\n2,-2,0\n-2,2,0\n3,3,0\n-3,-3,0\n", config=_PROBE_CONFIG, second=30.0)
-def test_augment_grid_rejects_a_table_or_yields_only_finite_records(text, config, second):
+@example(text="a,b,label\n1,1,1\n-1,-1,0\n2,-2,0\n-2,2,0\n3,3,0\n-3,-3,0\n", config=_PROBE_CONFIG, first=45.0, second=30.0)
+def test_augment_grid_rejects_a_table_or_yields_only_finite_records(text, config, first, second):
     # the modules below the gate do not check what it passed, so it must
     # promise them this: an edge table fails with a DataError or
     # ParameterError, or every target's records are finite, and no step
     # warns on the way
     X, y = _parse(text)
-    targets = [config.target_minority_percent, second]
+    targets = [first, second]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -240,6 +243,6 @@ def test_augment_grid_rejects_a_table_or_yields_only_finite_records(text, config
         except (DataError, ParameterError):
             return
     assert len(results) == 2
-    for _, records, distances, _ in results:
-        assert np.isfinite(records.features).all()
-        assert np.isfinite(distances).all() and np.isfinite(records.rotation_angle).all()
+    for result in results:
+        assert np.isfinite(result.records.features).all()
+        assert np.isfinite(result.pooled).all() and np.isfinite(result.records.rotation_angle).all()

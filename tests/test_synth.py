@@ -133,7 +133,7 @@ def test_rotation_locality_for_small_angles():
 
 
 def _records(n=12, width=3, seed=0, boosted=False):
-    """Aligned create_syn_data inputs whose draws are keyed like run_smote's."""
+    """Aligned create_syn_data inputs whose draws are keyed like augment_grid's."""
     rng = np.random.default_rng(seed)
     ids = rng.integers(0, 50, size=n)
     passes = rng.integers(1, 4, size=n)
