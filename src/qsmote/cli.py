@@ -94,8 +94,22 @@ def _load_encoded(path, target):
     """Read a preprocessed CSV (numeric features + target column).
 
     Every row must be as wide as the header, every cell a finite number
-    and every label an integer; otherwise a DataError names the row.
+    and every label an integer; otherwise a DataError names the row. A
+    table that `data.read_float_table` parses, with the target, a feature
+    column and integral labels, is taken from that one C parse; any other
+    file is read cell by cell, which names the first bad cell.
     """
+    header, table = data.read_float_table(path) or ([], None)
+    if target in header and len(header) > 1:
+        t = header.index(target)
+        labels = table[:, t]
+        if not (labels % 1).any():
+            return data.Dataset(
+                feature_names=header[:t] + header[t + 1:],
+                X=np.delete(table, t, axis=1),
+                y=labels.astype(int),
+                target_name=target,
+            )
     header, columns = data.read_table(path)
     if target not in header:
         raise DataError("target column missing", column=target)

@@ -6,9 +6,14 @@ metadata columns, the originals' angular distances aligned with the
 minority rows by position) and emits angular-distribution histograms as
 SVG plus a sibling CSV. Rows are written as comma-joined text lines;
 only the header and id cells can hold a character that needs quoting.
+
+An encoded table is read by one C parse (`read_float_table`); a file
+that parse might read differently goes through `read_table` and
+`parse_floats` cell by cell, which name the first bad cell.
 """
 
 import csv
+import functools
 import itertools
 import math
 import operator
@@ -113,6 +118,50 @@ def read_table(path):
     return header, list(zip(*rows)) or [()] * len(header)
 
 
+# whitespace to numpy's number parser but not to float(): a cell holding
+# one parses in C and fails cell by cell
+_C_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def read_float_table(path):
+    """Header and float64 table of a CSV of finite numbers from one C parse, or None.
+
+    None hands the file back to `read_table` and `parse_floats`, which name
+    the first bad cell, wherever the C parse might read it differently: a
+    missing or unreadable file, a header with a quote or a repeated name,
+    no data rows, a blank line (`np.loadtxt` skips it, with a warning), a
+    character of `_C_ONLY_SPACE`, a cell `np.loadtxt` rejects (it rejects
+    `1_0` and non-ASCII digits, which float() takes), a row not as wide as
+    the header, a row count other than the file's line count (a quoted
+    newline joins two lines in one row), or a value that is not finite.
+    The file is parsed from its handle, so no string holds it whole.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:  # universal newlines: \r\n and \r read as \n
+            line = fh.readline()
+            header = line.rstrip("\n").split(",")
+            if '"' in line or len(set(header)) < len(header):
+                return None
+            start = fh.tell()
+            lines, last = 0, "\n"
+            for chunk in iter(functools.partial(fh.read, 1 << 20), ""):
+                if "\n\n" in chunk or last == chunk[0] == "\n" or any(c in chunk for c in _C_ONLY_SPACE):
+                    return None
+                lines += chunk.count("\n")
+                last = chunk[-1]
+            lines += last != "\n"
+            if not lines:
+                return None
+            fh.seek(start)
+            # max_rows lets loadtxt size the table once instead of growing it
+            table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2, max_rows=lines)
+    except (OSError, ValueError):
+        return None
+    if table.shape != (lines, len(header)) or not np.isfinite(table).all():
+        return None
+    return header, table
+
+
 def _check_unique(names):
     """DataError naming the first column name that repeats an earlier one."""
     seen = set()
@@ -135,9 +184,24 @@ def _read_columns(path, config):
     return header, columns
 
 
+_NUMERIC = ("numeric-binned", "numeric-raw")
+
+
 def _blank(cells):
     """Mask of the cells that are empty or whitespace only."""
     return np.fromiter(map(operator.not_, map(str.strip, cells)), dtype=bool, count=len(cells))
+
+
+def _blank_cells(spec, cells, parsed):
+    """`_blank` of a column, skipping the scan where a cheaper fact rules a blank out.
+
+    float() rejects '' and whitespace, so a numeric column whose every cell
+    `parsed` holds no blank; a categorical or target column is scanned only
+    if one of its distinct cells is blank.
+    """
+    if parsed or (spec.kind in ("categorical", "target") and all(map(str.strip, set(cells)))):
+        return np.zeros(len(cells), dtype=bool)
+    return _blank(cells)
 
 
 def _parse_number(cell, row, column):
@@ -150,17 +214,23 @@ def _parse_number(cell, row, column):
     return v
 
 
+def _finite_floats(cells):
+    """Float array of a column of cells if every cell parses to a finite float, else None."""
+    try:
+        values = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
 def parse_floats(cells, column, rows=None):
     """Float array of a column of cells; a DataError names the first unparsable or non-finite one.
 
     `rows` gives each cell's file row (counted from 1 below the header);
     by default the cells are the rows 1, 2, ... in order.
     """
-    try:
-        values = np.fromiter(map(float, cells), dtype=float, count=len(cells))
-    except ValueError:
-        values = None
-    if values is None or not np.isfinite(values).all():
+    values = _finite_floats(cells)
+    if values is None:
         rows = range(1, len(cells) + 1) if rows is None else np.asarray(rows).tolist()
         for cell, row in zip(cells, rows):
             _parse_number(cell, row, column)
@@ -177,10 +247,11 @@ def _sorted_levels(values):
     # that re-encoding an already-encoded column is the identity; nan levels
     # go last, and levels of equal value (0, -0) by their text, so the
     # order never depends on set iteration
+    levels = set(values)
     try:
-        return sorted(set(values), key=_numeric_level_key)
+        return sorted(levels, key=_numeric_level_key)
     except ValueError:
-        return sorted(set(values))
+        return sorted(levels)
 
 
 def _resolve_edges(spec, values, column):
@@ -219,14 +290,17 @@ def load_csv(path, config):
 
     # missing-value pass: fill values first (a fill-mode counts every row),
     # then drop the rows with a blank cell in a drop-row column
-    fill, blank = {}, {}
+    fill, blank, parsed = {}, {}, {}
     for spec in specs:
-        blank[spec.name] = _blank(cells[spec.name])
+        col = cells[spec.name]
+        if spec.kind in _NUMERIC:
+            parsed[spec.name] = _finite_floats(col)
+        blank[spec.name] = _blank_cells(spec, col, parsed.get(spec.name) is not None)
         policy, _, arg = str(spec.missing_policy).partition(":")
         if policy == "fill-value":
             fill[spec.name] = arg
         elif policy == "fill-mode":
-            present = Counter(itertools.compress(cells[spec.name], ~blank[spec.name]))
+            present = Counter(itertools.compress(col, ~blank[spec.name]))
             if not present:
                 raise DataError("all values missing under fill-mode", column=spec.name)
             fill[spec.name] = max(sorted(present), key=present.__getitem__)
@@ -239,10 +313,14 @@ def load_csv(path, config):
     if not keep.any():
         raise DataError(f"no rows left after preprocessing {path}")
     file_rows = np.flatnonzero(keep) + 1
+    every_row = len(file_rows) == len(keep)
 
     def kept(name):
+        filled = name in fill and blank[name].any()
+        if every_row and not filled:
+            return cells[name]
         col = np.array(cells[name], dtype=object)
-        if name in fill:
+        if filled:
             col[blank[name]] = fill[name]
         return col[keep].tolist()
 
@@ -251,18 +329,23 @@ def load_csv(path, config):
 
     columns = {}
     for spec in specs:
-        raw = kept(spec.name)
+        name = spec.name
+        if spec.kind in _NUMERIC:
+            nums = parsed.pop(name)
+            if nums is None:
+                nums = parse_floats(kept(name), name, file_rows)
+            elif not every_row:
+                nums = nums[keep]
+            if spec.kind == "numeric-binned":
+                nums = _bin(nums, _resolve_edges(spec, nums, name)).astype(float)
+            columns[name] = nums
+            continue
+        raw = kept(name)
         if spec.kind == "id":
-            columns[spec.name] = raw
-        elif spec.kind in ("categorical", "target"):
+            columns[name] = list(raw)
+        else:
             code = {lv: float(i) for i, lv in enumerate(_sorted_levels(raw))}
-            columns[spec.name] = np.fromiter(map(code.__getitem__, raw), dtype=float, count=len(raw))
-        elif spec.kind == "numeric-raw":
-            columns[spec.name] = parse_floats(raw, spec.name, file_rows)
-        elif spec.kind == "numeric-binned":
-            nums = parse_floats(raw, spec.name, file_rows)
-            edges = _resolve_edges(spec, nums, spec.name)
-            columns[spec.name] = _bin(nums, edges).astype(float)
+            columns[name] = np.fromiter(map(code.__getitem__, raw), dtype=float, count=len(raw))
 
     X = np.column_stack([columns[n] for n in feature_names]) if feature_names else np.empty((len(file_rows), 0))
     y = columns[target_spec.name].astype(int)

@@ -378,7 +378,8 @@ def run_experiment(X, y, grid, aol_flags=(False, True), test_fraction=0.2, seed=
     aol flag). Each row scores the test rows and every row of its training
     set against that training set, exactly as the tests' ``knn_predict``
     (``tests/oracles.py``) on the original training rows followed by the
-    row's new records.
+    row's new records. A grid to augment whose training split lacks a
+    class is a DataError.
 
     Those records follow the originals and are all labelled 1, so the
     counting rule gives the votes (``_votes``): original i of a query's k
@@ -405,6 +406,12 @@ def run_experiment(X, y, grid, aol_flags=(False, True), test_fraction=0.2, seed=
     y_te, y_tr = y[test_idx], y[train_idx]
     _check_knn(X_tr, y_tr, X_te, k)
     m, n_tr = len(queries), len(y_tr)
+    minority = int(np.count_nonzero(y_tr))
+    if len(grid) and aol_flags and not 0 < minority < n_tr:
+        raise DataError(
+            f"the training split holds {minority} of the {np.count_nonzero(y)} minority rows among its "
+            f"{n_tr} rows; augmenting it needs rows of both classes"
+        )
 
     grid_rows, unique, copies = _grid_records(X_tr, y_tr, train_idx, grid, aol_flags, seed)
     # grid rows with equal copies share their votes and metrics

@@ -733,7 +733,11 @@ _BAD_CELLS = st.sampled_from(["x", "", " ", "nan", "inf", "-Infinity", "1__0", "
 
 @st.composite
 def _encoded_tables(draw):
-    """An encoded CSV's text, the target anywhere in the header, with at most one bad cell."""
+    """An encoded CSV's text, the target anywhere in the header, with at most one bad cell.
+
+    Some tables quote a cell, hold a blank line between rows or end their
+    lines in CRLF or a bare CR; a table of no rows is header-only.
+    """
     width = draw(st.integers(1, 4))
     header = [f"f{j}" for j in range(width)]
     t = draw(st.integers(0, width))
@@ -742,7 +746,14 @@ def _encoded_tables(draw):
     rows = [[draw(_LABEL_CELLS if j == t else _FEATURE_CELLS) for j in range(width + 1)] for _ in range(n)]
     if rows and draw(st.booleans()):
         rows[draw(st.integers(0, n - 1))][draw(st.integers(0, width))] = draw(_BAD_CELLS)
-    return "\n".join(map(",".join, [header] + rows)) + "\n"
+    if rows and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, width))
+        rows[i][j] = f'"{rows[i][j]}"'
+    lines = list(map(",".join, [header] + rows))
+    if rows and draw(st.booleans()):
+        lines.insert(draw(st.integers(1, n)), "")
+    end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    return end.join(lines) + end
 
 
 def _encoded_outcome(loader, path):
@@ -754,9 +765,12 @@ def _encoded_outcome(loader, path):
 
 @settings(max_examples=300, deadline=None)
 @given(text=_encoded_tables())
+@example(text="f0,label\n")
+@example(text='f0,label\r\n1,"0"\r\n\r\n2,1\r\n')
+@example(text="f0,label\r1,0\r2,1\r")
 def test_load_encoded_equals_the_whole_table_reference(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("encoded") / "encoded.csv"
-    path.write_text(text)
+    path.write_bytes(text.encode())
     got = _encoded_outcome(cli._load_encoded, path)
     want = _encoded_outcome(_load_encoded_reference, path)
     if isinstance(want, DataError):
@@ -768,6 +782,61 @@ def test_load_encoded_equals_the_whole_table_reference(tmp_path_factory, text):
     assert (got.feature_names, got.target_name) == (want.feature_names, want.target_name)
     assert (got.X.shape, got.X.dtype, got.X.tobytes()) == (want.X.shape, want.X.dtype, want.X.tobytes())
     assert (got.y.dtype, got.y.tolist()) == (want.y.dtype, want.y.tolist())
+
+
+def test_header_only_encoded_file_is_no_data_rows_without_a_warning(tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_text("f0,label\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="no data rows"):
+            cli._load_encoded(path, "label")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "f0,label\n1,0\n2,1\n\n",
+        "f0,label\n1,0\n\n2,1\n",
+        'f0,label\n"1\n",0\n2,1\n',
+        "f0,label\n\x1c1,0\n2,1\n",
+        "f0,label\n1_0,0\n2,1\n",
+        "f0,label\n1,0,5\n2,1,6\n",
+        '"f0",label\n1,0\n2,1\n',
+    ],
+    ids=["blank-last-line", "blank-inner-line", "quoted-newline", "c-only-space", "underscore", "wide-rows",
+         "quoted-header"],
+)
+def test_read_float_table_hands_back_what_the_cell_route_may_read_differently(tmp_path, text):
+    path = tmp_path / "encoded.csv"
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert data.read_float_table(path) is None
+
+
+def test_read_float_table_parses_an_encoded_table_with_crlf_lines(tmp_path):
+    path = tmp_path / "encoded.csv"
+    path.write_bytes(b"f0,label\r\n1.5,0\r\n-2,1\r\n")
+    header, table = data.read_float_table(path)
+    assert header == ["f0", "label"]
+    assert (table.dtype, table.tolist()) == (np.float64, [[1.5, 0.0], [-2.0, 1.0]])
+
+
+def test_evaluate_names_the_training_split_that_lacks_the_minority(tmp_path, capsys):
+    # the one minority row always lands in the test split, so the training
+    # split has none to augment; a baseline-only run still succeeds
+    src = tmp_path / "one-minority.csv"
+    src.write_text("a,b,label\n5,1,1\n" + "".join(f"{i},{i * 2 % 7},0\n" for i in range(7)))
+    out = tmp_path / "report.csv"
+    assert cli.main(["evaluate", str(src), str(out), "--grid", "30", "--k", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: the training split holds 0 of the 1 minority rows among its 6 rows; "
+        "augmenting it needs rows of both classes\n"
+    )
+    assert not out.exists()
+    assert cli.main(["evaluate", str(src), str(out), "--grid", "", "--k", "1"]) == 0
 
 
 _EXTREMES = st.sampled_from([0.0, 1e-320, -1e-320, 1e308, -1.7e308])
