@@ -2,4 +2,4 @@
 
 __version__ = "0.1.0"
 
-from . import aol, data, demo, evaluate, pipeline, qdist, synth  # noqa: F401
+from . import aol, data, demo, evaluate, pipeline, qdist, statevec, synth  # noqa: F401

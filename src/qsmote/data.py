@@ -118,9 +118,10 @@ def read_table(path):
     return header, list(zip(*rows)) or [()] * len(header)
 
 
-# whitespace to numpy's number parser but not to float(): a cell holding
-# one parses in C and fails cell by cell
-_C_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+# the characters of an encoded table's data rows; any other one (a letter of
+# nan or inf, a quote, a space, `_`, a non-ASCII digit) hands the file back
+# before the C parse runs
+_NUMBER_BYTES = b"0123456789+-.eE,\n"
 
 
 def read_float_table(path):
@@ -130,11 +131,11 @@ def read_float_table(path):
     the first bad cell, wherever the C parse might read it differently: a
     missing or unreadable file, a header with a quote or a repeated name,
     no data rows, a blank line (`np.loadtxt` skips it, with a warning), a
-    character of `_C_ONLY_SPACE`, a cell `np.loadtxt` rejects (it rejects
-    `1_0` and non-ASCII digits, which float() takes), a row not as wide as
-    the header, a row count other than the file's line count (a quoted
-    newline joins two lines in one row), or a value that is not finite.
-    The file is parsed from its handle, so no string holds it whole.
+    character outside `_NUMBER_BYTES`, a cell `np.loadtxt` rejects, a row
+    not as wide as the header, or a value that is not finite. One chunked
+    scan counts the lines and checks the characters, so most such files
+    are handed back before the parse; the file is parsed from its handle,
+    so no string holds it whole.
     """
     try:
         with open(path, encoding="utf-8") as fh:  # universal newlines: \r\n and \r read as \n
@@ -145,7 +146,7 @@ def read_float_table(path):
             start = fh.tell()
             lines, last = 0, "\n"
             for chunk in iter(functools.partial(fh.read, 1 << 20), ""):
-                if "\n\n" in chunk or last == chunk[0] == "\n" or any(c in chunk for c in _C_ONLY_SPACE):
+                if chunk.encode().translate(None, _NUMBER_BYTES) or "\n\n" in chunk or last == chunk[0] == "\n":
                     return None
                 lines += chunk.count("\n")
                 last = chunk[-1]
@@ -154,7 +155,7 @@ def read_float_table(path):
                 return None
             fh.seek(start)
             # max_rows lets loadtxt size the table once instead of growing it
-            table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2, max_rows=lines)
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, max_rows=lines)
     except (OSError, ValueError):
         return None
     if table.shape != (lines, len(header)) or not np.isfinite(table).all():

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import keyed
+from . import keyed, statevec
 
 SQRT2 = np.sqrt(2.0)
 
@@ -70,20 +70,6 @@ def pad_to_power_of_two(vec):
     return out
 
 
-def sampling_probability(p):
-    """p rounded to a multiple of 2**-32, the probability a sampled run draws from.
-
-    numpy's binomial sampler jumps at p = 0.5 and wherever (shots + 1) * p
-    is an integer, so two computations of one marginal that differ in the
-    last few bits (the closed form here and the statevector simulator of
-    `tests/oracles.py`) can draw different counts from the same generator.
-    Rounding both to 2**-32 makes them draw the same count, exactly so at
-    0, 0.5 and 1; it moves p by at most 2**-33, far below the sampling
-    error of any shot count.
-    """
-    return np.ldexp(np.rint(np.ldexp(p, 32)), -32)
-
-
 def angular_distance_table(points, centroid, shots=0, seed=0):
     """Angular distance of every row of a (rows, d) table to the centroid.
 
@@ -95,7 +81,7 @@ def angular_distance_table(points, centroid, shots=0, seed=0):
     so a row's value does not depend on the rows batched with it. With
     shots > 0 row i draws binomial(shots, p1) from default_rng([seed, i])
     through `keyed.binomial`, with p1 rounded by
-    `sampling_probability` as the circuit rounds it. Assumes a
+    `statevec.sampling_probability` as the circuit rounds it. Assumes a
     (rows, d) table and a nonzero centroid of width d, which
     `pipeline.augment_grid` checks.
     """
@@ -112,7 +98,7 @@ def angular_distance_table(points, centroid, shots=0, seed=0):
     quad = (phi0 * r00 + phi1 * r01) * phi0 + (phi0 * r01 + phi1 * r11) * phi1
     p1 = _clamp01(0.5 * (1.0 - quad))
     if shots > 0:
-        counts1 = keyed.binomial(seed, shots, sampling_probability(p1), np.arange(len(p1)))
+        counts1 = keyed.binomial(seed, shots, statevec.sampling_probability(p1), np.arange(len(p1)))
         p1 = counts1 / shots
         p0 = (shots - counts1) / shots
     else:

@@ -23,7 +23,8 @@ import numpy as np
 
 from qsmote import data, evaluate
 from qsmote.errors import DataError, DegenerateInputError, DimensionError
-from qsmote.qdist import angular_distance_from_probability, sampling_probability
+from qsmote.qdist import angular_distance_from_probability
+from qsmote.statevec import sampling_probability
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -803,9 +803,13 @@ def test_header_only_encoded_file_is_no_data_rows_without_a_warning(tmp_path):
         "f0,label\n1_0,0\n2,1\n",
         "f0,label\n1,0,5\n2,1,6\n",
         '"f0",label\n1,0\n2,1\n',
+        "f0,label\n1,0\n2,1\nnan,0\n",
+        "f0,label\n\u0661,0\n2,1\n",
+        "f0,label\n1e,0\n2,1\n",
+        "f0,label\n1e999,0\n2,1\n",
     ],
     ids=["blank-last-line", "blank-inner-line", "quoted-newline", "c-only-space", "underscore", "wide-rows",
-         "quoted-header"],
+         "quoted-header", "nan-last-row", "non-ascii-digit", "loadtxt-rejects", "overflow"],
 )
 def test_read_float_table_hands_back_what_the_cell_route_may_read_differently(tmp_path, text):
     path = tmp_path / "encoded.csv"
@@ -813,6 +817,14 @@ def test_read_float_table_hands_back_what_the_cell_route_may_read_differently(tm
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert data.read_float_table(path) is None
+
+
+@pytest.mark.parametrize("cell", ["nan", "x", "1_0", "\u0661", '"1"', " 1"])
+def test_read_float_table_hands_back_a_foreign_character_before_the_parse(tmp_path, monkeypatch, cell):
+    path = tmp_path / "encoded.csv"
+    path.write_text("f0,label\n" + "1,0\n" * 3 + f"{cell},1\n", encoding="utf-8")
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: pytest.fail("np.loadtxt ran"))
+    assert data.read_float_table(path) is None
 
 
 def test_read_float_table_parses_an_encoded_table_with_crlf_lines(tmp_path):
