@@ -19,8 +19,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, data, evaluate, keyed, pipeline
 from .errors import DataError, ParameterError, QsmoteError
 
@@ -90,48 +88,7 @@ def cmd_preprocess(args):
     return EXIT_OK
 
 
-def _load_encoded(path, target):
-    """Read a preprocessed CSV (numeric features + target column).
-
-    Every row must be as wide as the header, every cell a finite number
-    and every label an integer; otherwise a DataError names the row. A
-    table that `data.read_float_table` parses, with the target, a feature
-    column and integral labels, is taken from that one C parse; any other
-    file is read cell by cell, which names the first bad cell.
-    """
-    header, table = data.read_float_table(path) or ([], None)
-    if target in header and len(header) > 1:
-        t = header.index(target)
-        labels = table[:, t]
-        if not (labels % 1).any():
-            return data.Dataset(
-                feature_names=header[:t] + header[t + 1:],
-                X=np.delete(table, t, axis=1),
-                y=labels.astype(int),
-                target_name=target,
-            )
-    header, columns = data.read_table(path)
-    if target not in header:
-        raise DataError("target column missing", column=target)
-    if len(header) == 1:
-        raise DataError(f"no feature columns besides the target in {path}")
-    if not columns[0]:
-        raise DataError(f"no data rows in {path}")
-    t = header.index(target)
-    cells = columns.pop(t)
-    labels = data.parse_floats(cells, header.pop(t))
-    bad = np.flatnonzero(labels % 1)
-    if len(bad):
-        raise DataError(f"non-integer label {cells[bad[0]]!r}", row=bad[0] + 1, column=target)
-    X = np.empty((len(labels), len(header)))
-    for j, (col, name) in enumerate(zip(columns, header)):
-        X[:, j] = data.parse_floats(col, name)
-    return data.Dataset(
-        feature_names=header,
-        X=X,
-        y=labels.astype(int),
-        target_name=target,
-    )
+_load_encoded = data.load_encoded  # both commands look it up at call time, so a test can substitute a fake
 
 
 def cmd_smote(args):
@@ -263,6 +220,9 @@ def main(argv=None):
         return EXIT_RUNTIME
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -7,9 +7,9 @@ minority rows by position) and emits angular-distribution histograms as
 SVG plus a sibling CSV. Rows are written as comma-joined text lines;
 only the header and id cells can hold a character that needs quoting.
 
-An encoded table is read by one C parse (`read_float_table`); a file
-that parse might read differently goes through `read_table` and
-`parse_floats` cell by cell, which name the first bad cell.
+An encoded table is loaded by `load_encoded`, from one C parse
+(`read_float_table`) or, where that parse might read the file
+differently, cell by cell through `read_table` and `parse_floats`.
 """
 
 import csv
@@ -172,29 +172,48 @@ def _check_unique(names):
         seen.add(name)
 
 
-def _read_columns(path, config):
-    """Header and cell columns of a raw CSV that matches the config."""
-    header, columns = read_table(path)
-    for spec in config.columns:
-        if spec.name not in header:
-            raise DataError("configured column missing from header", column=spec.name)
-    configured = {c.name for c in config.columns}
-    for name in header:
-        if name not in configured:
-            raise DataError("column not in config", column=name)
-    return header, columns
+def _bad_labels(labels):
+    """Mask of the float labels that are not integers in the int64 range."""
+    return (labels % 1 != 0) | (labels < -(2.0**63)) | (labels >= 2.0**63)
+
+
+def load_encoded(path, target):
+    """Dataset of an encoded CSV: numeric feature columns and an integer target column.
+
+    A ragged row, a cell that is not a finite number or a label that int64
+    cannot hold is a DataError naming the first such cell. A file is read cell
+    by cell unless `read_float_table` parses it with the target, a feature
+    column and good labels.
+    """
+    header, table = read_float_table(path) or ([], None)
+    t = header.index(target) if target in header else None
+    if t is not None and len(header) > 1 and not _bad_labels(table[:, t]).any():
+        names, X, labels = header[:t] + header[t + 1:], np.delete(table, t, axis=1), table[:, t]
+    else:
+        names, columns = read_table(path)
+        if target not in names:
+            raise DataError("target column missing", column=target)
+        if len(names) == 1:
+            raise DataError(f"no feature columns besides the target in {path}")
+        if not columns[0]:
+            raise DataError(f"no data rows in {path}")
+        t = names.index(target)
+        cells = columns.pop(t)
+        labels = parse_floats(cells, names.pop(t))
+        bad = np.flatnonzero(_bad_labels(labels))
+        if len(bad):
+            i = bad[0]
+            what = "non-integer label {!r}" if labels[i] % 1 else "label {!r} is outside the int64 range"
+            raise DataError(what.format(cells[i]), row=i + 1, column=target)
+        X = np.column_stack([parse_floats(col, name) for col, name in zip(columns, names)])
+    return Dataset(feature_names=names, X=X, y=labels.astype(int), target_name=target)
 
 
 _NUMERIC = ("numeric-binned", "numeric-raw")
 
 
-def _blank(cells):
-    """Mask of the cells that are empty or whitespace only."""
-    return np.fromiter(map(operator.not_, map(str.strip, cells)), dtype=bool, count=len(cells))
-
-
 def _blank_cells(spec, cells, parsed):
-    """`_blank` of a column, skipping the scan where a cheaper fact rules a blank out.
+    """Mask of a column's blank cells (empty or whitespace only), skipping the scan where it can.
 
     float() rejects '' and whitespace, so a numeric column whose every cell
     `parsed` holds no blank; a categorical or target column is scanned only
@@ -202,7 +221,7 @@ def _blank_cells(spec, cells, parsed):
     """
     if parsed or (spec.kind in ("categorical", "target") and all(map(str.strip, set(cells)))):
         return np.zeros(len(cells), dtype=bool)
-    return _blank(cells)
+    return np.fromiter(map(operator.not_, map(str.strip, cells)), dtype=bool, count=len(cells))
 
 
 def _parse_number(cell, row, column):
@@ -285,7 +304,10 @@ def load_csv(path, config):
     A parse error names the cell's file row, counted from 1 below the
     header, whether or not rows above it were dropped.
     """
-    header, cell_columns = _read_columns(path, config)
+    header, cell_columns = read_table(path)
+    for spec in config.columns:
+        if spec.name not in header:
+            raise DataError("configured column missing from header", column=spec.name)
     cells = dict(zip(header, cell_columns))
     specs = [config.spec(name) for name in header]
 

@@ -85,8 +85,11 @@ def target_counts(total, minority, target_percent):
             f"target {target_percent}% is below the current minority share "
             f"({100.0 * minority / total:.2f}%)"
         )
-    target_minority_count = minority + s
-    return target_minority_count, s, s // minority, s % minority
+    full_loops, remainder = divmod(s, minority)
+    last_pass = full_loops + (remainder > 0)
+    if last_pass >= 2**32:  # `keyed` takes each pass number as one 32-bit word
+        raise ParameterError(f"target {target_percent}% needs {last_pass} passes; a pass number must fit 32 bits")
+    return minority + s, s, full_loops, remainder
 
 
 def augment_grid(features, labels, config, targets, boost, row_ids=None):

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from qsmote import data, pipeline, aol, synth
+from qsmote import cli, data, pipeline, aol, synth
 from qsmote.data import ColumnSpec, DataConfig
 from qsmote.errors import DataError
 
@@ -140,6 +140,36 @@ def test_header_and_config_must_match_both_ways(tmp_path):
     with pytest.raises(DataError) as exc:
         data.load_csv(path2, cfg2)
     assert "ghost" in str(exc.value)
+
+
+_ABL_CONFIG = (
+    "version: 1\ncolumns:\n  - {name: a, kind: numeric-raw}\n"
+    "  - {name: b, kind: numeric-raw}\n  - {name: label, kind: target}\n"
+)
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("a,b,extra,more,label", "column not in config (column 'extra')"),
+        ("a,label", "configured column missing from header (column 'b')"),
+        ("a,extra,label", "configured column missing from header (column 'b')"),
+        ("extra,label", "configured column missing from header (column 'a')"),
+    ],
+    ids=["unknown", "missing", "both-unknown-first-in-header", "both"],
+)
+def test_config_column_rules_name_the_column_and_exit_2(tmp_path, capsys, header, message):
+    # a configured column missing from the header is named before any header
+    # column the config lacks, wherever the two sit in the header
+    path = _write(tmp_path, "raw.csv", header + "\n" + ",".join(["1"] * len(header.split(","))) + "\n")
+    cfg = _write(tmp_path, "cfg.yaml", _ABL_CONFIG)
+    with pytest.raises(DataError) as exc:
+        data.load_csv(path, data.load_config(cfg))
+    assert str(exc.value) == message
+    out = tmp_path / "out.csv"
+    assert cli.main(["preprocess", str(path), str(out), "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml", "raw.csv"]
 
 
 def test_unparsable_cell_reports_coordinates(tmp_path):

@@ -1,6 +1,7 @@
 """Unit tests for centroid/budget arithmetic and the oversampling run."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -50,6 +51,26 @@ def test_target_counts_rounds_half_up():
 def test_target_counts_rejects_target_below_current_share():
     with pytest.raises(ParameterError):
         pipeline.target_counts(1000, 500, 40)
+
+
+@pytest.mark.parametrize(
+    "minority, budget, last_pass",
+    [(1, 2**32 - 1, 2**32 - 1), (1, 2**32, 2**32), (2, 2 * (2**32 - 1), 2**32 - 1), (2, 2 * (2**32 - 1) + 1, 2**32)],
+    ids=["full-loops-fit", "full-loops-past", "remainder-none", "remainder-past"],
+)
+def test_target_counts_rejects_a_last_pass_past_32_bits(minority, budget, last_pass):
+    # `keyed` takes each pass number as one 32-bit word; the last pass is the
+    # full loops, plus one for a remainder. At 100,000 rows the float target
+    # that solves for `budget` yields it exactly.
+    total = 100_000
+    target = float(100 * Fraction(minority + budget, total + budget))
+    if last_pass < 2**32:
+        _, s, full_loops, remainder = pipeline.target_counts(total, minority, target)
+        assert (s, full_loops + (remainder > 0)) == (budget, last_pass)
+        return
+    with pytest.raises(ParameterError) as exc:
+        pipeline.target_counts(total, minority, target)
+    assert str(exc.value) == f"target {target}% needs {last_pass} passes; a pass number must fit 32 bits"
 
 
 def test_target_counts_rejects_degenerate_counts():
