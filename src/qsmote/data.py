@@ -7,9 +7,10 @@ minority rows by position) and emits angular-distribution histograms as
 SVG plus a sibling CSV. Rows are written as comma-joined text lines;
 only the header and id cells can hold a character that needs quoting.
 
-An encoded table is loaded by `load_encoded`, from one C parse
-(`read_float_table`) or, where that parse might read the file
-differently, cell by cell through `read_table` and `parse_floats`.
+A table is read by one C parse (`_parse_table`: `read_float_table` for
+an encoded table, `_read_raw` for a raw one) or, where that parse might
+read the file differently, cell by cell through `read_table` and
+`parse_floats`, the only route that names a bad cell.
 """
 
 import csv
@@ -19,6 +20,7 @@ import math
 import operator
 import re
 from collections import Counter
+from decimal import Decimal
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -97,25 +99,83 @@ def load_config(path):
 def read_table(path):
     """Header and cell columns (tuples of strings) of a CSV file.
 
-    A missing or empty file, a repeated column name, or a row (counted
-    from 1 below the header) not as wide as the header is a DataError.
+    A missing or empty file, a repeated column name, a row (counted from 1
+    below the header) not as wide as the header, or a row `csv` cannot
+    read (a cell past `csv.field_size_limit()`) is a DataError.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
+        header, rows = None, []
         try:
             header = next(reader)
+            rows.extend(reader)  # keeps the rows read before a bad one
         except StopIteration:
             raise DataError(f"empty file: {path}") from None
-        rows = list(reader)
+        except csv.Error as exc:
+            if header is None:
+                raise DataError(f"{exc} in the header of {path}") from None
+            raise DataError(str(exc), row=len(rows) + 1) from None
     _check_unique(header)
     widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
     bad = np.flatnonzero(widths != len(header))
     if len(bad):
         raise DataError(f"{widths[bad[0]]} cells where the header has {len(header)}", row=int(bad[0]) + 1)
     return header, list(zip(*rows)) or [()] * len(header)
+
+
+def _parse_table(path, allowed, dtype_of):
+    """Header and `np.loadtxt` table of a CSV from one C parse, or None to hand the file back.
+
+    `dtype_of(header)` gives the table's dtype, or None. The file is handed
+    back to `read_table`, which reads it cell by cell, wherever the C parse
+    might read it differently: a missing or unreadable file, a header that
+    is blank, holds a quote or repeats a name, no data rows (`np.loadtxt`
+    warns), a blank line (`np.loadtxt` skips it, `csv` reads a short row),
+    a data byte not in `allowed`, a line longer than
+    `csv.field_size_limit()`, or a row or cell `np.loadtxt` rejects. One
+    chunked scan checks the bytes and counts the lines, so most such files
+    are handed back before the parse; the file is parsed from its handle,
+    so no string holds it whole.
+    """
+    limit = csv.field_size_limit()
+    try:
+        with open(path, encoding="utf-8") as fh:  # universal newlines: \r\n and \r read as \n
+            line = fh.readline().rstrip("\n")
+            header = line.split(",")
+            if '"' in line or not 0 < len(line) <= limit or len(set(header)) < len(header):
+                return None
+            dtype = dtype_of(header)
+            if dtype is None:
+                return None
+            start = fh.tell()
+            # byte offsets past the header: where the data read so far ends,
+            # and its last newline (the header's own at -1)
+            lines, end, newline = 0, 0, -1
+            for chunk in iter(functools.partial(fh.read, 1 << 20), ""):
+                block = chunk.encode()
+                if block.translate(None, allowed):
+                    return None
+                ends = np.flatnonzero(np.frombuffer(block, np.uint8) == ord("\n")) + end
+                if len(ends):
+                    widths = np.diff(ends, prepend=newline) - 1
+                    if widths.min() == 0 or widths.max() > limit:
+                        return None
+                    lines, newline = lines + len(ends), int(ends[-1])
+                end += len(block)
+            if end - newline - 1 > limit:
+                return None
+            lines += end > newline + 1  # a last line with no newline
+            if not lines:
+                return None
+            fh.seek(start)
+            # max_rows lets loadtxt size the table once instead of growing it
+            table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=2, max_rows=lines)
+    except (OSError, ValueError):
+        return None
+    return (header, table) if len(table) == lines else None
 
 
 # the characters of an encoded table's data rows; any other one (a letter of
@@ -128,39 +188,14 @@ def read_float_table(path):
     """Header and float64 table of a CSV of finite numbers from one C parse, or None.
 
     None hands the file back to `read_table` and `parse_floats`, which name
-    the first bad cell, wherever the C parse might read it differently: a
-    missing or unreadable file, a header with a quote or a repeated name,
-    no data rows, a blank line (`np.loadtxt` skips it, with a warning), a
-    character outside `_NUMBER_BYTES`, a cell `np.loadtxt` rejects, a row
-    not as wide as the header, or a value that is not finite. One chunked
-    scan counts the lines and checks the characters, so most such files
-    are handed back before the parse; the file is parsed from its handle,
-    so no string holds it whole.
+    the first bad cell: where `_parse_table` hands it back, where a data
+    byte is not in `_NUMBER_BYTES`, a row is not as wide as the header, or
+    a value is not finite.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:  # universal newlines: \r\n and \r read as \n
-            line = fh.readline()
-            header = line.rstrip("\n").split(",")
-            if '"' in line or len(set(header)) < len(header):
-                return None
-            start = fh.tell()
-            lines, last = 0, "\n"
-            for chunk in iter(functools.partial(fh.read, 1 << 20), ""):
-                if chunk.encode().translate(None, _NUMBER_BYTES) or "\n\n" in chunk or last == chunk[0] == "\n":
-                    return None
-                lines += chunk.count("\n")
-                last = chunk[-1]
-            lines += last != "\n"
-            if not lines:
-                return None
-            fh.seek(start)
-            # max_rows lets loadtxt size the table once instead of growing it
-            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, max_rows=lines)
-    except (OSError, ValueError):
+    parsed = _parse_table(path, _NUMBER_BYTES, lambda header: np.float64)
+    if parsed is None or parsed[1].shape[1] != len(parsed[0]) or not np.isfinite(parsed[1]).all():
         return None
-    if table.shape != (lines, len(header)) or not np.isfinite(table).all():
-        return None
-    return header, table
+    return parsed
 
 
 def _check_unique(names):
@@ -172,22 +207,36 @@ def _check_unique(names):
         seen.add(name)
 
 
-def _bad_labels(labels):
-    """Mask of the float labels that are not integers in the int64 range."""
-    return (labels % 1 != 0) | (labels < -(2.0**63)) | (labels >= 2.0**63)
+def _odd_labels(labels):
+    """Mask of the float labels that are not integers of magnitude below 2**53.
+
+    A label outside the mask loads as is; `_label_error` checks the others.
+    """
+    return (labels % 1 != 0) | (np.abs(labels) >= 2.0**53)
+
+
+def _label_error(cell, label):
+    """The message of a label cell that int64 cannot hold or float64 rounded, or None."""
+    if label % 1:
+        return f"non-integer label {cell!r}"
+    if not -(2.0**63) <= label < 2.0**63:
+        return f"label {cell!r} is outside the int64 range"
+    if Decimal(cell) != label:  # exact: a cell past 2**53 may have rounded to its float
+        return f"label {cell!r} has no exact float64 value"
+    return None
 
 
 def load_encoded(path, target):
     """Dataset of an encoded CSV: numeric feature columns and an integer target column.
 
-    A ragged row, a cell that is not a finite number or a label that int64
-    cannot hold is a DataError naming the first such cell. A file is read cell
-    by cell unless `read_float_table` parses it with the target, a feature
-    column and good labels.
+    A ragged row, a cell that is not a finite number, or a label that int64
+    cannot hold or float64 rounds is a DataError naming the first such cell.
+    A file is read cell by cell unless `read_float_table` parses it with the
+    target, a feature column and integer labels below 2**53 in magnitude.
     """
     header, table = read_float_table(path) or ([], None)
     t = header.index(target) if target in header else None
-    if t is not None and len(header) > 1 and not _bad_labels(table[:, t]).any():
+    if t is not None and len(header) > 1 and not _odd_labels(table[:, t]).any():
         names, X, labels = header[:t] + header[t + 1:], np.delete(table, t, axis=1), table[:, t]
     else:
         names, columns = read_table(path)
@@ -200,11 +249,10 @@ def load_encoded(path, target):
         t = names.index(target)
         cells = columns.pop(t)
         labels = parse_floats(cells, names.pop(t))
-        bad = np.flatnonzero(_bad_labels(labels))
-        if len(bad):
-            i = bad[0]
-            what = "non-integer label {!r}" if labels[i] % 1 else "label {!r} is outside the int64 range"
-            raise DataError(what.format(cells[i]), row=i + 1, column=target)
+        for i in np.flatnonzero(_odd_labels(labels)).tolist():
+            what = _label_error(cells[i], labels[i])
+            if what:
+                raise DataError(what, row=i + 1, column=target)
         X = np.column_stack([parse_floats(col, name) for col, name in zip(columns, names)])
     return Dataset(feature_names=names, X=X, y=labels.astype(int), target_name=target)
 
@@ -298,13 +346,48 @@ def _bin(values, edges):
     return np.clip(np.searchsorted(edges, values, side="right") - 1, 0, len(edges) - 2)
 
 
+# the bytes a raw table's data rows may hold: not a quote (csv quoting), NUL,
+# or \x1c-\x1f, which np.loadtxt's float parse strips as space and float() rejects
+_TEXT_BYTES = bytes(sorted(set(range(256)) - set(b'"\0\x1c\x1d\x1e\x1f')))
+
+
+def _read_raw(path, config):
+    """Header, cell columns and float columns of a raw CSV from one C parse, or None.
+
+    A numeric column under the drop-row policy is parsed in C to a float64
+    array, which must be finite; every other column is a list of its cell
+    strings. None hands the file back to `read_table` where `_parse_table`
+    does, where a byte is not in `_TEXT_BYTES` or a header name is not in
+    the config, or the other way round, or where a float cell is not finite.
+    """
+    names = {spec.name for spec in config.columns}
+
+    def dtype_of(header):
+        if set(header) != names:
+            return None
+        floats = (s.kind in _NUMERIC and s.missing_policy == "drop-row" for s in map(config.spec, header))
+        return np.dtype([(f"f{j}", np.float64 if f else object) for j, f in enumerate(floats)])
+
+    parsed = _parse_table(path, _TEXT_BYTES, dtype_of)
+    if parsed is None:
+        return None
+    header, table = parsed[0], parsed[1].ravel()
+    columns = [table[f] if table.dtype[f] == np.float64 else table[f].tolist() for f in table.dtype.names]
+    floats = {name: col for name, col in zip(header, columns) if isinstance(col, np.ndarray)}
+    if not all(np.isfinite(col).all() for col in floats.values()):
+        return None
+    return header, columns, floats
+
+
 def load_csv(path, config):
     """Parse and preprocess a CSV into a numeric Dataset, one column at a time.
 
-    A parse error names the cell's file row, counted from 1 below the
-    header, whether or not rows above it were dropped.
+    The file is read by one C parse (`_read_raw`) or, where that hands it
+    back, cell by cell (`read_table`). A parse error names the cell's file
+    row, counted from 1 below the header, whether or not rows above it
+    were dropped.
     """
-    header, cell_columns = read_table(path)
+    header, cell_columns, parsed = _read_raw(path, config) or (*read_table(path), {})
     for spec in config.columns:
         if spec.name not in header:
             raise DataError("configured column missing from header", column=spec.name)
@@ -313,10 +396,10 @@ def load_csv(path, config):
 
     # missing-value pass: fill values first (a fill-mode counts every row),
     # then drop the rows with a blank cell in a drop-row column
-    fill, blank, parsed = {}, {}, {}
+    fill, blank = {}, {}
     for spec in specs:
         col = cells[spec.name]
-        if spec.kind in _NUMERIC:
+        if spec.kind in _NUMERIC and spec.name not in parsed:
             parsed[spec.name] = _finite_floats(col)
         blank[spec.name] = _blank_cells(spec, col, parsed.get(spec.name) is not None)
         policy, _, arg = str(spec.missing_policy).partition(":")

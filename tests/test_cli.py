@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import fractions
 import io
 import itertools
 import json
@@ -353,9 +354,13 @@ def _edit_row(path, row, edit):
         (lambda cells: cells[:-1] + ["0.7"], "non-integer label '0.7' (row 3, column 'label')"),
         (lambda cells: cells[:-1] + ["1e19"], "label '1e19' is outside the int64 range (row 3, column 'label')"),
         (lambda cells: cells[:-1] + ["-1e19"], "label '-1e19' is outside the int64 range (row 3, column 'label')"),
+        (lambda cells: cells[:-1] + ["9007199254740993"],
+         "label '9007199254740993' has no exact float64 value (row 3, column 'label')"),
         (lambda cells: cells[:-1], "8 cells where the header has 9 (row 3)"),
+        (lambda cells: ["1" * 200_000] + cells[1:], "field larger than field limit (131072) (row 3)"),
     ],
-    ids=["nan", "inf", "non-numeric", "fractional-label", "huge-label", "huge-negative-label", "ragged"],
+    ids=["nan", "inf", "non-numeric", "fractional-label", "huge-label", "huge-negative-label", "inexact-label",
+         "ragged", "long-cell"],
 )
 def test_smote_rejects_bad_cells_at_load(encoded, tmp_path, capsys, edit, message):
     _edit_row(encoded, 3, edit)
@@ -363,6 +368,32 @@ def test_smote_rejects_bad_cells_at_load(encoded, tmp_path, capsys, edit, messag
     assert cli.main(["smote", str(encoded), str(out), "--target-percent", "30"]) == 2
     assert message in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["encoded.csv"]
+
+
+def test_preprocess_cell_past_the_csv_field_limit_exits_2(raw, tmp_path, capsys):
+    raw_path, cfg_path = raw
+    _edit_row(raw_path, 2, lambda cells: cells[:1] + ["p" * 200_000] + cells[2:])
+    out = tmp_path / "out.csv"
+    assert cli.main(["preprocess", str(raw_path), str(out), "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == "error: field larger than field limit (131072) (row 2)\n"
+    assert not out.exists()
+
+
+def test_smote_reads_labels_to_2_53_and_past_it_only_exact_ones(tmp_path, capsys):
+    # 2**53 + 1 has no float64: it used to load, and be written back, as 2**53
+    text = "f0,label\n1,{}\n2,0\n3,0\n4,0\n5,0\n6,0\n"
+    for label, quote in itertools.product([2**53, 2**60, -(2**62)], ["", '"']):
+        path = tmp_path / "exact.csv"
+        path.write_text(text.format(f"{quote}{label}{quote}"))
+        assert data.load_encoded(path, "label").y.tolist() == [label, 0, 0, 0, 0, 0]
+    path = tmp_path / "inexact.csv"
+    path.write_text(text.format(2**53 + 1))
+    out = tmp_path / "aug.csv"
+    assert cli.main(["smote", str(path), str(out), "--target-percent", "40"]) == 2
+    assert capsys.readouterr().err == (
+        "error: label '9007199254740993' has no exact float64 value (row 1, column 'label')\n"
+    )
+    assert not out.exists()
 
 
 def test_preprocess_short_row_exits_2(raw, tmp_path, capsys):
@@ -725,7 +756,8 @@ def _load_encoded_reference(path, target):
 
     It parses every cell in one pass, then searches the rows for the first
     non-numeric cell, then for the first non-finite one, then for the first
-    label that is fractional or outside the int64 range.
+    label that is fractional, outside the int64 range, or from 2**53 up in
+    magnitude and not its cell's exact value.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -760,6 +792,8 @@ def _load_encoded_reference(path, target):
             raise DataError(f"non-integer label {rows[i - 1][t]!r}", row=i, column=target)
         if not -(2**63) <= int(v) < 2**63:
             raise DataError(f"label {rows[i - 1][t]!r} is outside the int64 range", row=i, column=target)
+        if abs(v) >= 2**53 and fractions.Fraction(rows[i - 1][t]) != v:
+            raise DataError(f"label {rows[i - 1][t]!r} has no exact float64 value", row=i, column=target)
     return data.Dataset(
         feature_names=[h for i, h in enumerate(header) if i != t],
         X=np.delete(table, t, axis=1),
@@ -773,14 +807,19 @@ _FEATURE_CELLS = st.one_of(
     st.integers(-50, 50).map(str),
     st.sampled_from([" 2 ", "+1e3", "-0", ".5", "1_0", "1e308", "2.0"]),
 )
-# the int64 range's ends as floats: -2**63, and the float below 2**63
+# the int64 range's ends as floats: -2**63, and the float below 2**63;
+# 2**53 and 2**60, which float64 holds exactly, the latter also in
+# exponent form
 _LABEL_CELLS = st.one_of(
     st.integers(-3, 3).map(str),
-    st.sampled_from(["1.0", " 0 ", "-0", "+2", "1e0", "-9223372036854775808", "9223372036854774784"]),
+    st.sampled_from(["1.0", " 0 ", "-0", "+2", "1e0", "-9223372036854775808", "9223372036854774784",
+                     "9007199254740992", "1152921504606846976", "1.152921504606846976e18"]),
 )
-# the last four are good features but labels that int64 cannot hold
+# the last seven are good features but labels that int64 cannot hold or
+# float64 rounds
 _BAD_CELLS = st.sampled_from(
-    ["x", "", " ", "nan", "inf", "-Infinity", "1__0", "0.5", "1e19", "-1e19", "9223372036854775808", "-9.3e18"]
+    ["x", "", " ", "nan", "inf", "-Infinity", "1__0", "0.5", "1e19", "-1e19", "9223372036854775808", "-9.3e18",
+     "9007199254740993", "-9223372036854775809", "9007199254740992.5"]
 )
 
 
@@ -823,6 +862,8 @@ def _encoded_outcome(loader, path):
 @example(text="f0,label\r1,0\r2,1\r")
 @example(text="f0,label\n1,0\n2,1e19\n")
 @example(text="f0,label\n1,-9223372036854775808\n2,9223372036854775808\n")
+@example(text="f0,label\n1,9007199254740993\n2,1152921504606846976\n")
+@example(text="f0,label\n1,1152921504606846976\n2,-9223372036854775809\n")
 def test_load_encoded_equals_the_whole_table_reference(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("encoded") / "encoded.csv"
     path.write_bytes(text.encode())
@@ -867,9 +908,12 @@ def test_both_commands_load_through_the_seam_the_benchmark_patches():
         "f0,label\n\u0661,0\n2,1\n",
         "f0,label\n1e,0\n2,1\n",
         "f0,label\n1e999,0\n2,1\n",
+        "f0,label\n1,0\n" + "1" * (csv.field_size_limit() + 1) + ",1\n",
+        "f0,label\n1,0\n2," + "0" * csv.field_size_limit(),
     ],
     ids=["blank-last-line", "blank-inner-line", "quoted-newline", "c-only-space", "underscore", "wide-rows",
-         "quoted-header", "nan-last-row", "non-ascii-digit", "loadtxt-rejects", "overflow"],
+         "quoted-header", "nan-last-row", "non-ascii-digit", "loadtxt-rejects", "overflow", "long-line",
+         "long-last-line"],
 )
 def test_read_float_table_hands_back_what_the_cell_route_may_read_differently(tmp_path, text):
     path = tmp_path / "encoded.csv"

@@ -5,6 +5,7 @@ import io
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +210,9 @@ def _load_csv_reference(path, config):
         rows = list(reader)
     col_idx = {name: i for i, name in enumerate(header)}
     specs = [config.spec(name) for name in header]
+    for i, r in enumerate(rows, start=1):
+        if len(r) != len(header):  # a one-column row of a blank cell written unquoted is a blank line
+            raise DataError(f"{len(r)} cells where the header has {len(header)}", row=i)
 
     def missing(cell):
         return cell.strip() == ""
@@ -336,7 +340,9 @@ def _raw_tables(draw):
 
     n = draw(st.integers(0, 12))
     rows = [[cell(spec) for spec in specs] for _ in range(n)]
-    lines = [",".join(s.name for s in specs)] + [",".join(f'"{c}"' for c in r) for r in rows]
+    # an unquoted table can take load_csv's C route; a quoted one never does
+    quote = '"{}"'.format if draw(st.booleans()) else data._quote
+    lines = [",".join(s.name for s in specs)] + [",".join(map(quote, r)) for r in rows]
     return "\n".join(lines) + "\n", DataConfig(columns=specs)
 
 
@@ -345,6 +351,14 @@ def _outcome(loader, path, config):
         return loader(path, config)
     except DataError as exc:
         return str(exc)
+
+
+def _same_dataset(got, want):
+    assert isinstance(got, data.Dataset) and isinstance(want, data.Dataset), (got, want)
+    assert (got.feature_names, got.target_name) == (want.feature_names, want.target_name)
+    assert (got.X.shape, got.X.dtype, got.X.tobytes()) == (want.X.shape, want.X.dtype, want.X.tobytes())
+    assert (got.y.dtype, got.y.tolist()) == (want.y.dtype, want.y.tolist())
+    assert (got.id_name, got.id_values) == (want.id_name, want.id_values)
 
 
 _OVERFLOWING_RANGE = (
@@ -367,11 +381,110 @@ def test_load_csv_equals_the_per_cell_reference(tmp_path_factory, case):
     if isinstance(want, str):
         assert got == want
         return
-    assert not isinstance(got, str), got
-    assert got.feature_names == want.feature_names
-    assert (got.X.shape, got.X.dtype, got.X.tobytes()) == (want.X.shape, want.X.dtype, want.X.tobytes())
-    assert (got.y.dtype, got.y.tolist()) == (want.y.dtype, want.y.tolist())
-    assert (got.id_name, got.id_values) == (want.id_name, want.id_values)
+    _same_dataset(got, want)
+
+
+def _per_cell_outcome(path, config, monkeypatch):
+    """`load_csv`'s outcome with the C route handing every file back."""
+    with monkeypatch.context() as m:
+        m.setattr(data, "_read_raw", lambda path, config: None)
+        try:
+            return data.load_csv(path, config)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+
+_LONG = "x" * (csv.field_size_limit() + 1)
+_HALF = "x" * (csv.field_size_limit() // 2 + 1)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "no such file"),
+        ("directory", "Is a directory"),
+        (b"a,c,label\n1,\xff,0\n2,y,1\n", "can't decode byte 0xff"),
+        ('"a",c,label\n1,x,0\n2,y,1\n', None),
+        ("a,a,label\n1,x,0\n2,y,1\n", "duplicate column name (column 'a')"),
+        ("a,c,extra,label\n1,x,5,0\n2,y,6,1\n", "column not in config (column 'extra')"),
+        ("a,label\n1,0\n2,1\n", "configured column missing from header (column 'c')"),
+        ("\na,c,label\n1,x,0\n", "3 cells where the header has 0 (row 1)"),
+        ("a,c,label\n", "no rows left after preprocessing"),
+        ("a,c,label\n1,x,0\n\n2,y,1\n", "0 cells where the header has 3 (row 2)"),
+        ("a,c,label\n1,x,0\n2,y,1\n\n", "0 cells where the header has 3 (row 3)"),
+        ('a,c,label\n1,x,0\n2,"y,z",1\n', None),
+        ('a,c,label\n1,x,0\n2,y"z,1\n', None),
+        ("a,c,label\n1,x\x00,0\n2,y,1\n", None),
+        ("a,c,label\n1,x,0\n\x1c2,y,1\n", "unparsable numeric cell '\\x1c2' (row 2, column 'a')"),
+        ("a,c,label\n1,x\x1f,0\n2,y,1\n", None),
+        (f"a,c,label\n1,{_LONG},0\n2,y,1\n", "field larger than field limit"),
+        (f"a,c,label\n1,{_HALF},0\n2,{_HALF}{_HALF},1\n", "field larger than field limit"),
+        (f"a,c,label\n1,{_HALF},{_HALF}\n2,y,1\n", None),
+        (f"a,c,{_LONG}\n1,x,0\n", "field larger than field limit (131072) in the header"),
+        ("a,c,label\n1,x,0\n2,y\n", "2 cells where the header has 3 (row 2)"),
+        ("a,c,label\n1,x,0\n,y,1\n3,x,1\n", None),
+        ("a,c,label\n1,x,0\n \t,y,1\n3,x,1\n", None),
+        ("a,c,label\n1_0,x,0\n2,y,1\n", None),
+        ("a,c,label\n\u0661,x,0\n2,y,1\n", None),
+        ("a,c,label\n1,x,0\nnan,y,1\n", "non-finite cell 'nan' (row 2, column 'a')"),
+        ("a,c,label\n1,x,0\n1e999,y,1\n", "non-finite cell '1e999' (row 2, column 'a')"),
+    ],
+    ids=["missing-file", "unreadable", "not-utf8", "quoted-header", "repeated-name", "name-not-in-config",
+         "config-name-not-in-header", "blank-header", "no-data-rows", "blank-inner-line", "blank-last-line",
+         "quoted-cell", "inner-quote", "nul", "c-only-space", "c-only-space-in-text", "long-cell",
+         "long-cell-last-row", "long-line-short-cells", "long-header", "ragged-row", "blank-float",
+         "whitespace-float", "underscore", "non-ascii-digit", "nan", "overflow"],
+)
+def test_load_csv_hands_back_what_its_c_parse_may_read_differently(tmp_path, monkeypatch, text, message):
+    # each file goes to the per-cell route, so load_csv gives that route's
+    # Dataset or error; np.loadtxt never warns on the way
+    path = tmp_path / "raw.csv"
+    if text == "directory":
+        path.mkdir()
+    elif text is not None:
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    config = _config(ColumnSpec("a", "numeric-raw"), ColumnSpec("c", "categorical"), ColumnSpec("label", "target"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert data._read_raw(path, config) is None
+        try:
+            got = data.load_csv(path, config)
+        except Exception as exc:
+            got = type(exc), str(exc)
+    want = _per_cell_outcome(path, config, monkeypatch)
+    if message is None:
+        _same_dataset(got, want)
+    else:
+        assert got == want and message in want[1], want
+
+
+def test_load_csv_c_route_equals_the_per_cell_route_on_every_column_kind(tmp_path, monkeypatch):
+    # blanks only under fill-value and fill-mode, so no drop-row float cell is blank
+    path = _write(
+        tmp_path, "raw.csv",
+        "id,age,n,plan,fill,label\n"
+        "c 1,31.5,2, basic ,,no\n"
+        "c2,45,-0,premium,7,yes\n"
+        "c3,1e3,+4,,8,no\n"
+        "c4,22,1e-3,basic, ,yes\n",
+    )
+    config = _config(
+        ColumnSpec("id", "id"),
+        ColumnSpec("age", "numeric-binned", bin_edges="equal-width:3"),
+        ColumnSpec("n", "numeric-raw"),
+        ColumnSpec("plan", "categorical", missing_policy="fill-mode"),
+        ColumnSpec("fill", "numeric-raw", missing_policy="fill-value:0.5"),
+        ColumnSpec("label", "target"),
+    )
+    monkeypatch.setattr(data, "read_table", lambda path: pytest.fail("read_table ran"))
+    got = data.load_csv(path, config)
+    # plan's blank takes the mode ' basic ' (three levels tie, the first sorted wins)
+    assert got.X.tolist() == [[0.0, 2.0, 0.0, 0.5], [0.0, -0.0, 2.0, 7.0], [2.0, 4.0, 0.0, 8.0],
+                              [0.0, 0.001, 1.0, 0.5]]
+    assert got.id_values == ["c 1", "c2", "c3", "c4"] and got.y.tolist() == [0, 1, 0, 1]
+    monkeypatch.undo()
+    _same_dataset(got, _per_cell_outcome(path, config, monkeypatch))
+    _same_dataset(got, _load_csv_reference(path, config))
 
 
 @pytest.mark.parametrize(
