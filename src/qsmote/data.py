@@ -10,9 +10,11 @@ only the header and id cells can hold a character that needs quoting.
 A table is read by one C parse (`_parse_table`: `read_float_table` for
 an encoded table, `_read_raw` for a raw one) or, where that parse might
 read the file differently, cell by cell through `read_table` and
-`parse_floats`, the only route that names a bad cell.
+`parse_floats`, the only route that names a bad cell. Both read UTF-8
+and skip a leading byte-order mark.
 """
 
+import codecs
 import csv
 import functools
 import itertools
@@ -66,11 +68,15 @@ class Dataset:
     id_name: str = None
 
 
+# libyaml's parser where PyYAML has it: the same safe constructors, parsed in C
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path):
     """Parse a YAML column config; a malformed entry is a DataError naming it."""
     try:
-        with open(path) as fh:
-            raw = yaml.safe_load(fh)
+        with open(path, "rb") as fh:  # bytes: the YAML reader decodes them and names a bad one
+            raw = yaml.load(fh, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise DataError(f"config {path} is not valid YAML: {exc}") from None
     if not isinstance(raw, dict) or raw.get("version") != 1 or not isinstance(raw.get("columns", []), list):
@@ -99,14 +105,16 @@ def load_config(path):
 def read_table(path):
     """Header and cell columns (tuples of strings) of a CSV file.
 
-    A missing or empty file, a repeated column name, a row (counted from 1
-    below the header) not as wide as the header, or a row `csv` cannot
-    read (a cell past `csv.field_size_limit()`) is a DataError.
+    The file is UTF-8, after a byte-order mark if it starts with one. A
+    missing or empty file, a blank header, a byte that is not UTF-8, a
+    repeated column name, a row (counted from 1 below the header) not as
+    wide as the header, or a row `csv` cannot read (a cell past
+    `csv.field_size_limit()`) is a DataError.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header, rows = None, []
         try:
@@ -118,12 +126,34 @@ def read_table(path):
             if header is None:
                 raise DataError(f"{exc} in the header of {path}") from None
             raise DataError(str(exc), row=len(rows) + 1) from None
+        except UnicodeDecodeError:
+            raise _undecodable(path) from None
+    if not header:
+        raise DataError(f"blank header in {path}")
     _check_unique(header)
     widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
     bad = np.flatnonzero(widths != len(header))
     if len(bad):
         raise DataError(f"{widths[bad[0]]} cells where the header has {len(header)}", row=int(bad[0]) + 1)
     return header, list(zip(*rows)) or [()] * len(header)
+
+
+def _undecodable(path):
+    """DataError naming the line of a file's first byte that is not UTF-8.
+
+    The decoder reads ahead of the rows `csv` has read, so the bytes after
+    any byte-order mark are decoded again whole; the line ends (\n, \r\n
+    or \r) before the bad byte count its line, the header or a row counted
+    from 1 below it.
+    """
+    raw = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    start = 0
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        start = exc.start
+    what, row = f"byte 0x{raw[start:start + 1].hex()} is not UTF-8", len(raw[:start + 1].splitlines()) - 1
+    return DataError(f"{what} in the header of {path}" if row == 0 else what, row=row or None)
 
 
 def _parse_table(path, allowed, dtype_of):
@@ -142,7 +172,8 @@ def _parse_table(path, allowed, dtype_of):
     """
     limit = csv.field_size_limit()
     try:
-        with open(path, encoding="utf-8") as fh:  # universal newlines: \r\n and \r read as \n
+        # universal newlines (\r\n and \r read as \n); a leading byte-order mark is skipped
+        with open(path, encoding="utf-8-sig") as fh:
             line = fh.readline().rstrip("\n")
             header = line.split(",")
             if '"' in line or not 0 < len(line) <= limit or len(set(header)) < len(header):

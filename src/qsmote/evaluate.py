@@ -1,9 +1,10 @@
 """KNN scoring, binary classification metrics, and the experiment grid.
 
 Everything is self-contained: exact nearest neighbours from a blocked
-screen, one matrix product per block of queries against the centred
-training rows with their squared norms appended, and an exact distance
-repair (``_screen``, shared by ``k_nearest`` and the grid), a
+float32 screen, one matrix product per block of queries against the
+centred training rows with their squared norms appended, all scaled by
+one power of two, and an exact float64 distance repair (``_screen``,
+shared by ``k_nearest`` and the grid), a
 trapezoidal ROC-AUC, and step-interpolated average precision. The tests
 hold the ROC-AUC to a pairwise Mann-Whitney count, ``roc_auc_pairwise``
 in ``tests/oracles.py``.
@@ -48,6 +49,13 @@ class MetricsReport:
 # The grid takes its queries in chunks whose counts, one per distinct
 # grid row, query and original neighbour, fit it.
 _BLOCK_BYTES = 256 * 1024
+_F32 = np.finfo(np.float32)
+_F64 = np.finfo(float)
+
+
+def _up(x):
+    """float64 values as float32 values at least as large."""
+    return np.nextafter(x.astype(np.float32), np.float32(np.inf))
 
 
 def _screen(train_X, queries, k, radius=None):
@@ -59,42 +67,66 @@ def _screen(train_X, queries, k, radius=None):
     distance per query, every row at most that far. The inputs must be
     finite float tables, k at least 1 and ``train_X`` nonempty. Each block
     of queries runs only step 1's product, threshold, compare and nonzero.
-    Each group of blocks prepares its queries once (centring, |q|^2, the
-    tolerance and the overflow mask), and step 2 runs once per run of its
-    blocks, all of a group or a part; ``_BLOCK_BYTES`` sizes all three:
+    Each group of blocks prepares its queries once (centring, scaling,
+    |q|^2, the tolerance and the overflow mask), and step 2 runs once per
+    run of its blocks, all of a group or a part; ``_BLOCK_BYTES`` sizes all
+    three:
 
-    1. Screen. The training rows, centred on their mean, are the columns of
-       one (d + 1) x n table whose last row holds their squared norms |x|^2.
-       The queries, centred the same way, are the rows (-2q, 1), so
-       one matrix product gives f = |x|^2 - 2 q.x for every pair: the
-       squared distance less |q|^2, which is the same for all of a query's
-       rows. Without a radius, column j joins group j mod g of
-       g = min(16 k, n) groups, and ``np.partition`` finds u, the k-th
-       smallest of the groups' minima, over g values in place of n. These k
-       minima are the values of k different rows, so u is at least f_k, the
-       k-th smallest f, and it exceeds f_k only where two of the k nearest
-       rows share a group, which 16 k groups make rare. Every row whose f
-       is within tol = 64 (d + 3) (eps s + tiny) of u is a candidate, where
-       s = |q|^2 + max|x|^2 and tiny is the smallest subnormal. Doubling is
-       exact, so f is a sum of d + 1 products whose absolute values add up
-       to at most |q|^2 + 2 |x|^2, below 2s. A length-m sum of products
-       errs by at most m eps / 2 times the sum of its absolute products,
-       plus m tiny / 2 for products that round to subnormals. So the
-       rounding that separates f + |q|^2 from a row's squared exact
-       distance (the product, |x|^2, the centring, the exact sum of
-       squares, at most 2s, and the square root mapping nearby sums to one
-       value) stays below 8 (d + 3) (eps s + tiny). Two such
-       errors lie between f_k <= u and the f of any row that ties with or
-       beats the k-th neighbour in exact distance, so 16 would do; 64 is a
-       fourfold margin. With a radius r the threshold is r^2 - |q|^2 + tol,
-       with r^2 added to s. r is itself an exact computed distance, so it
-       stands where the k-th neighbour's distance stood, and squaring it,
-       |q|^2 and the shift add roundings inside the same bound. A query
-       whose 4 s overflows keeps every row as a candidate; below that no
-       sum in the product overflows.
+    1. Screen, in float32. The training rows are centred on their mean and
+       scaled by 2^-e, with e putting the largest |cell| in [1/2, 1): a
+       power of two is exact but for underflow, and it fits every finite
+       table into float32. They are the columns of one (d + 1) x n table
+       whose last row holds their squared norms |x|^2, rounded to float32
+       from float64. The queries, centred and scaled the same way, are the
+       rows (-2q, 1), so one float32 product gives f = |x|^2 - 2 q.x for
+       every pair: the scaled squared distance less |q|^2, which is the same
+       for all of a query's rows. Without a radius, column j joins group
+       j mod g of g = min(16 k, n) groups, and ``np.partition`` finds u, the
+       k-th smallest of the groups' minima, over g values in place of n.
+       These k minima are the values of k different rows, so u is at least
+       f_k, the k-th smallest f, and it exceeds f_k only where two of the k
+       nearest rows share a group, which 16 k groups make rare. Every row
+       whose f is within tol = 64 (d + 3) (eps s + tiny) of u is a
+       candidate, where eps is float32's, s = |q|^2 + max|x|^2 (scaled),
+       and tiny is the larger of float32's smallest subnormal and float64's
+       scaled by 2^-2e. Each rounding is by eps / 2 relative, or by tiny
+       where its result is subnormal:
+       (a) Inputs. The centring rounds each cell in float64 and the cast
+           in float32; the norms carry d + 1 float64 roundings and one
+           float32 one. Each |x_i| is below 1 and 2 |q||x| <= s, so the
+           rounded inputs move f by at most 1.6 eps s + 4 (d + 1) tiny.
+       (b) Product. f is a sum of d + 1 products whose absolute values add
+           up to at most |x|^2 + 2 |q||x| <= 2s. A length-m sum of products
+           errs by at most gamma_m = m eps / (2 - m eps) <= m eps times the
+           sum of its absolute products (Higham, Accuracy and Stability of
+           Numerical Algorithms, 2nd ed., SIAM 2002, section 3.1), in any
+           order and with fused multiply-adds, plus tiny for each product
+           that rounds to a subnormal: 2 (d + 1) eps s + (d + 1) tiny.
+       (c) Exact step. A row's computed distance, squared and scaled, is
+           within d + 5 float64 roundings of its exact squared distance, at
+           most 2s, plus d float64 subnormals scaled by 2^-2e, below d tiny.
+       So f + |q|^2 and a row's squared computed distance differ by less
+       than 2 (d + 3) eps s + 6 (d + 1) tiny <= 6 (d + 3) (eps s + tiny).
+       Two such errors lie between f_k <= u and the f of any row that ties
+       with or beats the k-th neighbour in computed distance, so 12 would
+       do; 64 is a fivefold margin, which also covers the float64 sum
+       u + tol. That sum is cast to float32 and raised by one float32 ulp,
+       so the float32 threshold is at least it.
+       With a radius r the table gains a row of ones and the queries a
+       last cell, -(r^2 - |q|^2 + tol) rounded down to float32, so the
+       product is f less that threshold and the compare is with 0; r^2
+       joins s. r is itself a computed distance, so it stands where the
+       k-th neighbour's distance stood; one error suffices there, and the
+       extra product, whose absolute value is at most s + tol, the squares
+       and the shift add roundings inside the margin. A query whose 4 s
+       does not fit float32, or whose unscaled 4 s overflows float64, keeps
+       every row as a candidate; below that no sum in the product and no
+       exact distance overflows. So does every query of a table so wide
+       that 64 (d + 3) eps exceeds 1 (past 131,069 columns), where the
+       margins above no longer hold.
     2. Exact recompute. The candidates' distances are computed with the
-       expression above from the original rows, in slices of
-       ``_BLOCK_BYTES // (32 d)`` candidates; a row's sum does not depend on
+       expression above from the original float64 rows, in slices of
+       ``_BLOCK_BYTES // (32 d)`` candidates, at least one; a row's sum does not depend on
        its slice or run. Ties, overflow or a far radius can keep all n
        rows. An overflow gives a distance of inf, which the callers rank or
        reject, so it raises no warning.
@@ -103,33 +135,46 @@ def _screen(train_X, queries, k, radius=None):
     k = min(k, n)
     block = max(16, _BLOCK_BYTES // (8 * max(n, k * d)))
     group = block * max(1, _BLOCK_BYTES // (32 * (d + 4) * block))
-    step = _BLOCK_BYTES // (32 * max(d, 1))
-    eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    step = max(1, _BLOCK_BYTES // (32 * max(d, 1)))
     g = min(16 * k, n)  # the screen's column groups: column j joins group j mod g
     full, left = divmod(n, g)
-    # the centred rows as columns, their squared norms as a last row, each
-    # group's (-2q, 1) rows and one block's product; overflow here or below
-    # only widens the screen: such queries keep every column
-    table = np.empty((d + 1, n))
-    lhs = np.ones((min(group, len(queries)), d + 1))
-    fused = np.empty((min(block, len(queries)), n))
+    width = d + 1 + (radius is not None)
+    # the scaled centred rows as float32 columns, their squared norms as a
+    # further row (and a row of ones for the radius), each group's scaled
+    # queries, their (-2q, 1[, -limit]) rows and one block's product;
+    # overflow here or below only widens the screen: such queries keep
+    # every column
+    table = np.ones((width, n), np.float32)
+    q = np.empty((min(group, len(queries)), d))
+    lhs = np.ones((len(q), width), np.float32)
+    fused = np.empty((min(block, len(queries)), n), np.float32)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = train_X.mean(axis=0)
-        np.subtract(train_X.T, mean[:, None], out=table[:d])
-        np.einsum("ij,ij->j", table[:d], table[:d], out=table[d])
-        sq_max = table[d].max()
+        centred = train_X.T - mean[:, None]
+        e = int(np.frexp(max(centred.max(initial=0.0), -centred.min(initial=0.0)))[1])
+        np.ldexp(centred, -e, out=centred)
+        table[:d] = centred
+        sq_x = np.einsum("ij,ij->j", centred, centred)
+        table[d] = sq_x
+        sq_max = sq_x.max()
+        tiny = max(_F32.smallest_subnormal, np.ldexp(_F64.smallest_subnormal, -2 * e))
+        # 4 s (scale) below this: no overflow, and the bound holds
+        fits = min(_F32.max, np.ldexp(_F64.max, -2 * e)) if 64 * (d + 3) * _F32.eps <= 1 else 0.0
+    del centred, sq_x
     for start in range(0, len(queries), group):
         group_q = queries[start:start + group]
-        q = lhs[:len(group_q), :d]
+        p = q[:len(group_q)]
         with np.errstate(over="ignore", invalid="ignore"):
-            np.subtract(group_q, mean, out=q)
-            sq_q = np.einsum("ij,ij->i", q, q)
-            q *= -2.0
-            r2 = 0.0 if radius is None else np.square(radius[start:start + group])
+            np.subtract(group_q, mean, out=p)
+            np.ldexp(p, -e, out=p)
+            sq_q = np.einsum("ij,ij->i", p, p)
+            np.multiply(p, -2.0, out=lhs[:len(p), :d])
+            r2 = 0.0 if radius is None else np.square(np.ldexp(radius[start:start + group], -e))
             scale = sq_q + sq_max + r2
-            tol = 64 * (d + 3) * (eps * scale + tiny)
-            limit = (r2 - sq_q) + tol  # the radius screen's threshold
-            over = ~(4.0 * scale < np.inf)
+            tol = 64 * (d + 3) * (_F32.eps * scale + tiny)
+            if radius is not None:  # the radius screen's threshold, in the product
+                lhs[:len(p), d + 1] = -_up((r2 - sq_q) + tol)
+            over = ~(4.0 * scale < fits)
         wide = over.any()
         found, size, first = [], 0, 0
         for lo in range(0, len(group_q), block):
@@ -139,10 +184,10 @@ def _screen(train_X, queries, k, radius=None):
                 if radius is None:
                     mins = f[:, :g * full].reshape(hi - lo, full, g).min(axis=1)
                     np.minimum(mins[:, :left], f[:, g * full:], out=mins[:, :left])
-                    bound = np.partition(mins, k - 1, axis=1)[:, k - 1] + tol[lo:hi]
+                    bound = _up(np.partition(mins, k - 1, axis=1)[:, k - 1] + tol[lo:hi])
+                    candidate = f <= bound[:, None]
                 else:
-                    bound = limit[lo:hi]
-                candidate = f <= bound[:, None]
+                    candidate = f <= 0
             if wide:
                 candidate[over[lo:hi]] = True
             # a flat nonzero is several times faster than a 2-d one

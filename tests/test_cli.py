@@ -455,6 +455,74 @@ def test_unusable_encoded_input_exits_2(tmp_path, capsys, command, text, message
     assert not out.exists()
 
 
+_AB_CONFIG = (
+    "version: 1\ncolumns:\n  - {name: a, kind: numeric-raw}\n  - {name: b, kind: numeric-raw}\n"
+    "  - {name: label, kind: target}\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["preprocess", "--config", "ab.yaml"], ["smote", "--target-percent", "40"], ["evaluate"]],
+    ids=["preprocess", "smote", "evaluate"],
+)
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b"a,b,label\n1,\xff,0\n2,3,1\n4,5,0\n", "error: byte 0xff is not UTF-8 (row 1)\n"),
+        # past the first chunks the decoder reads ahead of the csv rows
+        (b"a,b,label\n" + b"1,2,0\n3,4,1\n" * 2000 + b"5,\xc3(,0\n", "error: byte 0xc3 is not UTF-8 (row 4001)\n"),
+        (b"\xef\xbb\xbfa,b,label\n1,2,0\n3,\xff,1\n", "error: byte 0xff is not UTF-8 (row 2)\n"),
+        (b"a,b,label\r1,2,0\r\xff,3,1\r4,5,0\r", "error: byte 0xff is not UTF-8 (row 2)\n"),
+        (b"a,\xffb,label\n1,2,0\n", "error: byte 0xff is not UTF-8 in the header of {src}\n"),
+        (b"\na,b,label\n1,2,0\n3,4,1\n4,5,0\n", "error: blank header in {src}\n"),
+    ],
+    ids=["not-utf8", "not-utf8-far-down", "not-utf8-after-bom", "not-utf8-cr-lines", "not-utf8-header",
+         "blank-header"],
+)
+def test_undecodable_or_headless_input_exits_2_and_names_the_line(
+    tmp_path, capsys, monkeypatch, command, text, message
+):
+    monkeypatch.chdir(tmp_path)
+    Path("ab.yaml").write_text(_AB_CONFIG)
+    src = tmp_path / "in.csv"
+    src.write_bytes(text)
+    out = tmp_path / "out.csv"
+    assert cli.main(command[:1] + [str(src), str(out)] + command[1:]) == 2
+    assert capsys.readouterr().err == message.format(src=src)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("quote", ["", '"'], ids=["c-parse", "per-cell"])
+def test_a_byte_order_mark_is_not_part_of_the_first_name(tmp_path, quote):
+    # a spreadsheet export starts with one; the config names the column a
+    text = f"{quote}a{quote},b,label\n1,2.5,0\n3,4,1\n4,5,0\n6,1,0\n7,2,0\n2,9,0\n"
+    outputs = {}
+    for bom in ("", "\ufeff"):
+        src = tmp_path / f"raw{len(bom)}.csv"
+        src.write_text(bom + text, encoding="utf-8")
+        cfg = tmp_path / "ab.yaml"
+        cfg.write_text(_AB_CONFIG)
+        enc, aug = tmp_path / f"enc{len(bom)}.csv", tmp_path / f"aug{len(bom)}.csv"
+        assert cli.main(["preprocess", str(src), str(enc), "--config", str(cfg)]) == 0
+        smote_src = tmp_path / f"smote{len(bom)}.csv"
+        smote_src.write_bytes(bom.encode() + enc.read_bytes())
+        assert cli.main(["smote", str(smote_src), str(aug), "--target-percent", "40", "--seed", "0"]) == 0
+        outputs[bom] = enc.read_bytes(), aug.read_bytes()
+    assert outputs[""] == outputs["\ufeff"]
+    assert all(out.startswith(b"a,b,") for out in outputs[""])
+
+
+def test_undecodable_config_exits_2_without_traceback(raw, tmp_path, capsys):
+    raw_path, _ = raw
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_bytes(b"version: 1\ncolumns:\n  - {name: \xffage, kind: numeric-raw}\n")
+    out = tmp_path / "out.csv"
+    assert cli.main(["preprocess", str(raw_path), str(out), "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config {cfg} is not valid YAML: ")
+    assert not out.exists()
+
+
 def test_zero_minority_row_exits_2_and_names_its_file_row(tmp_path, capsys):
     src = tmp_path / "in.csv"
     src.write_text("a,b,label\n1,2,0\n3,4,0\n5,6,0\n0,0,1\n7,8,1\n2,9,0\n")

@@ -6,11 +6,13 @@ import math
 import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import yaml
 
 import oracles
 from qsmote import cli, data, pipeline, aol, synth
@@ -44,6 +46,14 @@ def test_load_config_round_trip(tmp_path):
     assert cfg.target.name == "churn"
     assert cfg.spec("age").bin_edges == "equal-width:4"
     assert cfg.spec("plan").missing_policy == "fill-mode"
+
+
+@pytest.mark.parametrize("name", ["cell2cell.yaml", "synthetic.yaml"])
+def test_load_config_parses_in_c_as_the_python_loader_does(name):
+    text = (Path(__file__).parent.parent / "configs" / name).read_bytes()
+    assert data._YAML_LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+    got = yaml.load(text, Loader=data._YAML_LOADER)
+    assert got == yaml.load(text, Loader=yaml.SafeLoader) and got["version"] == 1
 
 
 def test_load_config_requires_version_and_single_target(tmp_path):
@@ -403,12 +413,12 @@ _HALF = "x" * (csv.field_size_limit() // 2 + 1)
     [
         (None, "no such file"),
         ("directory", "Is a directory"),
-        (b"a,c,label\n1,\xff,0\n2,y,1\n", "can't decode byte 0xff"),
+        (b"a,c,label\n1,\xff,0\n2,y,1\n", "byte 0xff is not UTF-8 (row 1)"),
         ('"a",c,label\n1,x,0\n2,y,1\n', None),
         ("a,a,label\n1,x,0\n2,y,1\n", "duplicate column name (column 'a')"),
         ("a,c,extra,label\n1,x,5,0\n2,y,6,1\n", "column not in config (column 'extra')"),
         ("a,label\n1,0\n2,1\n", "configured column missing from header (column 'c')"),
-        ("\na,c,label\n1,x,0\n", "3 cells where the header has 0 (row 1)"),
+        ("\na,c,label\n1,x,0\n", "blank header in"),
         ("a,c,label\n", "no rows left after preprocessing"),
         ("a,c,label\n1,x,0\n\n2,y,1\n", "0 cells where the header has 3 (row 2)"),
         ("a,c,label\n1,x,0\n2,y,1\n\n", "0 cells where the header has 3 (row 3)"),

@@ -283,6 +283,94 @@ def test_radius_screen_keeps_every_row_within_the_radius(case):
     _assert_screen_keeps_every_row_within(part, queries, k, radius)
 
 
+def _candidates(train_X, queries, k, radius=None):
+    """The number of (query, column) candidates ``_screen`` passes on."""
+    return sum(len(rows) for _, _, rows, _, _ in evaluate._screen(train_X, queries, k, radius=radius))
+
+
+@pytest.mark.parametrize("kind, factor", [
+    ("gaussian", 2.0**100), ("gaussian", 2.0**-100), ("codes", 2.0**100), ("codes", 2.0**-100),
+    ("gaussian", 1e30),  # unscaled, the squared norms, near 1e61, would overflow float32
+    ("gaussian", 1e-161),  # subnormal squared distances: the exact step rounds absolutely
+])
+def test_float32_screen_of_any_scale_equals_reference_loop(kind, factor):
+    n, m, older = 900, 60, 300
+    rng = np.random.default_rng(29)
+    train_X, queries = np.split(_knn_features(kind, rng, (n + m, 12)) * factor, [n])
+    queries[::2] = train_X[rng.integers(0, n, size=m // 2)]
+    for k in (1, 5, 40):
+        want = _k_nearest_reference(train_X, queries, k)
+        got = evaluate.k_nearest(train_X, queries, k)
+        assert got[0].tobytes() == want[0].tobytes() and (got[1] == want[1]).all()
+        radius = evaluate.k_nearest(train_X[:older], queries, k)[0][:, -1]
+        _assert_screen_keeps_every_row_within(train_X[older:], queries, k, radius)
+    if kind == "gaussian" and factor > 1e-150:
+        # the scale keeps the screen tight: under a tenth of the pairs pass
+        assert _candidates(train_X, queries, 5) < n * m / 10
+        radius = evaluate.k_nearest(train_X[:older], queries, 1)[0][:, -1]
+        assert _candidates(train_X[older:], queries, 1, radius) < (n - older) * m / 10
+
+
+def test_float32_screen_tells_distances_one_ulp_apart():
+    # from the query at the origin, the k-th nearest row lies at a and the
+    # (k+1)-th, an earlier column, at a plus one float64 ulp: far below
+    # float32's resolution, so only the exact step orders them
+    k, a = 4, 1.2345
+    rng = np.random.default_rng(37)
+    near = rng.normal(size=(k - 1, 3))
+    near *= 0.5 / np.linalg.norm(near, axis=1, keepdims=True)
+    far = rng.normal(size=(50, 3))
+    far *= 3 / np.linalg.norm(far, axis=1, keepdims=True)
+    train_X = np.vstack([far[:25], [[np.nextafter(a, 2.0), 0, 0]], near, [[0, 0, a]], far[25:]])
+    queries = np.vstack([np.zeros((1, 3)), rng.normal(size=(20, 3))])
+    want = _k_nearest_reference(train_X, queries, k + 1)
+    assert want[0][0, -2:].tolist() == [a, np.nextafter(a, 2.0)] and want[1][0, -2:].tolist() == [29, 25]
+    for kk in (k, k + 1):
+        got = evaluate.k_nearest(train_X, queries, kk)
+        assert got[0].tobytes() == want[0][:, :kk].tobytes() and (got[1] == want[1][:, :kk]).all()
+    # screened at radius a, the row at a stays
+    radius = np.full(len(queries), a)
+    _assert_screen_keeps_every_row_within(train_X, queries, k, radius)
+    assert (0, 29) in _screened(train_X, queries, k, radius)
+
+
+def test_float32_screen_thresholds_round_up():
+    x = np.array([1 + 2.0**-30, -(1 + 2.0**-30), 3.0, 1e-40, -1e-45, 0.0])
+    assert (evaluate._up(x) >= x).all()
+
+
+def test_float32_screen_keeps_every_column_of_a_query_past_its_range():
+    # the table's cells are near 1 and one query's near 1e25: its scaled
+    # squared norm does not fit float32, though its distances fit float64
+    rng = np.random.default_rng(41)
+    train_X = rng.normal(size=(400, 5))
+    queries = rng.normal(size=(20, 5))
+    queries[7] *= 1e25
+    for k in (1, 5):
+        want = _k_nearest_reference(train_X, queries, k)
+        got = evaluate.k_nearest(train_X, queries, k)
+        assert got[0].tobytes() == want[0].tobytes() and (got[1] == want[1]).all()
+        kept = [(lo + rows).tolist().count(7) for lo, _, rows, _, _ in evaluate._screen(train_X, queries, k)]
+        assert sum(kept) == len(train_X)
+        assert _candidates(train_X, queries, k) < 2 * len(train_X)
+
+
+def test_float32_screen_keeps_every_row_of_a_table_past_its_width_bound():
+    # past 131,069 columns the float32 rounding bound no longer holds; past
+    # 8192 a recompute slice of the byte budget held no candidate, and
+    # k_nearest failed with a ValueError. Three rows at -v and three at v:
+    # the far rows' f exceeds the near rows' by 2s, and tol is about s at
+    # the last width the bound holds
+    rng = np.random.default_rng(43)
+    for d, kept in ((131_069, 6), (131_070, 12)):
+        train_X = np.outer([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0], rng.normal(size=d))
+        queries = train_X[[0, 3]]
+        want = _k_nearest_reference(train_X, queries, 2)
+        got = evaluate.k_nearest(train_X, queries, 2)
+        assert got[0].tobytes() == want[0].tobytes() and (got[1] == want[1]).all()
+        assert _candidates(train_X, queries, 2) == kept
+
+
 def test_a_record_enters_only_strictly_inside_the_kth_original():
     # the 2nd original distance is 2: a record at exactly 2 loses the tie
     # to the original's lower id, and a record one ulp nearer enters
