@@ -78,7 +78,8 @@ def load_config(path):
         with open(path, "rb") as fh:  # bytes: the YAML reader decodes them and names a bad one
             raw = yaml.load(fh, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
-        raise DataError(f"config {path} is not valid YAML: {exc}") from None
+        # on one line: the reader's message spans several
+        raise DataError(f"config {path} is not valid YAML: {' '.join(str(exc).split())}") from None
     if not isinstance(raw, dict) or raw.get("version") != 1 or not isinstance(raw.get("columns", []), list):
         raise DataError(f"config {path} must declare version: 1 and a list of columns")
     columns = []

@@ -5,10 +5,6 @@ class QsmoteError(Exception):
     pass
 
 
-class DimensionError(QsmoteError, ValueError):
-    """Array length does not match the declared shape."""
-
-
 class DegenerateInputError(QsmoteError, ValueError):
     """Zero-norm vector where a direction is required."""
 

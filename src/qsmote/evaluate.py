@@ -1,13 +1,14 @@
 """KNN scoring, binary classification metrics, and the experiment grid.
 
 Everything is self-contained: exact nearest neighbours from a blocked
-float32 screen, one matrix product per block of queries against the
-centred training rows with their squared norms appended, all scaled by
-one power of two, and an exact float64 distance repair (``_screen``,
-shared by ``k_nearest`` and the grid), a
-trapezoidal ROC-AUC, and step-interpolated average precision. The tests
-hold the ROC-AUC to a pairwise Mann-Whitney count, ``roc_auc_pairwise``
-in ``tests/oracles.py``.
+float32 screen, with each call's queries prepared once, one matrix
+product per block of them against the centred training rows with their
+squared norms appended, all scaled by one power of two, and one
+threshold compare, at the k-th nearest or at a given radius, then an
+exact float64 distance repair (``_screen``, shared by ``k_nearest`` and
+the grid); a trapezoidal ROC-AUC; and step-interpolated average
+precision. The tests hold the ROC-AUC to a pairwise Mann-Whitney count,
+``roc_auc_pairwise`` in ``tests/oracles.py``.
 
 The grid, ``run_experiment``, augments once, by ``pipeline.augment_grid``
 (the CLI's one augmentation call too), and counts records instead of
@@ -42,12 +43,11 @@ class MetricsReport:
 # A block of queries is sized so its screen (n values per query) and its
 # min(k, n) candidate rows per query (d values each) take at most this
 # many bytes, but holds at least 16 queries, so that the screen stays a
-# matrix product on large training sets. A group of blocks holds the
-# queries whose d + 4 prepared values fill a quarter of it, and a run of
-# a group's blocks ends once its candidates, some 64 bytes each in the
-# recompute and the consumers, fill it; a recompute slice takes a quarter.
-# The grid takes its queries in chunks whose counts, one per distinct
-# grid row, query and original neighbour, fit it.
+# matrix product on large training sets. A run of blocks ends once its
+# candidates, some 64 bytes each in the recompute and the consumers, fill
+# it; a recompute slice takes a quarter. The grid takes its queries in
+# chunks whose counts, one per distinct grid row, query and original
+# neighbour, fit it.
 _BLOCK_BYTES = 256 * 1024
 _F32 = np.finfo(np.float32)
 _F64 = np.finfo(float)
@@ -65,12 +65,12 @@ def _screen(train_X, queries, k, radius=None):
     whichever call scores a pair. Without ``radius`` a query's candidates
     hold every row that beats or ties its k-th nearest; with ``radius``, one
     distance per query, every row at most that far. The inputs must be
-    finite float tables, k at least 1 and ``train_X`` nonempty. Each block
-    of queries runs only step 1's product, threshold, compare and nonzero.
-    Each group of blocks prepares its queries once (centring, scaling,
-    |q|^2, the tolerance and the overflow mask), and step 2 runs once per
-    run of its blocks, all of a group or a part; ``_BLOCK_BYTES`` sizes all
-    three:
+    finite float tables, k at least 1 and ``train_X`` nonempty. The call
+    prepares all its queries once (centring, scaling, |q|^2, the tolerance,
+    the overflow mask and any radius threshold), so its memory grows with
+    ``len(queries)``; each block of queries runs only step 1's product,
+    threshold, compare and nonzero, and step 2 runs once per run of blocks.
+    ``_BLOCK_BYTES`` sizes blocks, runs and slices:
 
     1. Screen, in float32. The training rows are centred on their mean and
        scaled by 2^-e, with e putting the largest |cell| in [1/2, 1): a
@@ -80,17 +80,19 @@ def _screen(train_X, queries, k, radius=None):
        from float64. The queries, centred and scaled the same way, are the
        rows (-2q, 1), so one float32 product gives f = |x|^2 - 2 q.x for
        every pair: the scaled squared distance less |q|^2, which is the same
-       for all of a query's rows. Without a radius, column j joins group
-       j mod g of g = min(16 k, n) groups, and ``np.partition`` finds u, the
-       k-th smallest of the groups' minima, over g values in place of n.
-       These k minima are the values of k different rows, so u is at least
-       f_k, the k-th smallest f, and it exceeds f_k only where two of the k
-       nearest rows share a group, which 16 k groups make rare. Every row
-       whose f is within tol = 64 (d + 3) (eps s + tiny) of u is a
-       candidate, where eps is float32's, s = |q|^2 + max|x|^2 (scaled),
-       and tiny is the larger of float32's smallest subnormal and float64's
-       scaled by 2^-2e. Each rounding is by eps / 2 relative, or by tiny
-       where its result is subnormal:
+       for all of a query's rows. A row is a candidate where f is at most
+       the query's threshold, u + tol cast to float32 and raised by one
+       float32 ulp, so at least u + tol. Here tol = 64 (d + 3) (eps s +
+       tiny), where eps is float32's, s = |q|^2 + max|x|^2 (scaled), and
+       tiny is the larger of float32's smallest subnormal and float64's
+       scaled by 2^-2e. With a radius r, u is r^2 - |q|^2 (scaled), and r^2
+       joins s. Without one, column j joins group j mod g of g = min(16 k,
+       n) groups, and ``np.partition`` finds u, the k-th smallest of the
+       groups' minima, over g values in place of n. These k minima are the
+       values of k different rows, so u is at least f_k, the k-th smallest
+       f, and it exceeds f_k only where two of the k nearest rows share a
+       group, which 16 k groups make rare. Each rounding is by eps / 2
+       relative, or by tiny where its result is subnormal:
        (a) Inputs. The centring rounds each cell in float64 and the cast
            in float32; the norms carry d + 1 float64 roundings and one
            float32 one. Each |x_i| is below 1 and 2 |q||x| <= s, so the
@@ -109,44 +111,33 @@ def _screen(train_X, queries, k, radius=None):
        than 2 (d + 3) eps s + 6 (d + 1) tiny <= 6 (d + 3) (eps s + tiny).
        Two such errors lie between f_k <= u and the f of any row that ties
        with or beats the k-th neighbour in computed distance, so 12 would
-       do; 64 is a fivefold margin, which also covers the float64 sum
-       u + tol. That sum is cast to float32 and raised by one float32 ulp,
-       so the float32 threshold is at least it.
-       With a radius r the table gains a row of ones and the queries a
-       last cell, -(r^2 - |q|^2 + tol) rounded down to float32, so the
-       product is f less that threshold and the compare is with 0; r^2
-       joins s. r is itself a computed distance, so it stands where the
-       k-th neighbour's distance stood; one error suffices there, and the
-       extra product, whose absolute value is at most s + tol, the squares
-       and the shift add roundings inside the margin. A query whose 4 s
-       does not fit float32, or whose unscaled 4 s overflows float64, keeps
-       every row as a candidate; below that no sum in the product and no
-       exact distance overflows. So does every query of a table so wide
-       that 64 (d + 3) eps exceeds 1 (past 131,069 columns), where the
-       margins above no longer hold.
+       do; 64 is a fivefold margin, which also covers the float64 sums that
+       form u + tol, r^2 among them. r is itself a computed distance, so it
+       stands where the k-th neighbour's distance stood, and one error
+       suffices there. A query whose 4 s does not fit float32, or whose
+       unscaled 4 s overflows float64, keeps every row as a candidate; below
+       that no sum in the product and no exact distance overflows. So does
+       every query of a table so wide that 64 (d + 3) eps exceeds 1 (past
+       131,069 columns), where the margins above no longer hold.
     2. Exact recompute. The candidates' distances are computed with the
        expression above from the original float64 rows, in slices of
-       ``_BLOCK_BYTES // (32 d)`` candidates, at least one; a row's sum does not depend on
-       its slice or run. Ties, overflow or a far radius can keep all n
-       rows. An overflow gives a distance of inf, which the callers rank or
-       reject, so it raises no warning.
+       ``_BLOCK_BYTES // (32 d)`` candidates, at least one; a row's sum does
+       not depend on its slice or run. Ties, overflow or a far radius can
+       keep all n rows. An overflow gives a distance of inf, which the
+       callers rank or reject, so it raises no warning.
     """
     n, d = train_X.shape
     k = min(k, n)
     block = max(16, _BLOCK_BYTES // (8 * max(n, k * d)))
-    group = block * max(1, _BLOCK_BYTES // (32 * (d + 4) * block))
     step = max(1, _BLOCK_BYTES // (32 * max(d, 1)))
     g = min(16 * k, n)  # the screen's column groups: column j joins group j mod g
     full, left = divmod(n, g)
-    width = d + 1 + (radius is not None)
-    # the scaled centred rows as float32 columns, their squared norms as a
-    # further row (and a row of ones for the radius), each group's scaled
-    # queries, their (-2q, 1[, -limit]) rows and one block's product;
-    # overflow here or below only widens the screen: such queries keep
-    # every column
-    table = np.ones((width, n), np.float32)
-    q = np.empty((min(group, len(queries)), d))
-    lhs = np.ones((len(q), width), np.float32)
+    # the scaled centred rows as float32 columns with their squared norms
+    # as a last row, the scaled queries' (-2q, 1) rows and one block's
+    # product; overflow here or below only widens the screen: such queries
+    # keep every column
+    table = np.empty((d + 1, n), np.float32)
+    lhs = np.ones((len(queries), d + 1), np.float32)
     fused = np.empty((min(block, len(queries)), n), np.float32)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = train_X.mean(axis=0)
@@ -156,57 +147,54 @@ def _screen(train_X, queries, k, radius=None):
         table[:d] = centred
         sq_x = np.einsum("ij,ij->j", centred, centred)
         table[d] = sq_x
-        sq_max = sq_x.max()
+        del centred
+        q = queries - mean
+        np.ldexp(q, -e, out=q)
+        sq_q = np.einsum("ij,ij->i", q, q)
+        np.multiply(q, -2.0, out=lhs[:, :d])
+        del q
+        r2 = 0.0 if radius is None else np.square(np.ldexp(radius, -e))
+        scale = sq_q + sq_x.max() + r2
         tiny = max(_F32.smallest_subnormal, np.ldexp(_F64.smallest_subnormal, -2 * e))
-        # 4 s (scale) below this: no overflow, and the bound holds
+        tol = 64 * (d + 3) * (_F32.eps * scale + tiny)
+        if radius is not None:
+            limit = _up((r2 - sq_q) + tol)
+        # 4 s (scaled) below this: no overflow, and the bound holds
         fits = min(_F32.max, np.ldexp(_F64.max, -2 * e)) if 64 * (d + 3) * _F32.eps <= 1 else 0.0
-    del centred, sq_x
-    for start in range(0, len(queries), group):
-        group_q = queries[start:start + group]
-        p = q[:len(group_q)]
+        over = ~(4.0 * scale < fits)
+    del sq_x, sq_q, scale
+    wide = over.any()
+    found, size, first = [], 0, 0
+    for lo in range(0, len(queries), block):
+        hi = min(lo + block, len(queries))
         with np.errstate(over="ignore", invalid="ignore"):
-            np.subtract(group_q, mean, out=p)
-            np.ldexp(p, -e, out=p)
-            sq_q = np.einsum("ij,ij->i", p, p)
-            np.multiply(p, -2.0, out=lhs[:len(p), :d])
-            r2 = 0.0 if radius is None else np.square(np.ldexp(radius[start:start + group], -e))
-            scale = sq_q + sq_max + r2
-            tol = 64 * (d + 3) * (_F32.eps * scale + tiny)
-            if radius is not None:  # the radius screen's threshold, in the product
-                lhs[:len(p), d + 1] = -_up((r2 - sq_q) + tol)
-            over = ~(4.0 * scale < fits)
-        wide = over.any()
-        found, size, first = [], 0, 0
-        for lo in range(0, len(group_q), block):
-            hi = min(lo + block, len(group_q))
-            with np.errstate(over="ignore", invalid="ignore"):
-                f = np.matmul(lhs[lo:hi], table, out=fused[:hi - lo])
-                if radius is None:
-                    mins = f[:, :g * full].reshape(hi - lo, full, g).min(axis=1)
-                    np.minimum(mins[:, :left], f[:, g * full:], out=mins[:, :left])
-                    bound = _up(np.partition(mins, k - 1, axis=1)[:, k - 1] + tol[lo:hi])
-                    candidate = f <= bound[:, None]
-                else:
-                    candidate = f <= 0
-            if wide:
-                candidate[over[lo:hi]] = True
-            # a flat nonzero is several times faster than a 2-d one
-            found.append(np.flatnonzero(candidate))
-            found[-1] += (lo - first) * n
-            size += len(found[-1])
-            if size < _BLOCK_BYTES // 64 and hi < len(group_q):
-                continue
-            rows, cols = np.divmod(found[0] if len(found) == 1 else np.concatenate(found), n)
-            found, size = [], 0
-            dist = np.empty(len(rows))
-            with np.errstate(over="ignore"):
-                for s in range(0, len(rows), step):
-                    diff = train_X[cols[s:s + step]]
-                    diff -= group_q[first:hi][rows[s:s + step]]
-                    diff *= diff
-                    dist[s:s + step] = np.sqrt(np.add.reduce(diff, axis=-1))
-            yield start + first, start + hi, rows, cols, dist
-            first = hi
+            f = np.matmul(lhs[lo:hi], table, out=fused[:hi - lo])
+            if radius is None:
+                mins = f[:, :g * full].reshape(hi - lo, full, g).min(axis=1)
+                np.minimum(mins[:, :left], f[:, g * full:], out=mins[:, :left])
+                bound = _up(np.partition(mins, k - 1, axis=1)[:, k - 1] + tol[lo:hi])
+            else:
+                bound = limit[lo:hi]
+            candidate = f <= bound[:, None]
+        if wide:
+            candidate[over[lo:hi]] = True
+        # a flat nonzero is several times faster than a 2-d one
+        found.append(np.flatnonzero(candidate))
+        found[-1] += (lo - first) * n
+        size += len(found[-1])
+        if size < _BLOCK_BYTES // 64 and hi < len(queries):
+            continue
+        rows, cols = np.divmod(found[0] if len(found) == 1 else np.concatenate(found), n)
+        found, size = [], 0
+        dist = np.empty(len(rows))
+        with np.errstate(over="ignore"):
+            for s in range(0, len(rows), step):
+                diff = train_X[cols[s:s + step]]
+                diff -= queries[first:hi][rows[s:s + step]]
+                diff *= diff
+                dist[s:s + step] = np.sqrt(np.add.reduce(diff, axis=-1))
+        yield first, hi, rows, cols, dist
+        first = hi
 
 
 def k_nearest(train_X, queries, k):
@@ -217,6 +205,10 @@ def k_nearest(train_X, queries, k):
     lower column comes first. One stable lexsort by (query, distance) of
     each ``_screen`` run's candidates picks them. The inputs are as
     ``_screen`` needs them; the callers check them (``_check_knn``).
+    A call prepares all its queries at once, some 12 d + 40 bytes each:
+    against 10 training rows of 21 values, 3,000 queries peaked at
+    1.1 MiB and 30,000 at 9.9 MiB (``tracemalloc``), so the grid passes
+    its queries in chunks.
     """
     k = min(k, len(train_X))
     out_dist = np.empty((len(queries), k))

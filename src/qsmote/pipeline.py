@@ -36,6 +36,8 @@ class SmoteConfig:
     def __post_init__(self):
         if not self.split_factor > 0:
             raise ParameterError(f"split factor must be positive, got {self.split_factor}")
+        if np.pi / 2 / float(self.split_factor) == np.inf:  # divides rotation angles of at most pi/2
+            raise ParameterError(f"split factor must keep (pi/2) / sf finite, got {self.split_factor}")
         if not 0 <= self.boost_angle_multiplier < np.inf:
             raise ParameterError(f"boost multiplier must be finite and >= 0, got {self.boost_angle_multiplier}")
         if self.shots < 0:

@@ -22,9 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from qsmote import data, evaluate
-from qsmote.errors import DataError, DegenerateInputError, DimensionError
+from qsmote.errors import DataError, DegenerateInputError, QsmoteError
 from qsmote.qdist import angular_distance_from_probability
 from qsmote.statevec import sampling_probability
+
+
+class DimensionError(QsmoteError, ValueError):
+    """Array length does not match the declared shape; only the simulator raises it."""
+
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -113,7 +113,8 @@ def test_preprocess_missing_column_exits_2_and_names_it(raw, tmp_path, capsys):
 @pytest.mark.parametrize(
     "columns, message",
     [
-        ("columns: [\n", "is not valid YAML"),
+        # the YAML reader's message spans three lines, printed as one
+        ("columns: [\n", 'is not valid YAML: while parsing a flow node did not find expected node content in "'),
         ("columns:\n  - {kind: numeric-raw}\n", "column entry 1 must be a mapping with a name"),
         ("columns:\n  - age\n", "column entry 1 must be a mapping with a name, got 'age'"),
         (
@@ -148,6 +149,7 @@ def test_preprocess_bad_config_exits_2_without_traceback(raw, tmp_path, capsys, 
     assert cli.main(["preprocess", str(raw_path), str(out), "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
 
 
@@ -157,13 +159,15 @@ def test_smote_negative_shots_exits_2_before_reading_input(tmp_path, capsys):
     assert cli.main(argv + ["--shots", "-1"]) == 2
     assert "shots must be >= 0, got -1" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
-    # a non-finite or nonpositive split factor, or a non-finite or negative
+    # a non-finite, nonpositive or tiny split factor, or a non-finite or negative
     # multiplier, would write NaN or wrong records: nothing below this gate
     # checks them again. Shots past int64 overflow the binomial draw
     for flag, value, message in [
         ("--sf", "nan", "split factor must be positive, got nan"),
         ("--sf", "0", "split factor must be positive, got 0.0"),
         ("--sf", "-2", "split factor must be positive, got -2.0"),
+        # (pi/2) / sf overflows: on the README demo data the run wrote NaN records
+        ("--sf", "1e-320", "split factor must keep (pi/2) / sf finite, got 1e-320"),
         ("--boost-multiplier", "-1", "boost multiplier must be finite and >= 0, got -1.0"),
         ("--boost-multiplier", "nan", "boost multiplier must be finite and >= 0, got nan"),
         ("--boost-multiplier", "inf", "boost multiplier must be finite and >= 0, got inf"),
@@ -519,7 +523,10 @@ def test_undecodable_config_exits_2_without_traceback(raw, tmp_path, capsys):
     cfg.write_bytes(b"version: 1\ncolumns:\n  - {name: \xffage, kind: numeric-raw}\n")
     out = tmp_path / "out.csv"
     assert cli.main(["preprocess", str(raw_path), str(out), "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: config {cfg} is not valid YAML: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {cfg} is not valid YAML: ")
+    # the reader's two lines, printed as one
+    assert err.endswith(f' octet in "{cfg}", position 31\n') and err.count("\n") == 1
     assert not out.exists()
 
 

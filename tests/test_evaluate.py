@@ -225,20 +225,19 @@ def test_knn_against_a_small_part_keeps_to_its_block_budget():
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_knn_runs_of_blocks_equal_reference_loop(monkeypatch):
-    # at 16 KiB the 700-row table gives 16-query blocks, groups of 48
-    # queries (d + 4 = 10 values each in a quarter of the budget) and runs
-    # that end at 256 candidates: at k = 5 runs span several blocks, and
-    # groups end in more than one run
+    # at 16 KiB the 700-row table gives 16-query blocks and runs that end
+    # at 256 candidates: at k = 5 runs span several blocks, and the call's
+    # 300 queries, prepared at once, end in more than one run
     monkeypatch.setattr(evaluate, "_BLOCK_BYTES", 16 * 1024)
     train_X, train_y, test_X = _tied_table()
     runs = [(lo, hi) for lo, hi, *_ in evaluate._screen(train_X, test_X, 5)]
     assert [lo for lo, _ in runs] == [0] + [hi for _, hi in runs[:-1]] and runs[-1][1] == 300
     assert any(hi - lo > 16 for lo, hi in runs)
-    assert any(hi % 48 and hi != 300 for _, hi in runs)
+    assert any(hi - lo > 16 and hi < 300 for lo, hi in runs)
     # row 0's squared norm stays finite, but five queries' |q|^2 overflow,
     # and so do their distances to every row, which then all tie; a screen
     # product with row 0 can read inf - inf = nan, and only the queries'
-    # overflow masks, most of them in later blocks of a group, keep row 0
+    # overflow masks, prepared with the call's queries, keep row 0
     huge_X, huge_q = train_X.copy(), test_X.copy()
     huge_X[0, :2] = 9.4e153, -9.4e153
     huge_q[[20, 37, 70, 150, 299], :2] = 1e154
@@ -822,8 +821,10 @@ _CRITERION_09_GRID = (30, 32, 34, 36, 38, 40, 42, 45, 48, 50)
 
 
 def test_run_experiment_screens_in_runs_of_many_blocks(monkeypatch):
-    # the criterion-09 grid on the demo data at seed 0 screens 299 blocks
-    # of queries in 12 _screen calls, and recomputes and yields 14 runs
+    # the criterion-09 grid on the demo data at seed 0 passes its 3280
+    # queries in 6 chunks of at most 595 to 12 _screen calls (k_nearest's
+    # and _votes'), each of which prepares its chunk at once; they screen
+    # 299 blocks and recompute and yield 14 runs
     blocks, runs = [], []
     screen = evaluate._screen
 
@@ -843,8 +844,9 @@ def test_run_experiment_screens_in_runs_of_many_blocks(monkeypatch):
 
 @pytest.mark.parametrize("data", ["tied-codes", "planted-outliers"])
 def test_run_experiment_in_runs_of_blocks_equals_the_per_row_reference(monkeypatch, data):
-    # 16 KiB gives runs that span blocks and end inside groups (see
-    # test_knn_runs_of_blocks_equal_reference_loop), in both screens
+    # 16 KiB gives runs that span blocks and end before a call's last
+    # query (see test_knn_runs_of_blocks_equal_reference_loop), in both
+    # screens
     X, y = _EXPERIMENT_DATA[data]()
     want = _run_experiment_reference(X, y, _EXPERIMENT_GRID, seed=0)
     monkeypatch.setattr(evaluate, "_BLOCK_BYTES", 16 * 1024)

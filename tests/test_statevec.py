@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import CSWAP, H, RX, X
-from qsmote.errors import DegenerateInputError, DimensionError
+from oracles import CSWAP, H, RX, X, DimensionError
+from qsmote.errors import DegenerateInputError
 
 
 def test_initialize_basis_state():
